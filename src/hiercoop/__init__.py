@@ -28,6 +28,7 @@ from .explorer import (
 )
 from .optimizer import (
     LayerChoice,
+    depth_optimum,
     layer_choice,
     minimal_delay,
     optimal_cluster_sizes,
@@ -93,6 +94,7 @@ __all__ = [
     "delay_base",
     "delay_closed_form",
     "delay_recursive",
+    "depth_optimum",
     "derive",
     "detect_crossovers",
     "find_n_for_ratio",

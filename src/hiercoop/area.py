@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from .errors import DomainError, InfeasibleError, PlanError
 from .params import NetworkConfig, SchemeParams, derive
@@ -39,10 +40,19 @@ class RegimeReport:
 
 
 def classify(cfg: NetworkConfig) -> RegimeReport:
-    """Dense/sparse split for one geometry; the boundary counts as dense."""
-    demand = cfg.area ** (cfg.alpha / 2.0)
+    """Dense/sparse split for one geometry; the boundary counts as dense.
+
+    Raises DomainError when area**(alpha/2) overflows a float.
+    """
+    try:
+        demand = cfg.area ** (cfg.alpha / 2.0)
+    except OverflowError:
+        raise DomainError(
+            f"area**(alpha/2) overflows at area={cfg.area:g}, alpha={cfg.alpha:g}"
+        ) from None
     supply = cfg.c0 * cfg.n
-    factor = min(1.0, supply / demand)
+    # divide only on the sparse side: a tiny area underflows demand to 0
+    factor = 1.0 if demand <= supply else supply / demand
     regime = Regime.DENSE if demand <= supply else Regime.SPARSE
     return RegimeReport(regime=regime, factor=factor, threshold=supply - demand)
 
@@ -91,8 +101,8 @@ def c0_tradeoff(
     """Evaluate candidate (c0, R, Q) triples on a fixed geometry.
 
     Successes come first, best attenuated throughput on top; candidates
-    whose rate pair is out of domain follow with the error message instead
-    of a report.
+    whose rate pair is out of domain, or whose throughput is not finite,
+    follow with the error message instead of a report.
     """
     outcomes: list[CandidateOutcome] = []
     for c0, R, Q in candidates:
@@ -102,6 +112,8 @@ def c0_tradeoff(
             params = derive(R, Q)
             geo = dataclasses.replace(cfg, c0=c0)
             report = throughput_with_area(geo, params)
+            if not math.isfinite(report.value):
+                raise DomainError("throughput is not finite")
         except (DomainError, InfeasibleError, PlanError, ValueError) as exc:
             outcomes.append(CandidateOutcome(c0=c0, R=R, Q=Q, report=None, error=str(exc)))
         else:

@@ -4,12 +4,15 @@ Four subcommands: analyze (one network size, full report), sweep (metric
 rows across a size grid, CSV or JSON lines), verify (built-in oracle
 suites), tradeoff (rank candidate (c0, R, Q) triples on one geometry).
 
-Every option can come from a flag or from an INI config file (--config),
-with flags winning over the file and the file over built-in defaults. The
-default rates R = Q = 1 are illustrative placeholders, not measurements.
+Every option is declared once, in _OPTIONS, and can come from a flag or
+from an INI config file (--config), with flags winning over the file and
+the file over built-in defaults. A subcommand offers only the flags it
+reads. The default rates R = Q = 1 are illustrative placeholders, not
+measurements.
 
 Numbers are printed with 12 significant digits. Exit codes: 0 success,
-1 verify failure, 2 configuration error, 3 domain or infeasibility error.
+1 verify failure, 2 configuration error, 3 domain or infeasibility error
+(a float overflow counts as a domain error).
 """
 from __future__ import annotations
 
@@ -18,13 +21,14 @@ import configparser
 import csv
 import math
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from .area import c0_tradeoff, classify, throughput_with_area
 from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import compare_schemes, ratio_original
 from .optimizer import layer_choice
-from .params import NetworkConfig, SchemeParams, derive
+from .params import MAX_LAYERS, NetworkConfig, derive
 from .selfcheck import run_all
 from .throughput import (
     multihop_baseline,
@@ -49,15 +53,12 @@ SWEEP_COLUMNS = (
     "error",
 )
 
-DEFAULTS: dict[str, object] = {
-    "rate-r": 1.0,
-    "rate-q": 1.0,
-    "area": 1.0,
-    "alpha": 3.0,
-    "c0": 1.0,
-    "log-base": 10.0,
-    "seed": 0,
-}
+#: Largest network size accepted, for --n and for either end of --grid; keeps
+#: the geometric grid interpolation and n/2 inside float range.
+N_MAX = 2**62
+
+#: Most points a sweep grid may hold; bounds the work and memory of one sweep.
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -85,6 +86,20 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
+def _parse_n(key: str, raw: str) -> int:
+    n = _parse_int(key, raw)
+    if n > N_MAX:
+        raise ConfigError(f"{key}: network size must stay at or below 2**62, got {n}")
+    return n
+
+
+def _parse_depth(key: str, raw: str) -> int:
+    h = _parse_int(key, raw)
+    if not 2 <= h <= MAX_LAYERS:
+        raise ConfigError(f"{key}: depth cap must lie in 2..{MAX_LAYERS}, got {h}")
+    return h
+
+
 def _parse_format(key: str, raw: str) -> str:
     if raw not in ("csv", "jsonl"):
         raise ConfigError(f"{key}: expected csv or jsonl, got {raw!r}")
@@ -95,22 +110,15 @@ def _parse_grid(key: str, raw: str) -> list[int]:
     parts = raw.split(":")
     if len(parts) != 4:
         raise ConfigError(f"{key}: expected n_min:n_max:points:log|lin, got {raw!r}")
-    try:
-        n_min, n_max, points = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(
-            f"{key}: n_min, n_max and points must be integers, got {raw!r}"
-        ) from None
+    n_min, n_max = _parse_n(key, parts[0]), _parse_n(key, parts[1])
+    points = _parse_int(key, parts[2])
     spacing = parts[3]
     if spacing not in ("log", "lin"):
         raise ConfigError(f"{key}: spacing must be log or lin, got {spacing!r}")
-    if points < 1:
-        raise ConfigError(f"{key}: points must be >= 1, got {points}")
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{key}: points must lie in 1..{MAX_GRID_POINTS}, got {points}")
     if n_min > n_max:
         raise ConfigError(f"{key}: n_min must not exceed n_max, got {raw!r}")
-    if n_max > 2**62:
-        # keeps the geometric interpolation inside float range
-        raise ConfigError(f"{key}: n_max must stay at or below 2**62, got {n_max}")
     if points == 1:
         if n_min != n_max:
             raise ConfigError(f"{key}: a 1-point grid needs n_min == n_max")
@@ -134,38 +142,58 @@ def _parse_grid(key: str, raw: str) -> list[int]:
     return grid
 
 
-def _parse_candidate(key: str, raw: str) -> tuple[float, float, float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected c0:R:Q, got {raw!r}")
-    c0, R, Q = (_parse_float(key, p) for p in parts)
-    return (c0, R, Q)
-
-
-def _parse_candidates(key: str, raw: str) -> list[tuple[float, float, float]]:
+def _parse_candidates(key: str, raw: str) -> list[tuple[float, ...]]:
     items = [s.strip() for s in raw.replace("\n", ",").split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{key}: no candidates given")
-    return [_parse_candidate(key, s) for s in items]
+    triples = [item.split(":") for item in items]
+    for item, parts in zip(items, triples):
+        if len(parts) != 3:
+            raise ConfigError(f"{key}: expected c0:R:Q, got {item!r}")
+    return [tuple(_parse_float(key, p) for p in parts) for parts in triples]
 
 
-#: option name -> (config section, parser); the one table both the config
-#: reader and the flag merger are driven by.
-_OPTIONS: dict[str, tuple[str, Callable[[str, str], object]]] = {
-    "rate-r": ("params", _parse_float),
-    "rate-q": ("params", _parse_float),
-    "n": ("network", _parse_int),
-    "area": ("network", _parse_float),
-    "alpha": ("network", _parse_float),
-    "c0": ("network", _parse_float),
-    "grid": ("sweep", _parse_grid),
-    "c-mh": ("options", _parse_float),
-    "log-base": ("options", _parse_float),
-    "nu": ("options", _parse_float),
-    "h-max": ("options", _parse_int),
-    "format": ("options", _parse_format),
-    "seed": ("options", _parse_int),
-    "candidates": ("tradeoff", _parse_candidates),
+@dataclass(frozen=True)
+class _Option:
+    """One option: its config file section, the parser that turns a raw flag or
+    file string into its value, the subcommands that read it (only they offer
+    the flag), help text, default (None: unset), and, for a repeatable flag
+    whose values join with commas, the flag's name.
+    """
+
+    section: str
+    parse: Callable[[str, str], object]
+    commands: tuple[str, ...]
+    help: str
+    default: object = None
+    flag: str | None = None
+
+
+#: subcommand names, abbreviated for the option table
+_A, _S, _V, _T = "analyze", "sweep", "verify", "tradeoff"
+
+#: config key -> its one declaration; drives argparse, the config file reader
+#: and the merge of the two.
+_OPTIONS: dict[str, _Option] = {
+    "rate-r": _Option("params", _parse_float, (_A, _S, _V),
+                      "long-range transmission rate R; the default is illustrative", 1.0),
+    "rate-q": _Option("params", _parse_float, (_A, _S, _V),
+                      "in-cluster exchange rate Q; the default is illustrative", 1.0),
+    "n": _Option("network", _parse_n, (_A, _T), "network size in nodes, 4..2**62"),
+    "area": _Option("network", _parse_float, (_A, _S, _T), "deployment area", 1.0),
+    "alpha": _Option("network", _parse_float, (_A, _S, _T), "path-loss exponent", 3.0),
+    "c0": _Option("network", _parse_float, (_A, _S), "dense/sparse threshold constant", 1.0),
+    "grid": _Option("sweep", _parse_grid, (_S,), "sweep grid as n_min:n_max:points:log|lin"),
+    "c-mh": _Option("options", _parse_float, (_A, _S), "multihop baseline constant"),
+    "log-base": _Option("options", _parse_float, (_S,),
+                        "base for the log-adjusted ratio", 10.0),
+    "nu": _Option("options", _parse_float, (_S,), "grow area as n**nu across a sweep"),
+    "h-max": _Option("options", _parse_depth, (_A,), f"depth search cap, 2..{MAX_LAYERS}"),
+    "format": _Option("options", _parse_format, (_A, _S, _T),
+                      "output format, csv (sweep only) or jsonl"),
+    "seed": _Option("options", _parse_int, (_V,), "seed for the verify suites", 0),
+    "candidates": _Option("tradeoff", _parse_candidates, (_T,),
+                          "candidate triple C0:R:Q; repeat for several", flag="candidate"),
 }
 
 
@@ -178,95 +206,55 @@ def _load_config(path: str) -> dict[str, object]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
-    keys_by_section: dict[str, dict[str, Callable[[str, str], object]]] = {}
-    for name, (section, parse) in _OPTIONS.items():
-        keys_by_section.setdefault(section, {})[name] = parse
     values: dict[str, object] = {}
+    sections = {opt.section for opt in _OPTIONS.values()}
     for section in parser.sections():
-        if section not in keys_by_section:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in keys_by_section[section]:
+            opt = _OPTIONS.get(key)
+            if opt is None or opt.section != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = keys_by_section[section][key](key, raw)
+            values[key] = opt.parse(key, raw)
     return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("options (flag > config file > default)")
-    g.add_argument("--config", metavar="PATH", help="INI config file")
-    g.add_argument("--n", type=int, help="network size in nodes")
-    g.add_argument("--area", type=float, help="deployment area (default 1)")
-    g.add_argument("--alpha", type=float, help="path-loss exponent (default 3)")
-    g.add_argument("--c0", type=float, help="dense/sparse threshold constant (default 1)")
-    g.add_argument(
-        "--rate-r", type=float, dest="rate_r",
-        help="long-range transmission rate R (default 1, illustrative)",
-    )
-    g.add_argument(
-        "--rate-q", type=float, dest="rate_q",
-        help="in-cluster exchange rate Q (default 1, illustrative)",
-    )
-    g.add_argument("--c-mh", type=float, dest="c_mh", help="multihop baseline constant")
-    g.add_argument(
-        "--log-base", type=float, dest="log_base",
-        help="base for the log-adjusted ratio (default 10)",
-    )
-    g.add_argument("--nu", type=float, help="grow area as n**nu across a sweep")
-    g.add_argument("--h-max", type=int, dest="h_max", help="cap on the depth search")
-    g.add_argument("--grid", help="sweep grid as n_min:n_max:points:log|lin")
-    g.add_argument("--format", choices=["csv", "jsonl"], help="output format")
-    g.add_argument("--seed", type=int, help="seed for the verify suites (default 0)")
-    g.add_argument(
-        "--candidate", action="append", metavar="C0:R:Q",
-        help="tradeoff candidate triple; repeat for several",
-    )
     parser = argparse.ArgumentParser(
         prog="hiercoop",
         description="Throughput analysis of hierarchical cooperation schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="full report for one network size")
-    sub.add_parser("sweep", parents=[common], help="metric rows across a size grid")
-    sub.add_parser("verify", parents=[common], help="run the built-in oracle suites")
-    sub.add_parser("tradeoff", parents=[common], help="rank candidate (c0, R, Q) triples")
+    for command, (_, about, _) in _COMMANDS.items():
+        g = sub.add_parser(command, help=about).add_argument_group(
+            "options (flag > config file > default)"
+        )
+        g.add_argument("--config", metavar="PATH", help="INI config file")
+        for name, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            if opt.flag is None:
+                g.add_argument(f"--{name}", dest=name, help=text)
+            else:
+                g.add_argument(
+                    f"--{opt.flag}", dest=name, action="append", metavar=opt.flag.upper(),
+                    help=text,
+                )
     return parser
 
 
 def _merge(args: argparse.Namespace) -> dict[str, object]:
-    cfg = dict(DEFAULTS)
-    if args.config is not None:
-        cfg.update(_load_config(args.config))
-    flags: dict[str, object] = {
-        "n": args.n,
-        "area": args.area,
-        "alpha": args.alpha,
-        "c0": args.c0,
-        "rate-r": args.rate_r,
-        "rate-q": args.rate_q,
-        "c-mh": args.c_mh,
-        "log-base": args.log_base,
-        "nu": args.nu,
-        "h-max": args.h_max,
-        "format": getattr(args, "format"),
-        "seed": args.seed,
-    }
-    for key, value in flags.items():
-        if value is None:
-            continue
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
-        cfg[key] = value
-    if args.grid is not None:
-        cfg["grid"] = _parse_grid("grid", args.grid)
-    if args.candidate:
-        cfg["candidates"] = [_parse_candidate("candidate", s) for s in args.candidate]
+    # file values of options the subcommand does not read are parsed, then dropped
+    values = {} if args.config is None else _load_config(args.config)
+    cfg = {}
+    for name, opt in _OPTIONS.items():
+        raw = getattr(args, name, None)
+        if raw is not None:
+            values[name] = opt.parse(name, raw if opt.flag is None else ",".join(raw))
+        read = args.command in opt.commands
+        cfg[name] = values.get(name, opt.default) if read else opt.default
     return cfg
-
-
-def _scheme(cfg: dict[str, object]) -> SchemeParams:
-    return derive(cfg["rate-r"], cfg["rate-q"])
 
 
 def _network(cfg: dict[str, object], n: int) -> NetworkConfig:
@@ -278,125 +266,110 @@ def _network(cfg: dict[str, object], n: int) -> NetworkConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _json_value(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
+def _emit(records: list[dict[str, object]], fmt: str) -> None:
+    """Print records as text (key = value lines), csv (header, then rows) or jsonl.
+
+    Floats print with 12 significant digits, None as none, an empty cell or
+    null. A non-finite float raises DomainError before anything is printed.
+    """
+    for record in records:
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{key} is not finite: {value}")
+    if fmt == "jsonl":
+        import json  # deferred: keeps the import off every text and csv run
+
+        for record in records:
+            rounded = {
+                k: float(_fmt(v)) if isinstance(v, float) else v for k, v in record.items()
+            }
+            print(json.dumps(rounded, allow_nan=False))
+    elif fmt == "csv":
+        # csv writes None as an empty cell
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(records[0])
+        for record in records:
+            writer.writerow(_fmt(v) if isinstance(v, float) else v for v in record.values())
+    else:
+        for record in records:
+            for key, value in record.items():
+                if isinstance(value, float):
+                    value = _fmt(value)
+                print(f"{key} = {'none' if value is None else value}")
 
 
-def _json_line(pairs: list[tuple[str, object]]) -> str:
-    return "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in pairs) + "}"
-
-
-def _analyze_pairs(cfg: dict[str, object]) -> list[tuple[str, object]]:
-    if cfg.get("n") is None:
+def _cmd_analyze(cfg: dict[str, object]) -> int:
+    if cfg["n"] is None:
         raise ConfigError("analyze needs a network size; pass --n")
-    params = _scheme(cfg)
+    params = derive(cfg["rate-r"], cfg["rate-q"])
     network = _network(cfg, cfg["n"])
     n = network.n
-    pairs: list[tuple[str, object]] = [
-        ("n", n),
-        ("R", params.R),
-        ("Q", params.Q),
-        ("beta1", params.beta1),
-        ("beta", params.beta),
-        ("c", params.c),
-    ]
     regime = classify(network)
-    pairs += [
-        ("regime", regime.regime.value),
-        ("area_factor", regime.factor),
-        ("threshold", regime.threshold),
-    ]
-    h_max = cfg.get("h-max")
+    record: dict[str, object] = {
+        "n": n,
+        "R": params.R,
+        "Q": params.Q,
+        "beta1": params.beta1,
+        "beta": params.beta,
+        "c": params.c,
+        "regime": regime.regime.value,
+        "area_factor": regime.factor,
+        "threshold": regime.threshold,
+    }
+    h_max = cfg["h-max"]
     try:
         choice = layer_choice(n, params, h_max=h_max)
     except InfeasibleError:
         choice = None
     both = optimal_modified(n, params, h_max=h_max)
     if choice is None:
-        pairs += [
-            ("h_exact", None), ("h_approx", None), ("h_int", None),
-            ("M1_int", None), ("T1_int", None),
-            ("P1", None), ("P2", None), ("P3", None),
-        ]
+        for key in ("h_exact", "h_approx", "h_int", "M1_int", "T1_int", "P1", "P2", "P3"):
+            record[key] = None
     else:
-        integer = both.integer
-        given = throughput_given_M1(choice.h_int, integer.M1_used, n, 1.0, params)
-        pairs += [
-            ("h_exact", choice.h_exact),
-            ("h_approx", choice.h_approx),
-            ("h_int", choice.h_int),
-            ("M1_int", integer.M1_used),
-            ("T1_int", integer.value),
-            ("P1", given.phase_slots[0]),
-            ("P2", given.phase_slots[1]),
-            ("P3", given.phase_slots[2]),
-        ]
-    pairs += [
-        ("T1_smooth", both.smooth.value),
-        ("T1_area", throughput_with_area(network, params).value),
-        ("per_pair", per_pair_rate(n, params)),
-        ("h_orig", original_optimal_layers(n, params.beta)),
-        ("T_orig", original_throughput(n, params)),
-        ("ratio", ratio_original(n, params)),
-    ]
-    if cfg.get("c-mh") is not None:
-        pairs.append(("multihop", multihop_baseline(n, cfg["c-mh"])))
-    return pairs
-
-
-def _cmd_analyze(cfg: dict[str, object]) -> int:
-    fmt = cfg.get("format")
-    if fmt == "csv":
-        raise ConfigError("analyze prints text or jsonl, not csv; drop --format csv")
-    pairs = _analyze_pairs(cfg)
-    if fmt == "jsonl":
-        print(_json_line(pairs))
-    else:
-        for key, value in pairs:
-            if value is None:
-                print(f"{key} = none")
-            elif isinstance(value, (int, str)):
-                print(f"{key} = {value}")
-            else:
-                print(f"{key} = {_fmt(value)}")
+        given = throughput_given_M1(choice.h_int, choice.M1, n, 1.0, params)
+        record.update(
+            h_exact=choice.h_exact,
+            h_approx=choice.h_approx,
+            h_int=choice.h_int,
+            M1_int=choice.M1,
+            T1_int=choice.value,
+            P1=given.phase_slots[0],
+            P2=given.phase_slots[1],
+            P3=given.phase_slots[2],
+        )
+    record.update(
+        T1_smooth=both.smooth.value,
+        T1_area=throughput_with_area(network, params).value,
+        per_pair=per_pair_rate(n, params),
+        h_orig=original_optimal_layers(n, params.beta),
+        T_orig=original_throughput(n, params),
+        ratio=ratio_original(n, params),
+    )
+    if cfg["c-mh"] is not None:
+        record["multihop"] = multihop_baseline(n, cfg["c-mh"])
+    _emit([record], cfg["format"])
     return 0
 
 
 def _cmd_sweep(cfg: dict[str, object]) -> int:
-    if cfg.get("grid") is None:
+    if cfg["grid"] is None:
         raise ConfigError("sweep needs a grid; pass --grid n_min:n_max:points:log|lin")
-    if cfg.get("c-mh") is None:
+    if cfg["c-mh"] is None:
         raise ConfigError("sweep needs the multihop constant; pass --c-mh")
-    params = _scheme(cfg)
+    params = derive(cfg["rate-r"], cfg["rate-q"])
     base = _network(cfg, max(4, cfg["grid"][0]))
     rows = compare_schemes(
         cfg["grid"], base, params, cfg["c-mh"],
-        log_base=cfg["log-base"], nu=cfg.get("nu"),
+        log_base=cfg["log-base"], nu=cfg["nu"],
     )
-    fmt = cfg.get("format") or "csv"
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            record = [str(row.n)]
-            for col in SWEEP_COLUMNS[1:-1]:
-                value = row.extras.get(col)
-                record.append("" if value is None else _fmt(value))
-            record.append(row.error or "")
-            writer.writerow(record)
-    else:
-        for row in rows:
-            pairs: list[tuple[str, object]] = [("n", row.n)]
-            for col in SWEEP_COLUMNS[1:-1]:
-                pairs.append((col, row.extras.get(col)))
-            pairs.append(("error", row.error))
-            print(_json_line(pairs))
+    _emit(
+        [
+            {"n": row.n, **{col: row.extras.get(col) for col in SWEEP_COLUMNS[1:-1]},
+             "error": row.error}
+            for row in rows
+        ],
+        cfg["format"],
+    )
     if all(row.error is not None for row in rows):
         print("sweep: every grid point failed", file=sys.stderr)
         return 3
@@ -404,7 +377,7 @@ def _cmd_sweep(cfg: dict[str, object]) -> int:
 
 
 def _cmd_verify(cfg: dict[str, object]) -> int:
-    params = _scheme(cfg)
+    params = derive(cfg["rate-r"], cfg["rate-q"])
     results = run_all(params, seed=cfg["seed"])
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -419,60 +392,67 @@ def _cmd_verify(cfg: dict[str, object]) -> int:
 
 
 def _cmd_tradeoff(cfg: dict[str, object]) -> int:
-    if cfg.get("n") is None:
+    if cfg["n"] is None:
         raise ConfigError("tradeoff needs a network size; pass --n")
-    if not cfg.get("candidates"):
+    if not cfg["candidates"]:
         raise ConfigError(
             "tradeoff needs candidates; pass --candidate C0:R:Q (repeatable) "
             "or a [tradeoff] candidates line in the config file"
         )
-    fmt = cfg.get("format")
-    if fmt == "csv":
-        raise ConfigError("tradeoff prints text or jsonl, not csv; drop --format csv")
     network = _network(cfg, cfg["n"])
     outcomes = c0_tradeoff(network, cfg["candidates"])
-    for rank, o in enumerate(outcomes, start=1):
-        if fmt == "jsonl":
-            print(_json_line([
-                ("rank", rank), ("c0", o.c0), ("R", o.R), ("Q", o.Q),
-                ("value", o.report.value if o.report else None),
-                ("area_factor", o.report.factor if o.report else None),
-                ("error", o.error),
-            ]))
-        elif o.report is not None:
-            print(
-                f"{rank}. c0={_fmt(o.c0)} R={_fmt(o.R)} Q={_fmt(o.Q)} "
-                f"value={_fmt(o.report.value)} area_factor={_fmt(o.report.factor)}"
-            )
-        else:
-            print(
-                f"{rank}. c0={_fmt(o.c0)} R={_fmt(o.R)} Q={_fmt(o.Q)} "
-                f"error: {o.error}"
-            )
+    if cfg["format"] == "jsonl":
+        _emit(
+            [
+                {"rank": rank, "c0": o.c0, "R": o.R, "Q": o.Q,
+                 "value": o.report.value if o.report else None,
+                 "area_factor": o.report.factor if o.report else None,
+                 "error": o.error}
+                for rank, o in enumerate(outcomes, start=1)
+            ],
+            "jsonl",
+        )
+    else:
+        for rank, o in enumerate(outcomes, start=1):
+            head = f"{rank}. c0={_fmt(o.c0)} R={_fmt(o.R)} Q={_fmt(o.Q)}"
+            if o.report is None:
+                print(f"{head} error: {o.error}")
+            else:
+                print(
+                    f"{head} value={_fmt(o.report.value)} "
+                    f"area_factor={_fmt(o.report.factor)}"
+                )
     if all(o.report is None for o in outcomes):
         print("tradeoff: every candidate failed", file=sys.stderr)
         return 3
     return 0
 
 
+#: subcommand -> (handler, one-line help, output formats with the default first)
+_COMMANDS: dict[str, tuple[Callable[[dict[str, object]], int], str, tuple[str, ...]]] = {
+    _A: (_cmd_analyze, "full report for one network size", ("text", "jsonl")),
+    _S: (_cmd_sweep, "metric rows across a size grid", ("csv", "jsonl")),
+    _V: (_cmd_verify, "run the built-in oracle suites", ("text",)),
+    _T: (_cmd_tradeoff, "rank candidate (c0, R, Q) triples", ("text", "jsonl")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    commands = {
-        "analyze": _cmd_analyze,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "tradeoff": _cmd_tradeoff,
-    }
+    run, _, formats = _COMMANDS[args.command]
     try:
-        return commands[args.command](_merge(args))
+        cfg = _merge(args)
+        fmt = cfg["format"] = cfg["format"] or formats[0]
+        if fmt not in formats:
+            raise ConfigError(f"{args.command} prints {' or '.join(formats)}, not {fmt}")
+        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InfeasibleError, PlanError) as exc:
+    except (DomainError, InfeasibleError, PlanError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,9 +10,8 @@ throughputs is
 and the exponent is positive because beta1 < beta. Limits are not directly
 testable, so the claim is exercised as strict monotonicity on finite grids
 plus threshold crossing (find_n_for_ratio). ratio_original evaluates both
-the direct division and the closed form and cross-checks them with a bare
-assert, so the check runs under pytest and plain python but compiles away
-under -O.
+the direct division and the closed form and raises DomainError when they
+disagree; the check is an explicit test, so it also runs under -O.
 
 compare_schemes assembles one row of named metrics per grid point. Scheme
 columns hold the interference-limited values; the area factor travels in
@@ -62,13 +61,13 @@ def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
 def ratio_original(n: int, params: SchemeParams) -> float:
     """Two-phase over three-phase depth-optimized throughput (smooth depth).
 
-    Computed by direct division; the closed-form route is cross-asserted to
-    RATIO_ROUTE_TOL when asserts are enabled.
+    Computed by direct division and checked against the closed-form route
+    to RATIO_ROUTE_TOL; a disagreement raises DomainError, as does a NaN
+    from routes that overflow.
     """
     direct = optimal_modified(n, params).smooth.value / original_throughput(n, params)
-    assert (
-        abs(direct - ratio_original_closed_form(n, params)) <= RATIO_ROUTE_TOL * direct
-    ), f"ratio routes disagree at n={n}"
+    if not abs(direct - ratio_original_closed_form(n, params)) <= RATIO_ROUTE_TOL * direct:
+        raise DomainError(f"ratio routes disagree at n={n}")
     return direct
 
 

@@ -125,7 +125,11 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     _check_depth(h)
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
-    load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
+    try:
+        load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
+    except OverflowError:
+        # a load past float range drives M1 to 0, which the check below rejects
+        load = math.inf
     M1 = 2.0 * load ** (-(h - 1.0) / h) * float(n) ** ((h - 1.0) / h)
     if M1 < MIN_CLUSTER:
         raise InfeasibleError(
@@ -136,23 +140,23 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     return M1
 
 
-def _depth_value(h: int, n: int, params: SchemeParams) -> float:
-    # per-depth throughput at the balanced optimum:
-    #   R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h)
-    e = (h - 1.0) / h
-    pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
-    return pre * (n / 2.0) ** e
+def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float]:
+    """(M1, throughput) at depth h: the balanced top size and the closed form
+    R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h).
 
-
-def _feasible_top(h: int, n: int, params: SchemeParams) -> float:
-    # combined gate: balanced top size exists and the whole depth fits
+    Raises InfeasibleError when the depth does not fit n nodes (no balanced
+    top size, or a bottom layer under MIN_CLUSTER) and PlanError for h out
+    of range.
+    """
     M1 = optimal_top_cluster(h, n, params)
     if _bottom_size(h, M1, params) < MIN_CLUSTER:
         raise InfeasibleError(
             f"depth h={h} does not fit n={n}: bottom layer falls below "
             f"{MIN_CLUSTER:g} nodes"
         )
-    return M1
+    e = (h - 1.0) / h
+    pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
+    return M1, pre * (n / 2.0) ** e
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,11 @@ class LayerChoice:
     h_int: int
     """Bounded argmax of per-depth throughput over feasible integer depths."""
 
-    feasible: bool
-    """True whenever a feasible depth exists; layer_choice raises otherwise."""
+    M1: float
+    """Balanced top cluster size at h_int."""
+
+    value: float
+    """Throughput at h_int, as depth_optimum gives it."""
 
 
 def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice:
@@ -200,19 +207,17 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
         h_max = math.ceil(h_approx) + DEPTH_SEARCH_MARGIN
     h_max = max(2, min(int(h_max), MAX_LAYERS))
 
-    best_h = 0
-    best_value = -math.inf
+    best_h, best_M1, best_value = 0, 0.0, -math.inf
     for h in range(2, h_max + 1):
         try:
-            _feasible_top(h, n, params)
+            M1, value = depth_optimum(h, n, params)
         except InfeasibleError:
             continue
-        value = _depth_value(h, n, params)
         if value > best_value:
-            best_h, best_value = h, value
+            best_h, best_M1, best_value = h, M1, value
     if best_h == 0:
         raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
-    return LayerChoice(h_exact=h_exact, h_approx=h_approx, h_int=best_h, feasible=True)
+    return LayerChoice(h_exact, h_approx, best_h, best_M1, best_value)
 
 
 def rounded_size_gap(

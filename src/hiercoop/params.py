@@ -66,6 +66,8 @@ def derive(R: float, Q: float) -> SchemeParams:
     if not (math.isfinite(R) and R > 0 and math.isfinite(Q) and Q > 0):
         raise DomainError(f"rates must be positive and finite, got R={R}, Q={Q}")
     ratio = Q / R
+    if not math.isfinite(ratio):
+        raise DomainError(f"Q/R must be finite, got R={R}, Q={Q}")
     if ratio <= MIN_RATE_RATIO:
         raise DomainError(
             f"Q/R must exceed {MIN_RATE_RATIO} for layering to gain, got {ratio:g}"

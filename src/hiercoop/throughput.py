@@ -24,13 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
-from .optimizer import (
-    _check_depth,
-    _depth_value,
-    _feasible_top,
-    layer_choice,
-    minimal_delay,
-)
+from .optimizer import depth_optimum, layer_choice, minimal_delay
 from .params import SchemeParams
 from .recurrence import TIME_SHARING_FACTOR
 
@@ -85,7 +79,6 @@ def throughput_given_M1(
     no balancing of M1 is applied, so this is the curve layer_throughput
     maximizes.
     """
-    _check_depth(h)
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
     if not M1 <= n:
@@ -112,8 +105,10 @@ def layer_throughput(h: int, n: int, params: SchemeParams) -> ThroughputReport:
     Closed form R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h);
     agrees with throughput_given_M1 at the balanced M1 to 1e-9.
     """
-    M1 = _feasible_top(h, n, params)
-    value = _depth_value(h, n, params)
+    return _depth_report(h, n, *depth_optimum(h, n, params))
+
+
+def _depth_report(h: int, n: int, M1: float, value: float) -> ThroughputReport:
     exponent = (h - 1.0) / h
     return ThroughputReport(
         value=value,
@@ -157,7 +152,7 @@ def optimal_modified(
     except InfeasibleError:
         integer = None
     else:
-        integer = layer_throughput(choice.h_int, n, params)
+        integer = _depth_report(choice.h_int, n, choice.M1, choice.value)
     return ModifiedThroughput(smooth=smooth, integer=integer)
 
 

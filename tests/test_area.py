@@ -40,6 +40,18 @@ class TestClassify:
         assert report.factor == 1.0
         assert report.threshold == 0.0
 
+    def test_area_too_small_for_a_float_demand_is_dense(self):
+        # area**(alpha/2) underflows to 0; the dense side never divides by it
+        report = classify(NetworkConfig(n=1000, area=1e-300, alpha=3.0, c0=1.0))
+        assert report.regime is Regime.DENSE
+        assert report.factor == 1.0
+        assert report.threshold == 1000.0
+
+    @pytest.mark.parametrize("area, alpha", [(1e300, 3.0), (2.0, 1e308)])
+    def test_overflowing_demand_is_a_domain_error(self, area, alpha):
+        with pytest.raises(DomainError, match="overflows"):
+            classify(NetworkConfig(n=1000, area=area, alpha=alpha, c0=1.0))
+
     def test_regime_values_are_strings(self):
         assert Regime.DENSE.value == "dense"
         assert Regime.SPARSE.value == "sparse"
@@ -140,6 +152,13 @@ class TestC0Tradeoff:
         cfg = NetworkConfig(n=200, area=100.0, alpha=4.0, c0=1.0)
         outcomes = c0_tradeoff(cfg, [(0.0, 1.0, 1.0), (1.0, 1.0, 0.2)])
         assert all(o.error is not None for o in outcomes)
+
+    def test_non_finite_throughput_is_a_failed_candidate(self):
+        cfg = NetworkConfig(n=10**6, area=1.0, alpha=3.0, c0=1.0)
+        outcomes = c0_tradeoff(cfg, [(1.0, 1e308, 1e308), (1.0, 1.0, 1.0)])
+        assert outcomes[0].R == 1.0 and outcomes[0].error is None
+        assert outcomes[1].report is None
+        assert "not finite" in outcomes[1].error
 
     def test_successes_sorted_by_value_descending(self):
         # sparse geometry, so c0 actually separates the three figures

@@ -1,4 +1,6 @@
 """End-to-end CLI behavior: output formats, config merging, exit codes."""
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -6,7 +8,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hiercoop import cli
 from hiercoop.cli import SWEEP_COLUMNS, main
 
 GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_21pt.csv"
@@ -345,6 +349,84 @@ class TestExitCodes:
         assert rc == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--n", "1000", "--area", "1e300"),
+            ("analyze", "--n", "1000", "--alpha", "1e308", "--area", "2"),
+            ("analyze", "--n", "1000", "--rate-r", "1e308", "--rate-q", "1e308"),
+            ("analyze", "--n", "1000", "--c-mh", "1e308"),
+            ("analyze", "--n", "1000", "--c-mh", "1e308", "--format", "jsonl"),
+            ("tradeoff", "--n", "1000", "--area", "1e300", "--candidate", "1:1:1"),
+            ("tradeoff", "--n", "1000000", "--candidate", "1:1e308:1e308"),
+            ("verify", "--rate-q", "1e100"),
+        ],
+    )
+    def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert "inf" not in out
+        assert "error: " in out + err  # tradeoff ranks the failure on stdout
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "tradeoff"])
+    def test_area_too_small_for_a_float_is_dense(self, capsys, cmd):
+        extra = ("--candidate", "1:1:1") if cmd == "tradeoff" else ()
+        rc, out, err = run_cli(capsys, cmd, "--n", "1000", "--area", "1e-300", *extra)
+        assert rc == 0 and err == ""
+        assert "area_factor = 1\n" in out or "area_factor=1\n" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--n", "1000", "--h-max", "-5"),
+            ("analyze", "--n", "1000", "--h-max", "65"),
+            ("analyze", "--n", str(10**26)),
+            ("analyze", "--n", str(2**62 + 1)),
+            ("tradeoff", "--n", str(2**62 + 1), "--candidate", "1:1:1"),
+            ("sweep", "--grid", "4:4611686018427387904:100000000:lin", "--c-mh", "1"),
+        ],
+    )
+    def test_out_of_range_values_are_config_errors(self, capsys, argv):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert err.startswith("config error: ")
+
+    def test_largest_network_size_is_accepted(self, capsys):
+        rc, out, _ = run_cli(capsys, "analyze", "--n", str(2**62))
+        assert rc == 0
+        assert as_dict(out)["n"] == str(2**62)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--grid", "1024:1048576:3:log", "--c-mh", "1", "--h-max", "2"),
+            ("verify", "--format", "jsonl"),
+            ("verify", "--n", "1024"),
+            ("tradeoff", "--n", "200", "--candidate", "1:1:1", "--c0", "2"),
+            ("analyze", "--n", "1024", "--seed", "1"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_shared_config_file_may_carry_unread_keys(self, capsys, tmp_path):
+        ini = tmp_path / "shared.ini"
+        ini.write_text(
+            "[network]\nn = 1024\n\n[sweep]\ngrid = 1024:4096:3:log\n\n"
+            "[options]\nh-max = 2\nseed = 1\nc-mh = 1\nformat = jsonl\n"
+        )
+        rc, out, _ = run_cli(capsys, "verify", "--config", str(ini))
+        assert rc == 0 and out.strip().endswith("verify: PASS")
+        rc, out, _ = run_cli(capsys, "sweep", "--config", str(ini))
+        assert rc == 0 and [json.loads(line)["n"] for line in out.splitlines()] == [
+            1024, 2048, 4096
+        ]
+        rc, out, _ = run_cli(capsys, "analyze", "--config", str(ini))
+        assert rc == 0 and json.loads(out)["h_int"] == 2
+
     def test_unknown_flag(self, capsys):
         rc, _, _ = run_cli(capsys, "analyze", "--n", "1024", "--frobnicate")
         assert rc == 2
@@ -370,3 +452,54 @@ class TestSubprocessSmoke:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("verify: PASS")
+
+
+
+_NUMBERS = st.one_of(
+    st.just(0),
+    st.floats(1e-308, 1e308),
+    st.floats(-1e308, -1e-308),
+    st.integers(-(2**70), 2**70),
+).map(str)
+_INTS = st.integers(-(2**70), 2**70).map(str)
+_VALUES = {
+    cli._parse_int: _INTS,
+    cli._parse_n: _INTS,
+    cli._parse_depth: _INTS,
+    cli._parse_format: st.sampled_from(["csv", "jsonl"]),
+    cli._parse_grid: st.tuples(_INTS, _INTS, _INTS, st.sampled_from(["log", "lin"])).map(
+        ":".join
+    ),
+    cli._parse_candidates: st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(":".join),
+}
+
+
+@st.composite
+def _argv(draw, command):
+    """The subcommand plus a random subset of its flags, each with a random value."""
+    argv = [command]
+    for name, opt in cli._OPTIONS.items():
+        if command not in opt.commands or not draw(st.booleans()):
+            continue
+        values = _VALUES.get(opt.parse, _NUMBERS)
+        repeats = draw(st.integers(1, 3)) if opt.flag else 1
+        argv += [f"--{opt.flag or name}={draw(values)}" for _ in range(repeats)]
+    return argv
+
+
+class TestTotality:
+    @settings(max_examples=400)
+    @given(argv=st.sampled_from(["analyze", "sweep", "verify", "tradeoff"]).flatmap(_argv))
+    @example(argv=["analyze", "--n=1000", "--area=1e-300"])
+    @example(argv=["tradeoff", "--n=1000", "--area=1e300", "--candidate=1:1:1"])
+    @example(argv=["analyze", "--n=1000", "--rate-r=1e308", "--rate-q=1e308"])
+    @example(argv=["analyze", "--n=1000", "--c-mh=1e308", "--format=jsonl"])
+    @example(argv=["verify", "--rate-q=1e100"])
+    def test_every_argv_gives_an_answer_or_a_typed_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in ({0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3})
+        if "--format=jsonl" in argv:
+            for line in out.getvalue().splitlines():
+                json.loads(line)

@@ -1,5 +1,8 @@
 """Cross-scheme ratio behavior, threshold search, and sweep assembly."""
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +56,24 @@ class TestRatioRoutes:
             n, unit_params
         )
         assert ratio_original(n, unit_params) == expected
+
+
+    def test_disagreeing_routes_raise_even_under_optimize(self):
+        # both routes overflow at these rates; the check must not be an assert
+        code = (
+            "from hiercoop import DomainError, derive, ratio_original\n"
+            "try:\n"
+            "    ratio_original(1000, derive(1e308, 1e308))\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ratio routes disagree at n=1000" in proc.stdout
 
 
 class TestDivergence:

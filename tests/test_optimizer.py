@@ -11,6 +11,7 @@ from hiercoop import (
     PlanError,
     SchemeParams,
     delay_closed_form,
+    depth_optimum,
     derive,
     layer_choice,
     layer_throughput,
@@ -208,6 +209,12 @@ class TestBalancedTopSize:
         with pytest.raises(InfeasibleError, match="exceeds"):
             optimal_top_cluster(3, 4, corrupted)
 
+    def test_load_past_float_range_is_infeasible_not_an_overflow(self):
+        # c**((h-2)/2) overflows; the balanced size it implies is below a cluster
+        huge = derive(1.0, 1e100)
+        with pytest.raises(InfeasibleError, match="below"):
+            optimal_top_cluster(12, 2**40, huge)
+
     def test_network_too_small(self, unit_params):
         with pytest.raises(DomainError):
             optimal_top_cluster(2, 3, unit_params)
@@ -219,7 +226,9 @@ class TestLayerChoice:
         assert choice.h_approx == 4.0  # log_2(65536) is exactly 16
         assert choice.h_exact == pytest.approx(3.218239037209938, rel=1e-12)
         assert choice.h_int == 3
-        assert choice.feasible is True
+        assert choice.M1 == pytest.approx(512.0, rel=1e-12)
+        assert choice.value == pytest.approx(256.0 / 3.0, rel=1e-12)
+        assert (choice.M1, choice.value) == depth_optimum(3, 131072, unit_params)
 
     def test_integer_depth_beats_every_feasible_alternative(self, unit_params):
         n = 131072

@@ -46,6 +46,7 @@ class TestDerive:
             (1.0, -2.0),
             (float("nan"), 1.0),
             (1.0, float("inf")),
+            (1e-308, 1e308),  # each rate finite, Q/R overflows
         ],
     )
     def test_degenerate_rates_are_rejected(self, R, Q):
