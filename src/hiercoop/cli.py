@@ -314,7 +314,9 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         "c": params.c,
         "regime": regime.regime.value,
         "area_factor": regime.factor,
-        "threshold": regime.threshold,
+        # c0*n can overflow while the regime decision stands; report the
+        # auxiliary margin as missing rather than fail the whole report
+        "threshold": regime.threshold if math.isfinite(regime.threshold) else None,
     }
     h_max = cfg["h-max"]
     try:

@@ -9,9 +9,13 @@ Three nested choices, each with a closed-form answer:
 * For fixed depth h and node budget n, the top size that balances the
   cooperative exchange slots against the long-range slots satisfies
   n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)).
-* The depth itself is picked by bounded argmax of the per-depth throughput
-  over feasible integers; the curve is treated as a black box (no
-  unimodality assumed) and ties break toward the smaller depth.
+* The depth itself is the bounded argmax of the per-depth throughput over
+  feasible integers, ties broken toward the smaller depth. With
+  a = log(c)/2 and A = log(n/2) - log(1 + R/Q) the log of that throughput
+  is const - log h - a*h - A/h, whose derivative (A - h - a*h**2)/h**2 is
+  positive below the root h* = 2A/(1 + sqrt(1 + 4aA)) and negative above
+  it when c > 1. So the best feasible depth is the nearest feasible one
+  on either side of h*, and no other depth needs evaluating.
 
 Brute-force counterparts of all three (grid search, golden section,
 coordinate descent) live in the test suite and must land on the same
@@ -179,45 +183,67 @@ class LayerChoice:
     """Throughput at h_int, as depth_optimum gives it."""
 
 
+def _feasible(depths, n: int, params: SchemeParams):
+    # (h, M1, value) for each depth in order that fits the node budget
+    for h in depths:
+        try:
+            yield (h, *depth_optimum(h, n, params))
+        except InfeasibleError:
+            continue
+
+
 def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice:
     """Pick the number of layers for n nodes.
 
-    h_int scans integer depths 2..h_max (default ceil(h_approx) plus
-    DEPTH_SEARCH_MARGIN), skips depths that do not fit the node budget, and
-    keeps the best throughput, breaking ties toward fewer layers.
+    h_int is the best feasible integer depth in 2..h_max (default
+    ceil(h_approx) plus DEPTH_SEARCH_MARGIN, capped at MAX_LAYERS), ties
+    broken toward fewer layers. Per-depth throughput rises below the
+    stationary point h* of its closed form and falls above it (see the
+    module docstring), which takes c > 1. So the search walks down from
+    floor(h*) and up from the depth after it, keeps the first feasible depth
+    on each side, and returns the better of the two. When that value
+    overflows to inf it ties every other infinite value, and the smallest
+    feasible depth that reaches it wins.
 
     Raises:
-        DomainError: n < 4.
+        DomainError: n < 4, or c <= 1.
+        PlanError: an explicit h_max outside 2..MAX_LAYERS.
         InfeasibleError: no depth in range fits.
     """
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
+    if h_max is not None and not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
+        raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
+    if not params.c > 1.0:
+        raise DomainError(f"depth search needs c > 1, got c={params.c}")
     half = math.log(n / 2.0)
-    lg = half / math.log(params.beta1)
-    h_approx = math.sqrt(lg)
+    log_beta1 = math.log(params.beta1)
+    h_approx = math.sqrt(half / log_beta1)
 
-    a = math.log(params.beta1)
     rhs = half - math.log(1.0 + params.R / params.Q)
-    disc = 1.0 + 4.0 * a * rhs
+    disc = 1.0 + 4.0 * log_beta1 * rhs
     if disc < 0.0:
         raise DomainError(f"depth stationarity has no real root at n={n}")
-    h_exact = (math.sqrt(disc) - 1.0) / (2.0 * a)
+    h_exact = (math.sqrt(disc) - 1.0) / (2.0 * log_beta1)
 
     if h_max is None:
-        h_max = math.ceil(h_approx) + DEPTH_SEARCH_MARGIN
-    h_max = max(2, min(int(h_max), MAX_LAYERS))
+        h_max = min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
 
-    best_h, best_M1, best_value = 0, 0.0, -math.inf
-    for h in range(2, h_max + 1):
-        try:
-            M1, value = depth_optimum(h, n, params)
-        except InfeasibleError:
-            continue
-        if value > best_value:
-            best_h, best_M1, best_value = h, M1, value
-    if best_h == 0:
+    # h* from the c that depth_optimum uses (rhs is the module docstring's A),
+    # in a form that stays finite when c overflows to inf (a = inf gives
+    # h* = 0); when rhs <= 0 the throughput falls at every depth
+    a = 0.5 * math.log(params.c)
+    h_star = 2.0 * rhs / (1.0 + math.sqrt(1.0 + 4.0 * a * rhs)) if rhs > 0.0 else 0.0
+    split = min(max(math.floor(h_star), 2), h_max)
+    below = next(_feasible(range(split, 1, -1), n, params), None)
+    above = next(_feasible(range(split + 1, h_max + 1), n, params), None)
+    sides = [side for side in (below, above) if side is not None]
+    if not sides:
         raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
-    return LayerChoice(h_exact, h_approx, best_h, best_M1, best_value)
+    best = max(sides, key=lambda side: side[2])
+    if not math.isfinite(best[2]):
+        best = next(s for s in _feasible(range(2, best[0] + 1), n, params) if s[2] == best[2])
+    return LayerChoice(h_exact, h_approx, *best)
 
 
 def rounded_size_gap(

@@ -20,6 +20,7 @@ inputs, 1e-9 where exp/log round-trips are involved.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -152,11 +153,25 @@ def ratio_two_routes(params: SchemeParams) -> SuiteResult:
 
 
 def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:
-    """All suites in fixed order; deterministic for a given params and seed."""
-    return [
-        recursion_vs_closed_form(params, seed),
-        am_gm_equal_terms(params),
-        phase_balance(params),
-        bound_checks(params),
-        ratio_two_routes(params),
-    ]
+    """All suites in fixed order; deterministic for a given params and seed.
+
+    Raises DomainError naming the suite and the rate pair when a suite's
+    arithmetic overflows a float (it can at very large Q/R).
+    """
+    suites = (
+        functools.partial(recursion_vs_closed_form, params, seed),
+        functools.partial(am_gm_equal_terms, params),
+        functools.partial(phase_balance, params),
+        functools.partial(bound_checks, params),
+        functools.partial(ratio_two_routes, params),
+    )
+    results = []
+    for suite in suites:
+        try:
+            results.append(suite())
+        except OverflowError as exc:
+            raise DomainError(
+                f"suite {suite.func.__name__} overflowed at "
+                f"R={params.R:g}, Q={params.Q:g}: {exc}"
+            ) from exc
+    return results

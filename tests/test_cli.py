@@ -369,6 +369,24 @@ class TestExitCodes:
         assert "error: " in out + err  # tradeoff ranks the failure on stdout
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_overflowing_threshold_alone_is_reported_missing(self, capsys, fmt):
+        # c0*n overflows, so only the auxiliary margin is not finite
+        extra = ("--format", "jsonl") if fmt == "jsonl" else ()
+        rc, out, err = run_cli(capsys, "analyze", "--n", "1000", "--c0", "1e308", *extra)
+        assert rc == 0 and err == ""
+        got = json.loads(out) if fmt == "jsonl" else as_dict(out)
+        assert got["threshold"] == (None if fmt == "jsonl" else "none")
+        assert got["regime"] == "dense"
+        assert got["h_int"] in (2, "2")
+
+    def test_overflowing_verify_suite_is_named(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--rate-q", "1e100")
+        assert rc == 3 and out == ""
+        assert err.startswith(
+            "error: suite recursion_vs_closed_form overflowed at R=1, Q=1e+100: "
+        )
+
     @pytest.mark.parametrize("cmd", ["analyze", "tradeoff"])
     def test_area_too_small_for_a_float_is_dense(self, capsys, cmd):
         extra = ("--candidate", "1:1:1") if cmd == "tradeoff" else ()
@@ -495,6 +513,8 @@ class TestTotality:
     @example(argv=["analyze", "--n=1000", "--rate-r=1e308", "--rate-q=1e308"])
     @example(argv=["analyze", "--n=1000", "--c-mh=1e308", "--format=jsonl"])
     @example(argv=["verify", "--rate-q=1e100"])
+    @example(argv=["analyze", "--n=1000", "--c0=1e308"])
+    @example(argv=["analyze", "--n=1000", "--rate-q=4.49e307"])
     def test_every_argv_gives_an_answer_or_a_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -2,9 +2,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import (
+    MAX_LAYERS,
     DomainError,
     HierarchyPlan,
     InfeasibleError,
@@ -21,7 +22,8 @@ from hiercoop import (
     rounded_size_gap,
     throughput_given_M1,
 )
-from oracles import coordinate_descent_min, golden_max, grid_min
+from hiercoop.optimizer import DEPTH_SEARCH_MARGIN
+from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
 from strategies import rate_params
 
 
@@ -254,9 +256,119 @@ class TestLayerChoice:
     def test_depth_cap_is_respected(self, unit_params):
         assert layer_choice(2**40, unit_params, h_max=2).h_int == 2
 
+    @pytest.mark.parametrize("h_max", [-5, 0, 1, MAX_LAYERS + 1])
+    def test_explicit_depth_cap_out_of_range_is_refused(self, unit_params, h_max):
+        with pytest.raises(PlanError, match="h_max"):
+            layer_choice(10**6, unit_params, h_max=h_max)
+
+    def test_default_depth_cap_stops_at_the_layer_cap(self):
+        # near Q/R = 1/4, ceil(h_approx) + margin is far above MAX_LAYERS
+        choice = layer_choice(2**62, derive(1.0, 0.25 + 1e-9))
+        assert choice.h_approx > MAX_LAYERS
+        assert 2 <= choice.h_int <= MAX_LAYERS
+
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    def test_constant_at_or_below_one_is_a_domain_error(self, c):
+        # the throughput is not unimodal in depth there; only direct construction gets here
+        params = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        with pytest.raises(DomainError, match="c > 1"):
+            layer_choice(131072, params)
+
     def test_network_too_small(self, unit_params):
         with pytest.raises(DomainError):
             layer_choice(3, unit_params)
+
+
+def _depth_cap(n, params, h_max):
+    # layer_choice's default cap when h_max is None
+    if h_max is not None:
+        return h_max
+    h_approx = math.sqrt(math.log(n / 2.0) / math.log(params.beta1))
+    return min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
+
+
+def _full_scan(n, params, h_max):
+    """(h, M1, value) from depth_optimum at every depth in 2..h_max, first
+    of equal values kept: the search layer_choice must reproduce."""
+    best = None
+    for h in range(2, h_max + 1):
+        try:
+            M1, value = depth_optimum(h, n, params)
+        except InfeasibleError:
+            continue
+        if best is None or value > best[2]:
+            best = (h, M1, value)
+    if best is None:
+        raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
+    return best
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def search_params(draw):
+    """Derived params from Q/R = 0.25 + 1e-12 up to 1e200 and R from 1e-300 to
+    1e300; params built directly with c off beta1**2 (c > 1); and params
+    whose c overflows to inf."""
+    kind = draw(st.sampled_from(["derived", "direct", "overflow"]))
+    if kind == "overflow":
+        return derive(1.0, draw(st.floats(4.5e307, 1.7e308)))
+    log_r = draw(st.floats(-300.0, 300.0))
+    log_excess = draw(st.floats(-12.0, min(200.0, 307.0 - log_r)))
+    R = 10.0**log_r
+    params = derive(R, R * (0.25 + 10.0**log_excess))
+    if kind == "derived":
+        return params
+    c = params.c * 10.0 ** draw(st.floats(-3.0, 3.0).filter(lambda x: x != 0.0))
+    c = c if c > 1.0 else 1.0 + draw(st.floats(1e-12, 10.0))
+    return SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
+
+
+class TestDepthSearch:
+    """layer_choice evaluates only the depths next to the stationary point;
+    it must land where trying every depth lands, error type included."""
+
+    @settings(max_examples=400)
+    @given(
+        n=st.integers(4, 2**62),
+        params=search_params(),
+        h_max=st.none() | st.integers(2, MAX_LAYERS),
+    )
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-3), h_max=None)
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-6), h_max=None)
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-9), h_max=None)
+    @example(n=10**6, params=derive(1.0, 0.25 + 1e-9), h_max=7)
+    @example(
+        n=131072,
+        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.25),
+        h_max=None,
+    )
+    @example(n=2**40, params=derive(1.0, 4.49e307), h_max=None)
+    @example(n=2**60, params=derive(1e300, 1e300), h_max=None)
+    def test_search_matches_the_full_scan(self, n, params, h_max):
+        cap = _depth_cap(n, params, h_max)
+        want = _outcome(lambda: _full_scan(n, params, cap))
+        got = _outcome(lambda: layer_choice(n, params, h_max=h_max))
+        oracle = best_depth_by_scan(n, params.R, params.Q, params.c, cap)
+        if isinstance(want, type):
+            assert got is want
+            assert oracle is None
+            return
+        assert (got.h_int, got.M1, got.value) == want
+        assert got.h_int == oracle
+
+    def test_overflowed_value_keeps_the_smallest_depth(self):
+        # at R = 1e300 and n = 2**60 depths 3..8 all overflow to inf and tie;
+        # the stationary point lies among them, above the smallest
+        params = derive(1e300, 1e300)
+        choice = layer_choice(2**60, params)
+        assert (choice.h_int, choice.value) == (3, math.inf)
+        assert depth_optimum(2, 2**60, params)[1] < math.inf
 
 
 class TestRoundedSizes:
