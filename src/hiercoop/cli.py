@@ -28,7 +28,7 @@ from .area import c0_tradeoff, classify, throughput_with_area
 from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import compare_schemes, ratio_original
 from .optimizer import layer_choice
-from .params import MAX_LAYERS, NetworkConfig, derive
+from .params import MAX_LAYERS, N_MAX, NetworkConfig, derive
 from .selfcheck import run_all
 from .throughput import (
     multihop_baseline,
@@ -52,10 +52,6 @@ SWEEP_COLUMNS = (
     "area_factor",
     "error",
 )
-
-#: Largest network size accepted, for --n and for either end of --grid; keeps
-#: the geometric grid interpolation and n/2 inside float range.
-N_MAX = 2**62
 
 #: Most points a sweep grid may hold; bounds the work and memory of one sweep.
 MAX_GRID_POINTS = 10_000

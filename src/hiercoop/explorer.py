@@ -25,10 +25,11 @@ import math
 
 from .area import area_from_exponent, classify
 from .errors import DomainError, InfeasibleError, PlanError
-from .params import NetworkConfig, SchemeParams
+from .params import NetworkConfig, SchemeParams, smooth_depth
 from .throughput import (
     multihop_baseline,
     optimal_modified,
+    original_optimal_layers,
     original_throughput,
     per_pair_rate,
 )
@@ -48,14 +49,11 @@ class SweepRow:
 
 def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
     """Throughput ratio of the two schemes from the closed-form expression."""
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    lg1 = math.log(n / 2.0) / math.log(params.beta1)
-    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / math.sqrt(lg1))
-    log_b_b1 = math.log(params.beta1) / math.log(params.beta)
-    lgb = math.log(n / 2.0) / math.log(params.beta)
+    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
+    log_b_b1 = params.log_beta1 / math.log(params.beta)
     front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
-    return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * math.sqrt(lgb))
+    h_orig = original_optimal_layers(n, params.beta)
+    return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
 
 
 def ratio_original(n: int, params: SchemeParams) -> float:

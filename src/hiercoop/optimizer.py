@@ -15,7 +15,8 @@ Three nested choices, each with a closed-form answer:
   is const - log h - a*h - A/h, whose derivative (A - h - a*h**2)/h**2 is
   positive below the root h* = 2A/(1 + sqrt(1 + 4aA)) and negative above
   it when c > 1. So the best feasible depth is the nearest feasible one
-  on either side of h*, and no other depth needs evaluating.
+  on either side of h*, and no other depth needs evaluating. LayerChoice
+  reports h* as h_exact.
 
 Brute-force counterparts of all three (grid search, golden section,
 coordinate descent) live in the test suite and must land on the same
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError, PlanError
-from .params import MAX_LAYERS, HierarchyPlan, SchemeParams, validate_plan
+from .params import MAX_LAYERS, HierarchyPlan, SchemeParams, smooth_depth, validate_plan
 from .recurrence import DelaySlots, delay_closed_form
 
 #: A cluster must hold at least this many nodes to be worth the name.
@@ -168,10 +169,10 @@ class LayerChoice:
     """Depth selection for one network size."""
 
     h_exact: float
-    """Positive root of the depth stationarity condition (real-valued)."""
+    """Stationary point h* of the per-depth throughput (module docstring); 0.0 if none."""
 
     h_approx: float
-    """sqrt(log_beta1(n/2)), the large-n shortcut for h_exact."""
+    """smooth_depth(n) = sqrt(log_beta1(n/2)), the large-n shortcut for h_exact."""
 
     h_int: int
     """Bounded argmax of per-depth throughput over feasible integer depths."""
@@ -206,35 +207,24 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     feasible depth that reaches it wins.
 
     Raises:
-        DomainError: n < 4, or c <= 1.
+        DomainError: n < 4, Q/R <= 1/4 (direct construction only), or c <= 1.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
         InfeasibleError: no depth in range fits.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
+    h_approx = smooth_depth(n, params)
     if h_max is not None and not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
         raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
     if not params.c > 1.0:
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
-    half = math.log(n / 2.0)
-    log_beta1 = math.log(params.beta1)
-    h_approx = math.sqrt(half / log_beta1)
-
-    rhs = half - math.log(1.0 + params.R / params.Q)
-    disc = 1.0 + 4.0 * log_beta1 * rhs
-    if disc < 0.0:
-        raise DomainError(f"depth stationarity has no real root at n={n}")
-    h_exact = (math.sqrt(disc) - 1.0) / (2.0 * log_beta1)
-
     if h_max is None:
         h_max = min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
 
-    # h* from the c that depth_optimum uses (rhs is the module docstring's A),
-    # in a form that stays finite when c overflows to inf (a = inf gives
-    # h* = 0); when rhs <= 0 the throughput falls at every depth
+    # h* from the c that depth_optimum uses, in a form that neither cancels
+    # as c -> 1 nor fails when c overflows to inf (h* = 0)
+    A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
     a = 0.5 * math.log(params.c)
-    h_star = 2.0 * rhs / (1.0 + math.sqrt(1.0 + 4.0 * a * rhs)) if rhs > 0.0 else 0.0
-    split = min(max(math.floor(h_star), 2), h_max)
+    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
+    split = min(max(math.floor(h_exact), 2), h_max)
     below = next(_feasible(range(split, 1, -1), n, params), None)
     above = next(_feasible(range(split + 1, h_max + 1), n, params), None)
     sides = [side for side in (below, above) if side is not None]

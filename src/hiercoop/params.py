@@ -15,7 +15,7 @@ rejects anything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, PlanError
 
@@ -24,6 +24,9 @@ MAX_LAYERS = 64
 
 #: Q/R at or below this, extra layers stop paying for themselves.
 MIN_RATE_RATIO = 0.25
+
+#: Largest network size accepted; keeps grid interpolation and n/2 in float range.
+N_MAX = 2**62
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,24 @@ class SchemeParams:
     c: float
     """4*Q/R; slot inflation factor per hierarchy layer."""
 
+    log_beta1: float = field(init=False)
+    """log(beta1) from R and Q, not settable. For 1/8 < Q/R < 5/4 it is
+    0.5*log1p(4*(Q - R/4)/R): Q - R/4 is exact where log(beta1) would cancel,
+    as Q/R -> 1/4. Elsewhere it is log(beta1), which cannot overflow."""
+
     def __post_init__(self) -> None:
         if not (math.isfinite(self.R) and self.R > 0):
             raise DomainError(f"R must be positive and finite, got {self.R}")
         if not (math.isfinite(self.Q) and self.Q > 0):
             raise DomainError(f"Q must be positive and finite, got {self.Q}")
+        ratio = self.Q / self.R
+        if 0.125 < ratio < 1.25:
+            # R = m * 2**e; scaled, Q - R/4 stays exact where R/4 is subnormal
+            m, e = math.frexp(self.R)
+            log_beta1 = 0.5 * math.log1p(4.0 * ((math.ldexp(self.Q, -e) - m / 4.0) / m))
+        else:
+            log_beta1 = math.log(2.0 * math.sqrt(ratio))
+        object.__setattr__(self, "log_beta1", log_beta1)
 
 
 def derive(R: float, Q: float) -> SchemeParams:
@@ -79,6 +95,16 @@ def derive(R: float, Q: float) -> SchemeParams:
         beta=2.0 * math.sqrt(1.0 + ratio),
         c=4.0 * ratio,
     )
+
+
+def smooth_depth(n: int, params: SchemeParams) -> float:
+    """Real-valued optimal depth sqrt(log_beta1(n/2)) of the two-phase scheme."""
+    if n < 4:
+        raise DomainError(f"need n >= 4, got {n}")
+    # n >= 4 makes log(n/2) positive, so log_beta1(n/2) is positive exactly when this is
+    if not params.log_beta1 > 0.0:
+        raise DomainError(f"smooth depth needs Q/R > 1/4, got log(beta1) = {params.log_beta1:g}")
+    return math.sqrt(math.log(n / 2.0) / params.log_beta1)
 
 
 @dataclass(frozen=True)

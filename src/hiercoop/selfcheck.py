@@ -16,18 +16,22 @@ random population or a fixed grid, reporting its worst relative error:
   closed-form ratio expression.
 
 Tolerances split by arithmetic: 1e-12 where the identity is rational in the
-inputs, 1e-9 where exp/log round-trips are involved.
+inputs, 1e-9 where exp/log round-trips are involved. The n grids of
+phase_balance and bound_checks start where depth 2 fits, n >= 8*(1 + Q/R),
+and stop at N_MAX; if that leaves none, run_all raises InfeasibleError,
+which verify reports with exit code 3.
 """
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
 from .explorer import ratio_original_closed_form
 from .optimizer import minimal_delay, optimal_cluster_sizes, optimal_top_cluster
-from .params import HierarchyPlan, SchemeParams
+from .params import N_MAX, HierarchyPlan, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
     layer_throughput,
@@ -57,6 +61,19 @@ def _result(name: str, worst: float, cases: int, tol: float) -> SuiteResult:
     return SuiteResult(
         name=name, passed=cases > 0 and worst <= tol, worst_rel_err=worst, cases=cases, tolerance=tol
     )
+
+
+def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> list[int]:
+    # n = 2**x, shifted up by whole octaves until the first n reaches
+    # 8*(1 + Q/R), where depth 2 starts to fit; none above N_MAX
+    need = 8.0 * (1.0 + params.Q / params.R)
+    if not need <= N_MAX:
+        raise InfeasibleError(
+            f"suite {suite} has no case at R={params.R:g}, Q={params.Q:g}: "
+            f"depth 2 needs n >= {need:g} > 2**62"
+        )
+    shift = max(0, math.ceil(math.log2(need)) - exponents[0])
+    return [n for n in (round(2.0 ** (shift + x)) for x in exponents) if n <= N_MAX]
 
 
 def recursion_vs_closed_form(
@@ -104,9 +121,9 @@ def phase_balance(params: SchemeParams) -> SuiteResult:
     """(P1 + P3) == (h-1) * P2 at the balanced top size."""
     worst = 0.0
     cases = 0
+    sizes = _sizes("phase_balance", params, range(12, 31, 2))
     for h in range(2, 7):
-        for k in range(12, 31, 2):
-            n = 2**k
+        for n in sizes:
             try:
                 M1 = optimal_top_cluster(h, n, params)
                 report = throughput_given_M1(h, M1, n, 1.0, params)
@@ -123,9 +140,9 @@ def bound_checks(params: SchemeParams) -> SuiteResult:
     """Integer-depth throughput never exceeds the envelope (one-sided)."""
     worst = 0.0
     cases = 0
+    sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
     for h in range(2, 13):
-        for i in range(30):
-            n = round(2.0 ** (8.0 + 32.0 * i / 29.0))
+        for n in sizes:
             try:
                 value = layer_throughput(h, n, params).value
             except (InfeasibleError, DomainError):
@@ -156,7 +173,7 @@ def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:
     """All suites in fixed order; deterministic for a given params and seed.
 
     Raises DomainError naming the suite and the rate pair when a suite's
-    arithmetic overflows a float (it can at very large Q/R).
+    arithmetic overflows a float, InfeasibleError when no n <= N_MAX fits.
     """
     suites = (
         functools.partial(recursion_vs_closed_form, params, seed),

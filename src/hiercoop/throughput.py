@@ -9,8 +9,8 @@ closed forms below.
 
 Two conventions coexist and are reported side by side:
 
-* smooth: depth treated as the real number sqrt(log_beta1(n/2)), giving the
-  scaling-law expression beta1*R/(c_n*sqrt(lg)) * (n/2)**(1 - 2/sqrt(lg)).
+* smooth: depth treated as the real number smooth_depth(n) = sqrt(lg) with
+  lg = log_beta1(n/2), giving beta1*R/(c_n*sqrt(lg)) * (n/2)**(1 - 2/sqrt(lg)).
 * integer: depth from layer_choice, throughput from the per-depth closed
   form. Only this one respects the upper bound at every n; the smooth
   curve may poke above it when sqrt(lg) < 1/c_n.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import depth_optimum, layer_choice, minimal_delay
-from .params import SchemeParams
+from .params import SchemeParams, smooth_depth
 from .recurrence import TIME_SHARING_FACTOR
 
 
@@ -129,12 +129,7 @@ def optimal_modified(
     integer report optimizes over feasible integer depths and is None when
     no depth fits the node budget (tiny n at large beta1).
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    lg = math.log(n / 2.0) / math.log(params.beta1)
-    if lg <= 0.0:
-        raise DomainError(f"n/2 must exceed 1, got n={n}")
-    root = math.sqrt(lg)
+    root = smooth_depth(n, params)
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
@@ -162,12 +157,7 @@ def upper_bound(n: int, params: SchemeParams) -> float:
     Every layer_throughput(h, n, ...) stays at or below this; the smooth
     convention does not, so never test it against this bound.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    lg = math.log(n / 2.0) / math.log(params.beta1)
-    if lg <= 0.0:
-        raise DomainError(f"n/2 must exceed 1, got n={n}")
-    return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / math.sqrt(lg))
+    return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / smooth_depth(n, params))
 
 
 def original_optimal_layers(n: int, beta: float) -> float:

@@ -1,9 +1,9 @@
 """Brute-force counterparts of the closed-form machinery.
 
 Everything here is reimplemented from the model description with plain
-loops and bracketing searches, and nothing imports the package under test.
-Agreement between these and the closed forms is the point of the tests
-that use them.
+loops, bracketing searches or 50-digit arithmetic, and nothing imports the
+package under test. Agreement between these and the closed forms is the
+point of the tests that use them.
 """
 import math
 
@@ -116,3 +116,45 @@ def best_depth_by_scan(n, R, Q, c, h_max):
         if value > best_value:
             best_h, best_value = h, value
     return best_h
+
+
+def depth_constants_50_digits(n, R, Q, c):
+    """T1_smooth, ratio, h_approx and h_exact at (n, R, Q), to 50 digits.
+
+    The float inputs are taken as exact binary values. With
+    beta1 = 2*sqrt(Q/R), beta = 2*sqrt(1 + Q/R) and h1 = sqrt(log_beta1(n/2)):
+
+        h_approx  = h1
+        T1_smooth = beta1*R/(c_n*h1) * (n/2)**(1 - 2/h1),
+                    c_n = (1 + R/Q)**(1 - 1/h1)
+        ratio     = T1_smooth / (beta*R/h * (n/2)**(1 - 2/h)),
+                    h = sqrt(log_beta(n/2))
+
+    h_exact is the stationary point of the per-depth throughput
+    R/(h*(1 + R/Q)**((h-1)/h)*c**((h-1)/2)) * (n/2)**((h-1)/h) in h, taken
+    with the given c: its log is const - log h - a*h - A/h with
+    a = log(c)/2 and A = log(n/2) - log(1 + R/Q), so a*h**2 + h - A = 0.
+    The textbook root (sqrt(1 + 4aA) - 1)/(2a) cancels as a -> 0, which 50
+    digits absorb. Results are rounded to floats.
+    """
+    import mpmath  # test-only; the other oracles need nothing beyond the stdlib
+
+    with mpmath.workdps(50):
+        R, Q, c = mpmath.mpf(R), mpmath.mpf(Q), mpmath.mpf(c)
+        half = mpmath.mpf(n) / 2
+        beta1 = 2 * mpmath.sqrt(Q / R)
+        beta = 2 * mpmath.sqrt(1 + Q / R)
+        h1 = mpmath.sqrt(mpmath.log(half) / mpmath.log(beta1))
+        c_n = (1 + R / Q) ** (1 - 1 / h1)
+        t1 = beta1 * R / (c_n * h1) * half ** (1 - 2 / h1)
+        h = mpmath.sqrt(mpmath.log(half) / mpmath.log(beta))
+        t_orig = beta * R / h * half ** (1 - 2 / h)
+        a = mpmath.log(c) / 2
+        A = mpmath.log(half) - mpmath.log(1 + R / Q)
+        h_exact = (mpmath.sqrt(1 + 4 * a * A) - 1) / (2 * a)
+        return {
+            "T1_smooth": float(t1),
+            "ratio": float(t1 / t_orig),
+            "h_approx": float(h1),
+            "h_exact": float(h_exact),
+        }

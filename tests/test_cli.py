@@ -67,6 +67,19 @@ class TestAnalyzeText:
         assert got["h_orig"] == "2"
         assert got["T_orig"] == "5"
 
+    def test_domain_edge_at_the_largest_size(self, capsys):
+        # Q/R = 1/4 + 1e-9: log(beta1) and the depth root keep their digits;
+        # the expected values are the 50-digit ones, rounded
+        rc, out, _ = run_cli(
+            capsys, "analyze", "--n", "4611686018427387904", "--rate-q", "0.250000001"
+        )
+        assert rc == 0
+        got = as_dict(out)
+        assert got["h_exact"] == "40.6725367964"
+        assert got["h_approx"] == "145399.410156"
+        assert got["T1_smooth"] == "3.16992736712e+12"
+        assert got["ratio"] == "0.519469893451"
+
     def test_multihop_column_appears_on_request(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "131072", "--c-mh", "1")
         assert rc == 0
@@ -387,6 +400,18 @@ class TestExitCodes:
             "error: suite recursion_vs_closed_form overflowed at R=1, Q=1e+100: "
         )
 
+    def test_large_rate_ratio_verifies_on_shifted_grids(self, capsys):
+        # depth 2 needs n >= 8*(1 + 1e10); the n grids start there
+        rc, out, _ = run_cli(capsys, "verify", "--rate-q", "1e10")
+        assert rc == 0 and out.endswith("verify: PASS\n")
+        assert "cases=0 " not in out
+
+    def test_rate_ratio_beyond_every_size_is_infeasible(self, capsys):
+        # depth 2 would need n >= 8e20 > 2**62: nothing to check is exit 3, not 1
+        rc, out, err = run_cli(capsys, "verify", "--rate-q", "1e20")
+        assert rc == 3 and out == ""
+        assert err.startswith("error: suite phase_balance has no case at R=1, Q=1e+20: ")
+
     @pytest.mark.parametrize("cmd", ["analyze", "tradeoff"])
     def test_area_too_small_for_a_float_is_dense(self, capsys, cmd):
         extra = ("--candidate", "1:1:1") if cmd == "tradeoff" else ()
@@ -470,6 +495,23 @@ class TestSubprocessSmoke:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("verify: PASS")
+
+    def test_verify_loads_only_the_standard_library(self):
+        # the runtime stays stdlib-only; test-only mpmath must not leak in
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from hiercoop.cli import main\n"
+            "rc = main(['verify'])\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'hiercoop'}))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 

@@ -23,6 +23,7 @@ from hiercoop import (
     throughput_given_M1,
 )
 from hiercoop.optimizer import DEPTH_SEARCH_MARGIN
+from hiercoop.params import smooth_depth
 from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
 from strategies import rate_params
 
@@ -283,8 +284,7 @@ def _depth_cap(n, params, h_max):
     # layer_choice's default cap when h_max is None
     if h_max is not None:
         return h_max
-    h_approx = math.sqrt(math.log(n / 2.0) / math.log(params.beta1))
-    return min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
+    return min(math.ceil(smooth_depth(n, params)) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
 
 
 def _full_scan(n, params, h_max):

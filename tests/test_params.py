@@ -15,6 +15,7 @@ from hiercoop import (
     derive,
     validate_plan,
 )
+from hiercoop.params import smooth_depth
 
 
 class TestDerive:
@@ -75,6 +76,30 @@ class TestDerive:
     def test_direct_construction_still_checks_the_rates(self):
         with pytest.raises(DomainError):
             SchemeParams(R=-1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0)
+
+
+class TestLogBeta1:
+    def test_is_derived_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0, log_beta1=0.7)
+        p = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.25)
+        assert p.log_beta1 == math.log(2.0)
+
+    @pytest.mark.parametrize("ratio", [1.25, 2.0, 24.0, 4.49e307, 1.7e308])
+    def test_is_log_beta1_from_five_quarters_up(self, ratio):
+        p = derive(1.0, ratio)
+        assert p.log_beta1 == math.log(p.beta1)
+
+    @pytest.mark.parametrize("R,Q", [(5e-324, 5e-324), (3e-323, 1e-323), (1e-310, 1e-310)])
+    def test_subnormal_rates_keep_their_ratio(self, R, Q):
+        # R/4 is inexact there; the ratios are exactly 1, 1/3 and 1
+        p = derive(R, Q)
+        assert p.log_beta1 == pytest.approx(0.5 * math.log(4.0 * Q / R), rel=1e-15)
+
+    def test_smooth_depth_needs_four_nodes(self, unit_params):
+        assert smooth_depth(131072, unit_params) == 4.0  # sqrt(log_2 65536)
+        with pytest.raises(DomainError, match="n >= 4"):
+            smooth_depth(3, unit_params)
 
 
 class TestNetworkConfig:

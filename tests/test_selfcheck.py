@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hiercoop import SchemeParams, SuiteResult, derive, run_all
+from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
@@ -34,6 +34,15 @@ class TestRunAll:
         params = derive(1.0, ratio)
         results = run_all(params, seed=3)
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("ratio", [1e10, 1e17])
+    def test_size_grids_start_where_depth_2_fits(self, ratio):
+        results = run_all(derive(1.0, ratio))
+        assert all(r.passed and r.cases > 0 for r in results)
+
+    def test_no_size_up_to_the_cap_fits(self):
+        with pytest.raises(InfeasibleError, match=r"suite phase_balance .* Q=1e\+20: "):
+            run_all(derive(1.0, 1e20))
 
     def test_deterministic_for_a_fixed_seed(self, unit_params):
         assert run_all(unit_params, seed=7) == run_all(unit_params, seed=7)

@@ -8,6 +8,7 @@ from hiercoop import (
     InfeasibleError,
     PlanError,
     derive,
+    layer_choice,
     layer_throughput,
     multihop_baseline,
     optimal_modified,
@@ -15,9 +16,11 @@ from hiercoop import (
     original_optimal_layers,
     original_throughput,
     per_pair_rate,
+    ratio_original,
     throughput_given_M1,
     upper_bound,
 )
+from oracles import depth_constants_50_digits
 
 
 class TestExplicitDesign:
@@ -271,3 +274,25 @@ class TestBaselinesAndShares:
             smooth.pre_constant * 0.5 * unit_params.beta1 ** (-2.0 * math.sqrt(lg))
         )
         assert per_pair_rate(n, unit_params) == pytest.approx(expected, rel=1e-9)
+
+
+class TestHighPrecisionReference:
+    """The smooth-depth figures and both depths against a 50-digit reference,
+    hardest near the Q/R = 1/4 edge where log(beta1) tends to 0."""
+
+    @pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("R", [1.0, 3.0, 1e-3, 7.3e5])
+    def test_relative_error_within_1e_13(self, R, excess):
+        pytest.importorskip("mpmath")
+        params = derive(R, R * (0.25 + excess))
+        for n in (16, 10**6, 2**40, 2**62):
+            choice = layer_choice(n, params)
+            got = {
+                "T1_smooth": optimal_modified(n, params).smooth.value,
+                "ratio": ratio_original(n, params),
+                "h_approx": choice.h_approx,
+                "h_exact": choice.h_exact,
+            }
+            want = depth_constants_50_digits(n, params.R, params.Q, params.c)
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-13 * value, (key, n)
