@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .throughput import (
     optimal_modified,
     original_optimal_layers,
     original_throughput,
-    per_pair_rate,
     throughput_given_M1,
 )
 
@@ -215,7 +215,10 @@ def _load_config(path: str) -> dict[str, object]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace each call
+    # and copies an append flag's list before extending it
     parser = argparse.ArgumentParser(
         prog="hiercoop",
         description="Throughput analysis of hierarchical cooperation schemes.",
@@ -338,7 +341,8 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
     record.update(
         T1_smooth=both.smooth.value,
         T1_area=throughput_with_area(network, params).value,
-        per_pair=per_pair_rate(n, params),
+        # per_pair_rate's quotient, from the report already at hand
+        per_pair=both.smooth.value / n,
         h_orig=original_optimal_layers(n, params.beta),
         T_orig=original_throughput(n, params),
         ratio=ratio_original(n, params),

@@ -25,7 +25,7 @@ import math
 
 from .area import area_from_exponent, classify
 from .errors import DomainError, InfeasibleError, PlanError
-from .params import NetworkConfig, SchemeParams, smooth_depth
+from .params import N_MAX, NetworkConfig, SchemeParams, smooth_depth
 from .throughput import (
     multihop_baseline,
     optimal_modified,
@@ -77,9 +77,10 @@ def ratio_log_adjusted(n: int, a: float, params: SchemeParams) -> float:
 
 
 def find_n_for_ratio(
-    threshold: float, params: SchemeParams, n_cap: int = 2**60
+    threshold: float, params: SchemeParams, n_cap: int = N_MAX
 ) -> int | None:
-    """Smallest n with ratio_original(n) >= threshold, or None past n_cap.
+    """Smallest n with ratio_original(n) >= threshold, or None past n_cap
+    (default N_MAX, the largest network size accepted).
 
     Doubles from n=4 to bracket the crossing, then bisects to the integer.
     """
@@ -135,7 +136,7 @@ def compare_schemes(
         prev = n
         try:
             area = area_from_exponent(n, nu) if nu is not None else cfg.area
-            geo = dataclasses.replace(cfg, n=n, area=area)
+            geo = NetworkConfig(n=n, area=area, alpha=cfg.alpha, c0=cfg.c0)
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:

@@ -24,6 +24,7 @@ answers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,6 +207,12 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     overflows to inf it ties every other infinite value, and the smallest
     feasible depth that reaches it wins.
 
+    The arguments are checked on every call. The search itself runs once
+    for the last (n, params, h_max) and is reused while they repeat, as
+    they do across the depth-optimized figures of one sweep row; params
+    compare by every field. The reused LayerChoice is the same object each
+    time, and it is frozen. Errors are raised afresh, never reused.
+
     Raises:
         DomainError: n < 4, Q/R <= 1/4 (direct construction only), or c <= 1.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
@@ -218,6 +225,14 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
     if h_max is None:
         h_max = min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
+    return _search_depth(n, params, h_max, h_approx)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> LayerChoice:
+    # layer_choice's search on checked arguments. One entry serves the
+    # back-to-back repeats of a sweep row or an analyze report; h_approx
+    # follows from (n, params), so it does not widen the key.
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)

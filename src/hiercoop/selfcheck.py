@@ -56,8 +56,14 @@ class SuiteResult:
     tolerance: float
 
 
+def _worse(worst: float, err: float) -> float:
+    # max() that keeps a NaN error: max(0.0, nan) is 0.0, which would pass it
+    return worst if err <= worst or math.isnan(worst) else err
+
+
 def _result(name: str, worst: float, cases: int, tol: float) -> SuiteResult:
-    # zero cases means the suite never exercised anything; that is a failure
+    # zero cases means the suite never exercised anything; that is a failure,
+    # as is a NaN or infinite worst error, which worst <= tol rejects
     return SuiteResult(
         name=name, passed=cases > 0 and worst <= tol, worst_rel_err=worst, cases=cases, tolerance=tol
     )
@@ -91,9 +97,9 @@ def recursion_vs_closed_form(
         plan = HierarchyPlan(h=h, sizes=tuple(sizes), L=rng.uniform(0.25, 8.0))
         walked = delay_recursive(plan, params)
         bracket = delay_closed_form(plan, params)
-        worst = max(worst, abs(walked.slots - bracket.slots) / bracket.slots)
+        worst = _worse(worst, abs(walked.slots - bracket.slots) / bracket.slots)
         for a, b in zip(walked.decomposition, bracket.decomposition):
-            worst = max(worst, abs(a - b) / b)
+            worst = _worse(worst, abs(a - b) / b)
     return _result("recursion_vs_closed_form", worst, cases, RATIONAL_TOL)
 
 
@@ -110,9 +116,9 @@ def am_gm_equal_terms(params: SchemeParams) -> SuiteResult:
             terms = delay_closed_form(plan, params).decomposition
             mean = sum(terms) / len(terms)
             for t in terms:
-                worst = max(worst, abs(t - mean) / mean)
+                worst = _worse(worst, abs(t - mean) / mean)
             direct = minimal_delay(h, M1, 1.0, params).slots
-            worst = max(worst, abs(direct - sum(terms)) / direct)
+            worst = _worse(worst, abs(direct - sum(terms)) / direct)
             cases += 1
     return _result("am_gm_equal_terms", worst, cases, TRANSCENDENTAL_TOL)
 
@@ -131,7 +137,7 @@ def phase_balance(params: SchemeParams) -> SuiteResult:
                 continue
             p1, p2, p3 = report.phase_slots
             target = (h - 1) * p2
-            worst = max(worst, abs((p1 + p3) - target) / target)
+            worst = _worse(worst, abs((p1 + p3) - target) / target)
             cases += 1
     return _result("phase_balance", worst, cases, TRANSCENDENTAL_TOL)
 
@@ -148,7 +154,7 @@ def bound_checks(params: SchemeParams) -> SuiteResult:
             except (InfeasibleError, DomainError):
                 continue
             cap = upper_bound(n, params)
-            worst = max(worst, max(0.0, (value - cap) / cap))
+            worst = _worse(worst, _worse(0.0, (value - cap) / cap))
             cases += 1
     return _result("bound_checks", worst, cases, RATIONAL_TOL)
 
@@ -164,7 +170,7 @@ def ratio_two_routes(params: SchemeParams) -> SuiteResult:
             / original_throughput(n, params)
         )
         closed = ratio_original_closed_form(n, params)
-        worst = max(worst, abs(direct - closed) / direct)
+        worst = _worse(worst, abs(direct - closed) / direct)
         cases += 1
     return _result("ratio_two_routes", worst, cases, TRANSCENDENTAL_TOL)
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import cli
 from hiercoop.cli import SWEEP_COLUMNS, main
+from hiercoop.optimizer import _search_depth
 
 GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_21pt.csv"
 
@@ -79,6 +80,13 @@ class TestAnalyzeText:
         assert got["h_approx"] == "145399.410156"
         assert got["T1_smooth"] == "3.16992736712e+12"
         assert got["ratio"] == "0.519469893451"
+
+    def test_report_runs_one_depth_search(self, capsys):
+        # layer_choice, optimal_modified and ratio_original share one search
+        _search_depth.cache_clear()
+        rc, out, _ = run_cli(capsys, "analyze", "--n", "131072")
+        assert rc == 0 and as_dict(out)["h_int"] == "3"
+        assert _search_depth.cache_info().misses == 1
 
     def test_multihop_column_appears_on_request(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "131072", "--c-mh", "1")
@@ -275,6 +283,13 @@ class TestTradeoff:
         rc, _, err = run_cli(capsys, *self.ARGS, "--format", "csv")
         assert rc == 2
         assert "config error" in err
+
+    def test_reused_parser_keeps_no_flag_value_between_calls(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        rc, _, err = run_cli(capsys, "tradeoff", "--candidate", "2:1:1", "--candidate", "1:1:1")
+        assert rc == 2 and "tradeoff needs a network size" in err
+        rc, _, err = run_cli(capsys, "tradeoff", "--n", "200")
+        assert rc == 2 and "tradeoff needs candidates" in err
 
 
 class TestConfigFile:

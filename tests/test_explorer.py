@@ -24,6 +24,7 @@ from hiercoop import (
     ratio_original,
     ratio_original_closed_form,
 )
+from hiercoop.optimizer import _search_depth
 from strategies import rate_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
@@ -100,6 +101,11 @@ class TestDivergence:
     def test_search_respects_the_cap(self, unit_params):
         assert find_n_for_ratio(10.0, unit_params, n_cap=2**20) is None
 
+    def test_search_reaches_the_largest_network_by_default(self, unit_params):
+        threshold = ratio_original(2**61, unit_params)
+        n_star = find_n_for_ratio(threshold, unit_params)
+        assert n_star is not None and 2**60 < n_star <= 2**61
+
     def test_search_guards(self, unit_params):
         with pytest.raises(DomainError):
             find_n_for_ratio(0.0, unit_params)
@@ -162,6 +168,13 @@ class TestCompareSchemes:
             row.extras["T1_smooth"] / row.extras["T_orig"], rel=1e-9
         )
         assert row.extras["area_factor"] == 1.0
+
+    def test_row_runs_one_depth_search(self, unit_params):
+        # the row's four depth-optimized figures share one search
+        _search_depth.cache_clear()
+        (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
+        assert row.error is None and "T1_int" in row.extras
+        assert _search_depth.cache_info().misses == 1
 
     def test_integer_column_disappears_when_no_depth_fits(self):
         p = derive(1.0, 100.0)

@@ -22,7 +22,7 @@ from hiercoop import (
     rounded_size_gap,
     throughput_given_M1,
 )
-from hiercoop.optimizer import DEPTH_SEARCH_MARGIN
+from hiercoop.optimizer import DEPTH_SEARCH_MARGIN, _search_depth
 from hiercoop.params import smooth_depth
 from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
 from strategies import rate_params
@@ -361,6 +361,39 @@ class TestDepthSearch:
             return
         assert (got.h_int, got.M1, got.value) == want
         assert got.h_int == oracle
+
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(4, 2**62),
+        params=search_params(),
+        h_max=st.none() | st.integers(2, MAX_LAYERS),
+    )
+    def test_repeated_call_matches_the_first_and_the_full_scan(self, n, params, h_max):
+        # the second call is served from the last-arguments memo
+        first = _outcome(lambda: layer_choice(n, params, h_max=h_max))
+        again = _outcome(lambda: layer_choice(n, params, h_max=h_max))
+        want = _outcome(lambda: _full_scan(n, params, _depth_cap(n, params, h_max)))
+        if isinstance(want, type):
+            assert first is want and again is want
+            return
+        assert again == first
+        assert (again.h_int, again.M1, again.value) == want
+
+    def test_params_off_by_one_field_are_not_served_the_last_answer(self):
+        n = 131072
+        clean = layer_choice(n, derive(1.0, 1.0))
+        bad = SchemeParams(
+            R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.0 * (1.0 + 1e-6)
+        )
+        got = layer_choice(n, bad)
+        assert (got.h_int, got.M1, got.value) == _full_scan(n, bad, _depth_cap(n, bad, None))
+        assert got.value != clean.value
+
+    @pytest.mark.parametrize("h_max", [3.0, True])
+    def test_cap_of_the_wrong_type_is_refused_after_a_valid_one(self, unit_params, h_max):
+        layer_choice(10**6, unit_params, h_max=3)
+        with pytest.raises(PlanError, match="h_max"):
+            layer_choice(10**6, unit_params, h_max=h_max)
 
     def test_overflowed_value_keeps_the_smallest_depth(self):
         # at R = 1e300 and n = 2**60 depths 3..8 all overflow to inf and tie;

@@ -86,6 +86,16 @@ class TestFaultInjection:
         assert not recursion_vs_closed_form(bad, seed=5, cases=20).passed
 
 
+class TestNonFiniteErrors:
+    def test_nan_case_error_fails_its_suite(self):
+        # at Q/R = 1.7e308 both slot routes reach inf for most plans, and
+        # inf - inf is NaN; max(worst, nan) used to keep worst and pass
+        result = recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
+        assert result.cases == 200
+        assert result.passed is False
+        assert not math.isfinite(result.worst_rel_err)
+
+
 class TestResultPlumbing:
     def test_zero_cases_never_passes(self):
         empty = _result("empty", 0.0, 0, 1e-9)
