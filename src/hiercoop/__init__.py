@@ -33,7 +33,6 @@ from .optimizer import (
     minimal_delay,
     optimal_cluster_sizes,
     optimal_top_cluster,
-    rounded_size_gap,
 )
 from .params import (
     MAX_LAYERS,
@@ -47,10 +46,8 @@ from .params import (
 from .recurrence import (
     TIME_SHARING_FACTOR,
     DelaySlots,
-    delay_base,
     delay_closed_form,
     delay_recursive,
-    integer_slot_gap,
 )
 from .selfcheck import SuiteResult, run_all
 from .throughput import (
@@ -91,14 +88,12 @@ __all__ = [
     "c0_tradeoff",
     "classify",
     "compare_schemes",
-    "delay_base",
     "delay_closed_form",
     "delay_recursive",
     "depth_optimum",
     "derive",
     "detect_crossovers",
     "find_n_for_ratio",
-    "integer_slot_gap",
     "layer_choice",
     "layer_throughput",
     "minimal_delay",
@@ -112,7 +107,6 @@ __all__ = [
     "ratio_log_adjusted",
     "ratio_original",
     "ratio_original_closed_form",
-    "rounded_size_gap",
     "run_all",
     "throughput_given_M1",
     "throughput_with_area",

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .area import c0_tradeoff, classify, throughput_with_area
+from .area import c0_tradeoff, classify
 from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import compare_schemes, ratio_original
 from .optimizer import layer_choice
@@ -340,7 +340,7 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         )
     record.update(
         T1_smooth=both.smooth.value,
-        T1_area=throughput_with_area(network, params).value,
+        T1_area=both.smooth.value * regime.factor,
         # per_pair_rate's quotient, from the report already at hand
         per_pair=both.smooth.value / n,
         h_orig=original_optimal_layers(n, params.beta),
@@ -387,7 +387,8 @@ def _cmd_verify(cfg: dict[str, object]) -> int:
             f"suite {r.name}: {status} cases={r.cases} "
             f"worst_rel_err={_fmt(r.worst_rel_err)} tol={_fmt(r.tolerance)}"
         )
-    print(f"worst_rel_err_overall={_fmt(max(r.worst_rel_err for r in results))}")
+    worst = max((r.worst_rel_err for r in results), key=lambda e: (math.isnan(e), e))  # NaN wins
+    print(f"worst_rel_err_overall={_fmt(worst)}")
     ok = all(r.passed for r in results)
     print(f"verify: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

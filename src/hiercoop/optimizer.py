@@ -29,21 +29,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError, PlanError
-from .params import MAX_LAYERS, HierarchyPlan, SchemeParams, smooth_depth, validate_plan
-from .recurrence import DelaySlots, delay_closed_form
+from .params import (
+    MAX_LAYERS, HierarchyPlan, SchemeParams, check_layer_count, smooth_depth, validate_plan
+)
+from .recurrence import DelaySlots
 
 #: A cluster must hold at least this many nodes to be worth the name.
 MIN_CLUSTER = 2.0
 
 #: Headroom added above ceil(h_approx) when no explicit depth cap is given.
 DEPTH_SEARCH_MARGIN = 3
-
-
-def _check_depth(h: int) -> None:
-    if not isinstance(h, int) or h < 2:
-        raise PlanError("h", f"layer count must be an integer >= 2, got {h!r}")
-    if h > MAX_LAYERS:
-        raise PlanError("h", f"layer count capped at {MAX_LAYERS}, got {h}")
 
 
 def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
@@ -78,7 +73,7 @@ def optimal_cluster_sizes(
         InfeasibleError: some layer would drop below MIN_CLUSTER nodes.
         PlanError: h out of range.
     """
-    _check_depth(h)
+    check_layer_count(h)
     if not (math.isfinite(M1) and M1 >= MIN_CLUSTER):
         raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
     sizes = [float(M1)]
@@ -102,7 +97,7 @@ def minimal_delay(h: int, M1: float, L: float, params: SchemeParams) -> DelaySlo
     decomposed into its h-1 equal terms; it must match delay_closed_form
     over optimal_cluster_sizes to 1e-12.
     """
-    _check_depth(h)
+    check_layer_count(h)
     if not (math.isfinite(M1) and M1 >= MIN_CLUSTER):
         raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
     if _bottom_size(h, M1, params) < MIN_CLUSTER:
@@ -128,7 +123,7 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     Raises InfeasibleError when the balancing size leaves no room for a
     cluster (M1 < 2) or exceeds the network (M1 >= n).
     """
-    _check_depth(h)
+    check_layer_count(h)
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
     try:
@@ -211,7 +206,8 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     for the last (n, params, h_max) and is reused while they repeat, as
     they do across the depth-optimized figures of one sweep row; params
     compare by every field. The reused LayerChoice is the same object each
-    time, and it is frozen. Errors are raised afresh, never reused.
+    time, and it is frozen. A search that finds no feasible depth is
+    reused too, and each call raises a new InfeasibleError for it.
 
     Raises:
         DomainError: n < 4, Q/R <= 1/4 (direct construction only), or c <= 1.
@@ -225,14 +221,17 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
     if h_max is None:
         h_max = min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
-    return _search_depth(n, params, h_max, h_approx)
+    choice = _search_depth(n, params, h_max, h_approx)
+    if choice is None:
+        raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
+    return choice
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> LayerChoice:
-    # layer_choice's search on checked arguments. One entry serves the
-    # back-to-back repeats of a sweep row or an analyze report; h_approx
-    # follows from (n, params), so it does not widen the key.
+def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> LayerChoice | None:
+    # layer_choice's search on checked arguments, None when no depth fits. One
+    # entry serves the back-to-back repeats of a sweep row or an analyze report,
+    # infeasible rows too; h_approx follows from (n, params), so the key is no wider.
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)
@@ -244,28 +243,9 @@ def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> 
     above = next(_feasible(range(split + 1, h_max + 1), n, params), None)
     sides = [side for side in (below, above) if side is not None]
     if not sides:
-        raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
+        return None
     best = max(sides, key=lambda side: side[2])
     if not math.isfinite(best[2]):
         best = next(s for s in _feasible(range(2, best[0] + 1), n, params) if s[2] == best[2])
     return LayerChoice(h_exact, h_approx, *best)
 
-
-def rounded_size_gap(
-    h: int, M1: float, params: SchemeParams, L: float = 1.0
-) -> float:
-    """Report-only: relative delay increase from rounding the fluid-optimal
-    lower layer sizes to whole nodes.
-
-    Raises PlanError if rounding collapses two adjacent layers.
-    """
-    plan = optimal_cluster_sizes(h, M1, params, L=L)
-    rounded = HierarchyPlan(
-        h=h,
-        sizes=(plan.sizes[0],) + tuple(float(round(m)) for m in plan.sizes[1:]),
-        L=L,
-    )
-    validate_plan(rounded)
-    fluid = delay_closed_form(plan, params).slots
-    integral = delay_closed_form(rounded, params).slots
-    return (integral - fluid) / fluid

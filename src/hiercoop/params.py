@@ -155,12 +155,17 @@ class HierarchyPlan:
         object.__setattr__(self, "sizes", tuple(float(m) for m in self.sizes))
 
 
+def check_layer_count(h: int) -> None:
+    """Raise PlanError unless the layer count h is an integer in 2..MAX_LAYERS."""
+    if not isinstance(h, int) or h < 2:
+        raise PlanError("h", f"layer count must be an integer >= 2, got {h!r}")
+    if h > MAX_LAYERS:
+        raise PlanError("h", f"layer count capped at {MAX_LAYERS}, got {h}")
+
+
 def validate_plan(plan: HierarchyPlan) -> None:
     """Raise PlanError naming the first violated invariant; return None if valid."""
-    if not isinstance(plan.h, int) or plan.h < 2:
-        raise PlanError("h", f"layer count must be an integer >= 2, got {plan.h!r}")
-    if plan.h > MAX_LAYERS:
-        raise PlanError("h", f"layer count capped at {MAX_LAYERS}, got {plan.h}")
+    check_layer_count(plan.h)
     if len(plan.sizes) != plan.h - 1:
         raise PlanError(
             "sizes", f"need h-1 = {plan.h - 1} cluster sizes, got {len(plan.sizes)}"

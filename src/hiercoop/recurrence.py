@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PlanError
 from .params import HierarchyPlan, SchemeParams, validate_plan
 
 #: Neighboring clusters time-share the channel in groups of this size.
@@ -34,20 +33,6 @@ class DelaySlots:
 
     slots: float
     decomposition: tuple[float, ...]
-
-
-def delay_base(M: float, L_prime: float, R: float) -> DelaySlots:
-    """Bottom-layer all-to-all exchange: M**2 ordered pairs of L_prime bits at rate R.
-
-    L_prime is the (possibly inflated) per-pair block size reaching the
-    bottom layer, not the top-level L.
-    """
-    if not (math.isfinite(M) and M >= 1):
-        raise PlanError("M", f"base cluster size must be >= 1, got {M}")
-    if not (L_prime > 0 and R > 0):
-        raise PlanError("L_prime", f"need positive L_prime and R, got L_prime={L_prime}, R={R}")
-    slots = (L_prime / R) * M * M
-    return DelaySlots(slots=slots, decomposition=(slots,))
 
 
 def delay_recursive(
@@ -65,7 +50,9 @@ def delay_recursive(
 
     integer_slots rounds each level's count up to a whole slot before
     scaling; exact_pairs uses M*(M-1) ordered pairs at the base instead of
-    M**2. Both are reporting variants, the fluid count is the model.
+    M**2. Both are reporting variants, the fluid count is the model. They
+    stay for the schedule-level slot oracle (ROADMAP item 6), which counts
+    whole slots and compares against integer_slots=True.
     """
     validate_plan(plan)
     R, Q = params.R, params.Q
@@ -97,17 +84,3 @@ def delay_closed_form(plan: HierarchyPlan, params: SchemeParams) -> DelaySlots:
     terms.append(lead * params.c ** (len(sizes) - 1) * sizes[-1] / 2.0)
     return DelaySlots(slots=sum(terms), decomposition=tuple(terms))
 
-
-def integer_slot_gap(
-    plan: HierarchyPlan, params: SchemeParams, *, exact_pairs: bool = False
-) -> float:
-    """Relative slot overhead of whole-slot scheduling, (ceiled - fluid) / fluid.
-
-    Can come out negative with exact_pairs=True, since M*(M-1) trims the
-    base-layer pair count below the fluid M**2.
-    """
-    fluid = delay_recursive(plan, params).slots
-    ceiled = delay_recursive(
-        plan, params, integer_slots=True, exact_pairs=exact_pairs
-    ).slots
-    return (ceiled - fluid) / fluid

@@ -65,10 +65,6 @@ class ModifiedThroughput:
     smooth: ThroughputReport
     integer: ThroughputReport | None
 
-    @property
-    def value(self) -> float:
-        return self.smooth.value
-
 
 def throughput_given_M1(
     h: int, M1: float, n: int, L: float, params: SchemeParams
@@ -87,15 +83,8 @@ def throughput_given_M1(
     long_range = 2.0 * n * L / params.R
     re_exchange = exchange * params.Q / params.R
     total = exchange + long_range + re_exchange
-    value = n * M1 * L / total
-    exponent = (h - 1.0) / h
-    return ThroughputReport(
-        value=value,
-        h_used=float(h),
-        M1_used=float(M1),
-        phase_slots=(exchange, long_range, re_exchange),
-        pre_constant=value / (n / 2.0) ** exponent,
-        exponent=exponent,
+    return _depth_report(
+        h, n, float(M1), n * M1 * L / total, (exchange, long_range, re_exchange)
     )
 
 
@@ -108,13 +97,15 @@ def layer_throughput(h: int, n: int, params: SchemeParams) -> ThroughputReport:
     return _depth_report(h, n, *depth_optimum(h, n, params))
 
 
-def _depth_report(h: int, n: int, M1: float, value: float) -> ThroughputReport:
+def _depth_report(
+    h: int, n: int, M1: float, value: float, phase_slots: tuple[float, float, float] | None = None
+) -> ThroughputReport:
     exponent = (h - 1.0) / h
     return ThroughputReport(
         value=value,
         h_used=float(h),
         M1_used=M1,
-        phase_slots=None,
+        phase_slots=phase_slots,
         pre_constant=value / (n / 2.0) ** exponent,
         exponent=exponent,
     )

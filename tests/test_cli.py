@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hiercoop import cli
+from hiercoop import SuiteResult, cli
 from hiercoop.cli import SWEEP_COLUMNS, main
 from hiercoop.optimizer import _search_depth
 
@@ -87,6 +88,15 @@ class TestAnalyzeText:
         rc, out, _ = run_cli(capsys, "analyze", "--n", "131072")
         assert rc == 0 and as_dict(out)["h_int"] == "3"
         assert _search_depth.cache_info().misses == 1
+
+    def test_sparse_network_attenuates_the_smooth_figure(self, capsys):
+        rc, out, _ = run_cli(capsys, "analyze", "--n", "100000", "--area", "1e6", "--alpha", "4")
+        assert rc == 0
+        got = as_dict(out)
+        assert got["regime"] == "sparse"
+        assert got["area_factor"] == "1e-07"
+        assert got["T1_smooth"] == "63.0645305053"
+        assert got["T1_area"] == "6.30645305053e-06"
 
     def test_multihop_column_appears_on_request(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "131072", "--c-mh", "1")
@@ -239,6 +249,18 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--seed", "1", "--rate-q", "2")
         assert rc == 0
         assert out.strip().endswith("verify: PASS")
+
+    def test_nan_suite_error_is_the_overall_worst(self, capsys, monkeypatch):
+        # a plain max over (1e-16, nan, 1e-15) keeps 1e-15 and hides the NaN
+        results = [
+            SuiteResult("low", True, 1e-16, 3, 1e-9),
+            SuiteResult("broken", False, math.nan, 3, 1e-9),
+            SuiteResult("high", True, 1e-15, 3, 1e-9),
+        ]
+        monkeypatch.setattr(cli, "run_all", lambda params, seed=0: results)
+        rc, out, _ = run_cli(capsys, "verify")
+        assert "worst_rel_err_overall=nan" in out.splitlines()
+        assert rc == 1
 
 
 class TestTradeoff:

@@ -176,6 +176,13 @@ class TestCompareSchemes:
         assert row.error is None and "T1_int" in row.extras
         assert _search_depth.cache_info().misses == 1
 
+    def test_row_without_a_fitting_depth_runs_one_depth_search(self):
+        # no depth fits n = 8 at R = Q = 1; that outcome is reused, not re-searched
+        _search_depth.cache_clear()
+        (row,) = compare_schemes([8], NetworkConfig(n=8), derive(1, 1), 1.0)
+        assert row.error is None and "T1_int" not in row.extras
+        assert _search_depth.cache_info().misses == 1
+
     def test_integer_column_disappears_when_no_depth_fits(self):
         p = derive(1.0, 100.0)
         row = compare_schemes([4], UNIT_CFG, p, c_mh=1.0)[0]

@@ -19,8 +19,8 @@ from hiercoop import (
     minimal_delay,
     optimal_cluster_sizes,
     optimal_top_cluster,
-    rounded_size_gap,
     throughput_given_M1,
+    validate_plan,
 )
 from hiercoop.optimizer import DEPTH_SEARCH_MARGIN, _search_depth
 from hiercoop.params import smooth_depth
@@ -58,6 +58,22 @@ class TestClusterSizes:
             optimal_cluster_sizes(1, 8.0, unit_params)
         with pytest.raises(PlanError):
             optimal_cluster_sizes(65, 2.0**64, unit_params)
+
+    @pytest.mark.parametrize("h", [1, 3.0, MAX_LAYERS + 1])
+    def test_depth_is_refused_as_a_plan_refuses_it(self, unit_params, h):
+        # one layer-count rule: every per-depth function raises the plan's error
+        with pytest.raises(PlanError) as want:
+            validate_plan(HierarchyPlan(h=h, sizes=(8.0,)))
+        calls = (
+            lambda: optimal_cluster_sizes(h, 8.0, unit_params),
+            lambda: minimal_delay(h, 8.0, 1.0, unit_params),
+            lambda: optimal_top_cluster(h, 1024, unit_params),
+            lambda: depth_optimum(h, 1024, unit_params),
+        )
+        for call in calls:
+            with pytest.raises(PlanError) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
     @given(h=st.integers(2, 6), M1=st.floats(16.0, 1e6), params=rate_params())
     def test_bracket_terms_are_equalized(self, h, M1, params):
@@ -402,12 +418,3 @@ class TestDepthSearch:
         choice = layer_choice(2**60, params)
         assert (choice.h_int, choice.value) == (3, math.inf)
         assert depth_optimum(2, 2**60, params)[1] < math.inf
-
-
-class TestRoundedSizes:
-    def test_rounding_the_four_layer_sizes_costs_a_little(self, unit_params):
-        gap = rounded_size_gap(4, 4096.0, unit_params)
-        assert gap == pytest.approx(1.1641161651775008e-3, rel=1e-12)
-
-    def test_rounding_an_integral_optimum_costs_nothing(self, unit_params):
-        assert rounded_size_gap(3, 512.0, unit_params) == 0.0

@@ -6,10 +6,8 @@ from hiercoop import (
     TIME_SHARING_FACTOR,
     HierarchyPlan,
     PlanError,
-    delay_base,
     delay_closed_form,
     delay_recursive,
-    integer_slot_gap,
 )
 from oracles import base_slots_by_enumeration, slots_by_tree_walk
 from strategies import plans, rate_params
@@ -20,25 +18,10 @@ def test_time_sharing_group_size():
 
 
 class TestBaseExchange:
-    def test_single_pair_at_matching_rate_takes_one_slot(self):
-        out = delay_base(1.0, 2.0, 2.0)
-        assert out.slots == 1.0
-        assert out.decomposition == (1.0,)
-
-    def test_eight_node_cluster(self):
-        assert delay_base(8.0, 1.0, 1.0).slots == 64.0
-
-    def test_matches_literal_pair_enumeration(self):
-        got = delay_base(16.0, 2.0, 1.0).slots
+    def test_matches_literal_pair_enumeration(self, unit_params):
+        got = delay_recursive(HierarchyPlan(h=2, sizes=(16.0,), L=2.0), unit_params).slots
         assert got == 512.0
         assert got == base_slots_by_enumeration(16, 2.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "M,L_prime,R", [(0.5, 1.0, 1.0), (8.0, 0.0, 1.0), (8.0, 1.0, 0.0)]
-    )
-    def test_degenerate_input_is_rejected(self, M, L_prime, R):
-        with pytest.raises(PlanError):
-            delay_base(M, L_prime, R)
 
 
 class TestRecursion:
@@ -46,7 +29,6 @@ class TestRecursion:
         plan = HierarchyPlan(h=2, sizes=(8.0,), L=1.0)
         out = delay_recursive(plan, unit_params)
         assert out.slots == 64.0
-        assert out.slots == delay_base(8.0, 1.0, 1.0).slots
 
     def test_three_layer_hand_expansion(self, unit_params):
         # relay 2*512*32 = 32768, then 4 subproblems of 16**2 slots at an
@@ -147,20 +129,23 @@ def test_block_size_scales_the_slot_count_linearly(unit_params):
 
 class TestIntegerSlots:
     def test_integral_plan_has_zero_ceiling_overhead(self, unit_params):
-        gap = integer_slot_gap(HierarchyPlan(h=3, sizes=(512.0, 16.0)), unit_params)
-        assert gap == 0.0
+        plan = HierarchyPlan(h=3, sizes=(512.0, 16.0))
+        fluid = delay_recursive(plan, unit_params).slots
+        assert delay_recursive(plan, unit_params, integer_slots=True).slots == fluid
 
     def test_fractional_plan_pays_a_small_overhead(self, unit_params):
-        gap = integer_slot_gap(HierarchyPlan(h=3, sizes=(511.3, 15.7), L=1.1), unit_params)
-        assert gap > 0.0
+        plan = HierarchyPlan(h=3, sizes=(511.3, 15.7), L=1.1)
+        fluid = delay_recursive(plan, unit_params).slots
+        assert delay_recursive(plan, unit_params, integer_slots=True).slots > fluid
 
     @given(plan=plans(), params=rate_params())
     def test_ceiling_overhead_is_never_negative(self, plan, params):
-        assert integer_slot_gap(plan, params) >= 0.0
+        fluid = delay_recursive(plan, params).slots
+        assert delay_recursive(plan, params, integer_slots=True).slots >= fluid
 
     def test_exact_pair_count_can_undercut_the_fluid_model(self, unit_params):
-        # M*(M-1) ordered pairs trim the base layer below the fluid M**2
-        gap = integer_slot_gap(
-            HierarchyPlan(h=2, sizes=(8.0,)), unit_params, exact_pairs=True
-        )
-        assert gap == -0.125
+        # M*(M-1) = 56 ordered pairs trim the base layer below the fluid M**2 = 64
+        plan = HierarchyPlan(h=2, sizes=(8.0,))
+        assert delay_recursive(plan, unit_params).slots == 64.0
+        exact = delay_recursive(plan, unit_params, integer_slots=True, exact_pairs=True)
+        assert exact.slots == 56.0

@@ -126,7 +126,6 @@ class TestModifiedScheme:
         assert both.smooth.value == pytest.approx(76.10925536017415, rel=1e-12)
         assert both.smooth.h_used == 4.0  # sqrt(log_2 65536) exactly
         assert both.smooth.M1_used is None
-        assert both.value == both.smooth.value
 
     def test_smooth_value_meets_the_integer_curve_when_the_log_is_a_square(
         self, unit_params
@@ -148,7 +147,6 @@ class TestModifiedScheme:
         p = derive(1.0, 100.0)
         both = optimal_modified(4, p)
         assert both.integer is None
-        assert both.value == both.smooth.value
 
     def test_smooth_exponent_approaches_one_from_below(self, unit_params):
         exps = [optimal_modified(2**k, unit_params).smooth.exponent for k in (10, 20, 40)]
