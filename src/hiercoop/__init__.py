@@ -20,7 +20,6 @@ from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import (
     SweepRow,
     compare_schemes,
-    detect_crossovers,
     find_n_for_ratio,
     ratio_log_adjusted,
     ratio_original,
@@ -92,7 +91,6 @@ __all__ = [
     "delay_recursive",
     "depth_optimum",
     "derive",
-    "detect_crossovers",
     "find_n_for_ratio",
     "layer_choice",
     "layer_throughput",

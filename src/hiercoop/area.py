@@ -16,7 +16,7 @@ import dataclasses
 import enum
 import math
 
-from .errors import DomainError, InfeasibleError, PlanError
+from .errors import DomainError
 from .params import NetworkConfig, SchemeParams, derive
 from .throughput import ThroughputReport, optimal_modified
 
@@ -76,12 +76,18 @@ def throughput_with_area(cfg: NetworkConfig, params: SchemeParams) -> Throughput
 
 
 def area_from_exponent(n: int, nu: float) -> float:
-    """Area n**nu for sweeps that grow the area with the network."""
+    """Area n**nu for sweeps that grow the area with the network.
+
+    Raises DomainError when n**nu overflows a float.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if nu < 0.0:
         raise DomainError(f"area exponent must be >= 0, got {nu}")
-    return float(n) ** nu
+    try:
+        return float(n) ** nu
+    except OverflowError:
+        raise DomainError(f"n**nu overflows at n={n}, nu={nu:g}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +120,7 @@ def c0_tradeoff(
             report = throughput_with_area(geo, params)
             if not math.isfinite(report.value):
                 raise DomainError("throughput is not finite")
-        except (DomainError, InfeasibleError, PlanError, ValueError) as exc:
+        except ValueError as exc:
             outcomes.append(CandidateOutcome(c0=c0, R=R, Q=Q, report=None, error=str(exc)))
         else:
             outcomes.append(CandidateOutcome(c0=c0, R=R, Q=Q, report=report, error=None))

@@ -29,7 +29,7 @@ from .area import c0_tradeoff, classify
 from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import compare_schemes, ratio_original
 from .optimizer import layer_choice
-from .params import MAX_LAYERS, N_MAX, NetworkConfig, derive
+from .params import MAX_LAYERS, MIN_NODES, N_MAX, NetworkConfig, derive
 from .selfcheck import run_all
 from .throughput import (
     multihop_baseline,
@@ -317,12 +317,11 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         # auxiliary margin as missing rather than fail the whole report
         "threshold": regime.threshold if math.isfinite(regime.threshold) else None,
     }
-    h_max = cfg["h-max"]
     try:
-        choice = layer_choice(n, params, h_max=h_max)
+        choice = layer_choice(n, params, h_max=cfg["h-max"])
     except InfeasibleError:
         choice = None
-    both = optimal_modified(n, params, h_max=h_max)
+    smooth = optimal_modified(n, params).smooth
     if choice is None:
         for key in ("h_exact", "h_approx", "h_int", "M1_int", "T1_int", "P1", "P2", "P3"):
             record[key] = None
@@ -339,10 +338,10 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
             P3=given.phase_slots[2],
         )
     record.update(
-        T1_smooth=both.smooth.value,
-        T1_area=both.smooth.value * regime.factor,
+        T1_smooth=smooth.value,
+        T1_area=smooth.value * regime.factor,
         # per_pair_rate's quotient, from the report already at hand
-        per_pair=both.smooth.value / n,
+        per_pair=smooth.value / n,
         h_orig=original_optimal_layers(n, params.beta),
         T_orig=original_throughput(n, params),
         ratio=ratio_original(n, params),
@@ -359,7 +358,7 @@ def _cmd_sweep(cfg: dict[str, object]) -> int:
     if cfg["c-mh"] is None:
         raise ConfigError("sweep needs the multihop constant; pass --c-mh")
     params = derive(cfg["rate-r"], cfg["rate-q"])
-    base = _network(cfg, max(4, cfg["grid"][0]))
+    base = _network(cfg, max(MIN_NODES, cfg["grid"][0]))
     rows = compare_schemes(
         cfg["grid"], base, params, cfg["c-mh"],
         log_base=cfg["log-base"], nu=cfg["nu"],

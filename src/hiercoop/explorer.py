@@ -24,8 +24,8 @@ import dataclasses
 import math
 
 from .area import area_from_exponent, classify
-from .errors import DomainError, InfeasibleError, PlanError
-from .params import N_MAX, NetworkConfig, SchemeParams, smooth_depth
+from .errors import DomainError
+from .params import MIN_NODES, N_MAX, NetworkConfig, SchemeParams, smooth_depth
 from .throughput import (
     multihop_baseline,
     optimal_modified,
@@ -82,16 +82,16 @@ def find_n_for_ratio(
     """Smallest n with ratio_original(n) >= threshold, or None past n_cap
     (default N_MAX, the largest network size accepted).
 
-    Doubles from n=4 to bracket the crossing, then bisects to the integer.
+    Doubles from n = MIN_NODES to bracket the crossing, then bisects to the integer.
     """
     if not threshold > 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    if n_cap < 4:
-        raise DomainError(f"cap must be >= 4, got {n_cap}")
-    lo = 4
+    if n_cap < MIN_NODES:
+        raise DomainError(f"cap must be >= {MIN_NODES}, got {n_cap}")
+    lo = MIN_NODES
     if ratio_original(lo, params) >= threshold:
         return lo
-    hi = 8
+    hi = 2 * lo
     while True:
         if hi > n_cap:
             hi = n_cap
@@ -150,35 +150,9 @@ def compare_schemes(
             for key, value in extras.items():
                 if not math.isfinite(value):
                     raise DomainError(f"metric {key} is not finite at n={n}")
-        except (DomainError, InfeasibleError, PlanError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             rows.append(SweepRow(n=n, extras={}, error=str(exc)))
         else:
             rows.append(SweepRow(n=n, extras=extras))
     return rows
 
-
-def detect_crossovers(
-    rows: list[SweepRow], metric_a: str, metric_b: str
-) -> list[int]:
-    """Indices where the sign of (metric_a - metric_b) flips.
-
-    Each returned index is the first row of the new ordering. Rows missing
-    either metric (errors, absent T1_int) break the comparison chain instead
-    of faking a flip.
-    """
-    flips: list[int] = []
-    prev_sign = 0
-    chained = False
-    for i, row in enumerate(rows):
-        if row.error is not None or metric_a not in row.extras or metric_b not in row.extras:
-            chained = False
-            prev_sign = 0
-            continue
-        diff = row.extras[metric_a] - row.extras[metric_b]
-        sign = (diff > 0) - (diff < 0)
-        if chained and sign != 0 and prev_sign != 0 and sign != prev_sign:
-            flips.append(i)
-        if sign != 0:
-            prev_sign = sign
-        chained = True
-    return flips

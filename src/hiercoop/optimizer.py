@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError, PlanError
 from .params import (
-    MAX_LAYERS, HierarchyPlan, SchemeParams, check_layer_count, smooth_depth, validate_plan
+    MAX_LAYERS, MIN_CLUSTER, HierarchyPlan, SchemeParams, check_layer_count, check_network_size,
+    smooth_depth, validate_plan,
 )
 from .recurrence import DelaySlots
-
-#: A cluster must hold at least this many nodes to be worth the name.
-MIN_CLUSTER = 2.0
 
 #: Headroom added above ceil(h_approx) when no explicit depth cap is given.
 DEPTH_SEARCH_MARGIN = 3
@@ -53,6 +51,13 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
 def _bottom_size(h: int, M1: float, params: SchemeParams) -> float:
     # smallest layer of the equal-term hierarchy; equals M1 itself at h=2
     return M1 if h == 2 else _size_at(h - 1, h, M1, params)
+
+
+def _check_top(h: int, M1: float) -> None:
+    # the layer count, then a top cluster of at least MIN_CLUSTER nodes
+    check_layer_count(h)
+    if not (math.isfinite(M1) and M1 >= MIN_CLUSTER):
+        raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
 
 
 def optimal_cluster_sizes(
@@ -73,9 +78,7 @@ def optimal_cluster_sizes(
         InfeasibleError: some layer would drop below MIN_CLUSTER nodes.
         PlanError: h out of range.
     """
-    check_layer_count(h)
-    if not (math.isfinite(M1) and M1 >= MIN_CLUSTER):
-        raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
+    _check_top(h, M1)
     sizes = [float(M1)]
     for i in range(2, h):
         m = _size_at(i, h, M1, params)
@@ -97,9 +100,7 @@ def minimal_delay(h: int, M1: float, L: float, params: SchemeParams) -> DelaySlo
     decomposed into its h-1 equal terms; it must match delay_closed_form
     over optimal_cluster_sizes to 1e-12.
     """
-    check_layer_count(h)
-    if not (math.isfinite(M1) and M1 >= MIN_CLUSTER):
-        raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
+    _check_top(h, M1)
     if _bottom_size(h, M1, params) < MIN_CLUSTER:
         raise InfeasibleError(f"depth h={h} does not fit below M1={M1:g}")
     if not (math.isfinite(L) and L > 0):
@@ -124,8 +125,7 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     cluster (M1 < 2) or exceeds the network (M1 >= n).
     """
     check_layer_count(h)
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
+    check_network_size(n)
     try:
         load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
     except OverflowError:
@@ -210,7 +210,7 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     reused too, and each call raises a new InfeasibleError for it.
 
     Raises:
-        DomainError: n < 4, Q/R <= 1/4 (direct construction only), or c <= 1.
+        DomainError: n < MIN_NODES, Q/R <= 1/4 (direct construction only), or c <= 1.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
         InfeasibleError: no depth in range fits.
     """

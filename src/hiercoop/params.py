@@ -28,6 +28,12 @@ MIN_RATE_RATIO = 0.25
 #: Largest network size accepted; keeps grid interpolation and n/2 in float range.
 N_MAX = 2**62
 
+#: Smallest network size accepted; keeps log(n/2) positive.
+MIN_NODES = 4
+
+#: A cluster must hold at least this many nodes to be worth the name.
+MIN_CLUSTER = 2.0
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -97,11 +103,16 @@ def derive(R: float, Q: float) -> SchemeParams:
     )
 
 
+def check_network_size(n: int) -> None:
+    """Raise DomainError unless the network holds at least MIN_NODES nodes."""
+    if n < MIN_NODES:
+        raise DomainError(f"need n >= {MIN_NODES}, got {n}")
+
+
 def smooth_depth(n: int, params: SchemeParams) -> float:
     """Real-valued optimal depth sqrt(log_beta1(n/2)) of the two-phase scheme."""
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    # n >= 4 makes log(n/2) positive, so log_beta1(n/2) is positive exactly when this is
+    check_network_size(n)
+    # n >= MIN_NODES makes log(n/2) positive, so log_beta1(n/2) is positive exactly when this is
     if not params.log_beta1 > 0.0:
         raise DomainError(f"smooth depth needs Q/R > 1/4, got log(beta1) = {params.log_beta1:g}")
     return math.sqrt(math.log(n / 2.0) / params.log_beta1)
@@ -112,7 +123,7 @@ class NetworkConfig:
     """Network size and geometry."""
 
     n: int
-    """Number of nodes; at least 4."""
+    """Number of nodes; at least MIN_NODES."""
 
     area: float = 1.0
     """Physical area of the square deployment region."""
@@ -124,8 +135,8 @@ class NetworkConfig:
     """Power-threshold constant separating the dense and sparse regimes."""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 4:
-            raise ValueError(f"n must be an integer >= 4, got {self.n!r}")
+        if not isinstance(self.n, int) or self.n < MIN_NODES:
+            raise ValueError(f"n must be an integer >= {MIN_NODES}, got {self.n!r}")
         if not (math.isfinite(self.area) and self.area > 0):
             raise ValueError(f"area must be positive and finite, got {self.area}")
         if not (math.isfinite(self.alpha) and self.alpha >= 2):
@@ -171,8 +182,10 @@ def validate_plan(plan: HierarchyPlan) -> None:
             "sizes", f"need h-1 = {plan.h - 1} cluster sizes, got {len(plan.sizes)}"
         )
     for i, m in enumerate(plan.sizes):
-        if not (math.isfinite(m) and m >= 2.0):
-            raise PlanError("sizes", f"cluster size at index {i} must be >= 2, got {m}")
+        if not (math.isfinite(m) and m >= MIN_CLUSTER):
+            raise PlanError(
+                "sizes", f"cluster size at index {i} must be >= {MIN_CLUSTER:g}, got {m}"
+            )
     for i in range(len(plan.sizes) - 1):
         if not plan.sizes[i] > plan.sizes[i + 1]:
             raise PlanError(

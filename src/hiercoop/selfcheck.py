@@ -16,7 +16,10 @@ random population or a fixed grid, reporting its worst relative error:
   closed-form ratio expression.
 
 Tolerances split by arithmetic: 1e-12 where the identity is rational in the
-inputs, 1e-9 where exp/log round-trips are involved. The n grids of
+inputs, 1e-9 where exp/log round-trips are involved; ratio_two_routes judges
+with explorer.RATIO_ROUTE_TOL, the bound ratio_original enforces on the same
+two routes. A case whose operands leave float range raises OverflowError,
+which run_all reports as a DomainError naming the suite. The n grids of
 phase_balance and bound_checks start where depth 2 fits, n >= 8*(1 + Q/R),
 and stop at N_MAX; if that leaves none, run_all raises InfeasibleError,
 which verify reports with exit code 3.
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
-from .explorer import ratio_original_closed_form
+from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import minimal_delay, optimal_cluster_sizes, optimal_top_cluster
 from .params import N_MAX, HierarchyPlan, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
@@ -54,6 +57,13 @@ class SuiteResult:
     worst_rel_err: float
     cases: int
     tolerance: float
+
+
+def _rel_err(value: float, reference: float) -> float:
+    # |value - reference| / reference of one case, refusing operands past float range
+    if not (math.isfinite(value) and math.isfinite(reference)):
+        raise OverflowError(f"case value {value:g} against reference {reference:g}")
+    return abs(value - reference) / reference
 
 
 def _worse(worst: float, err: float) -> float:
@@ -97,9 +107,9 @@ def recursion_vs_closed_form(
         plan = HierarchyPlan(h=h, sizes=tuple(sizes), L=rng.uniform(0.25, 8.0))
         walked = delay_recursive(plan, params)
         bracket = delay_closed_form(plan, params)
-        worst = _worse(worst, abs(walked.slots - bracket.slots) / bracket.slots)
+        worst = _worse(worst, _rel_err(walked.slots, bracket.slots))
         for a, b in zip(walked.decomposition, bracket.decomposition):
-            worst = _worse(worst, abs(a - b) / b)
+            worst = _worse(worst, _rel_err(a, b))
     return _result("recursion_vs_closed_form", worst, cases, RATIONAL_TOL)
 
 
@@ -116,9 +126,9 @@ def am_gm_equal_terms(params: SchemeParams) -> SuiteResult:
             terms = delay_closed_form(plan, params).decomposition
             mean = sum(terms) / len(terms)
             for t in terms:
-                worst = _worse(worst, abs(t - mean) / mean)
+                worst = _worse(worst, _rel_err(t, mean))
             direct = minimal_delay(h, M1, 1.0, params).slots
-            worst = _worse(worst, abs(direct - sum(terms)) / direct)
+            worst = _worse(worst, _rel_err(sum(terms), direct))
             cases += 1
     return _result("am_gm_equal_terms", worst, cases, TRANSCENDENTAL_TOL)
 
@@ -136,8 +146,7 @@ def phase_balance(params: SchemeParams) -> SuiteResult:
             except InfeasibleError:
                 continue
             p1, p2, p3 = report.phase_slots
-            target = (h - 1) * p2
-            worst = _worse(worst, abs((p1 + p3) - target) / target)
+            worst = _worse(worst, _rel_err(p1 + p3, (h - 1) * p2))
             cases += 1
     return _result("phase_balance", worst, cases, TRANSCENDENTAL_TOL)
 
@@ -154,7 +163,8 @@ def bound_checks(params: SchemeParams) -> SuiteResult:
             except (InfeasibleError, DomainError):
                 continue
             cap = upper_bound(n, params)
-            worst = _worse(worst, _worse(0.0, (value - cap) / cap))
+            err = _rel_err(value, cap)
+            worst = _worse(worst, err if value > cap else 0.0)
             cases += 1
     return _result("bound_checks", worst, cases, RATIONAL_TOL)
 
@@ -169,10 +179,9 @@ def ratio_two_routes(params: SchemeParams) -> SuiteResult:
             optimal_modified(n, params).smooth.value
             / original_throughput(n, params)
         )
-        closed = ratio_original_closed_form(n, params)
-        worst = _worse(worst, abs(direct - closed) / direct)
+        worst = _worse(worst, _rel_err(ratio_original_closed_form(n, params), direct))
         cases += 1
-    return _result("ratio_two_routes", worst, cases, TRANSCENDENTAL_TOL)
+    return _result("ratio_two_routes", worst, cases, RATIO_ROUTE_TOL)
 
 
 def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:

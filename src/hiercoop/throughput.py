@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import depth_optimum, layer_choice, minimal_delay
-from .params import SchemeParams, smooth_depth
+from .params import SchemeParams, check_network_size, smooth_depth
 from .recurrence import TIME_SHARING_FACTOR
 
 
@@ -75,8 +75,7 @@ def throughput_given_M1(
     no balancing of M1 is applied, so this is the curve layer_throughput
     maximizes.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
+    check_network_size(n)
     if not M1 <= n:
         raise InfeasibleError(f"top cluster {M1:g} exceeds n={n}")
     exchange = TIME_SHARING_FACTOR * minimal_delay(h, M1, L, params).slots
@@ -111,9 +110,7 @@ def _depth_report(
     )
 
 
-def optimal_modified(
-    n: int, params: SchemeParams, h_max: int | None = None
-) -> ModifiedThroughput:
+def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     """Depth-optimized throughput of the two-phase scheme.
 
     The smooth report uses h = sqrt(log_beta1(n/2)) as a real number. The
@@ -134,7 +131,7 @@ def optimal_modified(
         c_n=c_n,
     )
     try:
-        choice = layer_choice(n, params, h_max=h_max)
+        choice = layer_choice(n, params)
     except InfeasibleError:
         integer = None
     else:
@@ -155,8 +152,7 @@ def original_optimal_layers(n: int, beta: float) -> float:
     """Real-valued optimal depth sqrt(log_beta(n/2)) of the three-phase scheme."""
     if beta <= 1.0:
         raise DomainError(f"depth base must exceed 1, got {beta}")
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
+    check_network_size(n)
     return math.sqrt(math.log(n / 2.0) / math.log(beta))
 
 

@@ -124,6 +124,10 @@ class TestAreaFromExponent:
         with pytest.raises(DomainError):
             area_from_exponent(10000, -0.1)
 
+    def test_overflowing_area_is_a_domain_error_naming_n_and_nu(self):
+        with pytest.raises(DomainError, match=r"^n\*\*nu overflows at n=20, nu=300$"):
+            area_from_exponent(20, 300.0)
+
 
 class TestC0Tradeoff:
     def test_doubling_c0_doubles_a_sparse_figure(self):

@@ -204,6 +204,15 @@ class TestSweep:
         assert len(lines) == 3  # header plus two annotated rows
         assert "n must be an integer >= 4" in lines[1]
 
+    def test_overflowing_area_names_n_and_nu(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", "4:100:3:log", "--c-mh", "1", "--nu", "300"
+        )
+        assert rc == 0 and err == ""
+        lines = out.strip().splitlines()
+        assert lines[2] == '20,,,,,,,,,"n**nu overflows at n=20, nu=300"'
+        assert lines[3] == '100,,,,,,,,,"n**nu overflows at n=100, nu=300"'
+
     def test_missing_grid_or_baseline_constant(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--c-mh", "1")
         assert rc == 2 and "--grid" in err
@@ -436,6 +445,31 @@ class TestExitCodes:
         assert err.startswith(
             "error: suite recursion_vs_closed_form overflowed at R=1, Q=1e+100: "
         )
+
+    @pytest.mark.parametrize(
+        "rate, suite",
+        [("1e-300", "recursion_vs_closed_form"), ("1e300", "bound_checks")],
+    )
+    def test_extreme_rate_scale_overflow_is_named_not_failed(self, capsys, rate, suite):
+        # a valid rate pair whose suite arithmetic leaves float range: exit 3, not 1
+        rc, out, err = run_cli(capsys, "verify", "--rate-r", rate, "--rate-q", rate)
+        assert rc == 3 and out == ""
+        pair = f"R={float(rate):g}, Q={float(rate):g}"
+        assert err.startswith(f"error: suite {suite} overflowed at {pair}: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=st.floats(-307.0, 307.0).map(lambda e: 10.0**e),
+        ratio=st.floats(0.26, 1000.0),
+    )
+    @example(R=1e-300, ratio=1.0)
+    @example(R=1e300, ratio=1.0)
+    def test_valid_rate_pairs_never_fail_verify(self, R, ratio):
+        # exit 1 means a wrong identity; overflow is 3, a Q past float range 2
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", f"--rate-r={R!r}", f"--rate-q={R * ratio!r}"])
+        assert rc in (0, 2, 3), out.getvalue()
 
     def test_large_rate_ratio_verifies_on_shifted_grids(self, capsys):
         # depth 2 needs n >= 8*(1 + 1e10); the n grids start there

@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hiercoop import (
     DomainError,
     NetworkConfig,
-    SweepRow,
     compare_schemes,
     derive,
-    detect_crossovers,
     find_n_for_ratio,
     layer_throughput,
     multihop_baseline,
@@ -183,6 +181,19 @@ class TestCompareSchemes:
         assert row.error is None and "T1_int" not in row.extras
         assert _search_depth.cache_info().misses == 1
 
+    def test_real_sweep_crossover_indices(self, unit_params):
+        grid = [round(1024 * (2**20) ** (i / 20)) for i in range(21)]
+        rows = compare_schemes(grid, UNIT_CFG, unit_params, c_mh=1.0)
+        assert all(r.error is None for r in rows)
+        # the modified scheme overtakes the original at n = 8192 on this grid
+        assert grid[3] == 8192
+        assert [r.extras["ratio"] > 1.0 for r in rows] == [False] * 3 + [True] * 18
+        assert all(r.extras["ratio"] < 1.0 for r in rows[:3])
+        # and leaves sqrt(n) relaying behind only deep into the sweep
+        ahead = [r.extras["T1_smooth"] > r.extras["multihop"] for r in rows]
+        assert ahead == [False] * 17 + [True] * 4
+        assert all(r.extras["T1_smooth"] < r.extras["multihop"] for r in rows[:17])
+
     def test_integer_column_disappears_when_no_depth_fits(self):
         p = derive(1.0, 100.0)
         row = compare_schemes([4], UNIT_CFG, p, c_mh=1.0)[0]
@@ -209,6 +220,14 @@ class TestCompareSchemes:
         assert rows[0].error is None
         assert rows[1].error is not None
 
+    def test_overflowing_area_is_annotated_with_n_and_nu(self, unit_params):
+        rows = compare_schemes([4, 20, 100], UNIT_CFG, unit_params, c_mh=1.0, nu=300.0)
+        assert rows[0].error is None and rows[0].extras["area_factor"] < 1.0
+        assert [r.error for r in rows[1:]] == [
+            "n**nu overflows at n=20, nu=300",
+            "n**nu overflows at n=100, nu=300",
+        ]
+
     def test_area_column_decays_when_area_outgrows_n(self, unit_params):
         rows = compare_schemes(
             [2**10, 2**14, 2**18], UNIT_CFG, unit_params, c_mh=1.0, nu=1.5
@@ -230,47 +249,3 @@ class TestCompareSchemes:
             20000, 1.0
         )
 
-
-def _row(n, x=None, y=None, error=None):
-    extras = {}
-    if x is not None:
-        extras["x"] = x
-    if y is not None:
-        extras["y"] = y
-    return SweepRow(n=n, extras=extras, error=error)
-
-
-class TestDetectCrossovers:
-    def test_single_flip(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, 1.0, 2.0)]
-        assert detect_crossovers(rows, "x", "y") == [1]
-
-    def test_error_row_breaks_the_chain(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, error="boom"), _row(3, 1.0, 2.0)]
-        assert detect_crossovers(rows, "x", "y") == []
-
-    def test_missing_metric_breaks_the_chain(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, x=1.0), _row(3, 1.0, 2.0)]
-        assert detect_crossovers(rows, "x", "y") == []
-
-    def test_tie_alone_is_not_a_flip(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, 1.0, 1.0), _row(3, 3.0, 1.0)]
-        assert detect_crossovers(rows, "x", "y") == []
-
-    def test_flip_through_a_tie_lands_on_the_far_side(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, 1.0, 1.0), _row(3, 1.0, 2.0)]
-        assert detect_crossovers(rows, "x", "y") == [2]
-
-    def test_double_flip(self):
-        rows = [_row(1, 2.0, 1.0), _row(2, 1.0, 2.0), _row(3, 2.0, 1.0)]
-        assert detect_crossovers(rows, "x", "y") == [1, 2]
-
-    def test_real_sweep_crossover_indices(self, unit_params):
-        grid = [round(1024 * (2**20) ** (i / 20)) for i in range(21)]
-        rows = compare_schemes(grid, UNIT_CFG, unit_params, c_mh=1.0)
-        assert all(r.error is None for r in rows)
-        # the modified scheme overtakes the original at n = 8192 on this grid
-        assert detect_crossovers(rows, "T1_smooth", "T_orig") == [3]
-        assert all(r.extras["ratio"] > 1.0 for r in rows[3:])
-        # and leaves sqrt(n) relaying behind only deep into the sweep
-        assert detect_crossovers(rows, "T1_smooth", "multihop") == [17]

@@ -15,7 +15,9 @@ from hiercoop import (
     derive,
     validate_plan,
 )
-from hiercoop.params import smooth_depth
+from hiercoop.optimizer import optimal_top_cluster
+from hiercoop.params import MIN_CLUSTER, MIN_NODES, smooth_depth
+from hiercoop.throughput import original_optimal_layers, throughput_given_M1
 
 
 class TestDerive:
@@ -101,6 +103,20 @@ class TestLogBeta1:
         with pytest.raises(DomainError, match="n >= 4"):
             smooth_depth(3, unit_params)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, p: smooth_depth(n, p),
+            lambda n, p: optimal_top_cluster(2, n, p),
+            lambda n, p: throughput_given_M1(2, 2.0, n, 1.0, p),
+            lambda n, p: original_optimal_layers(n, p.beta),
+        ],
+    )
+    def test_every_size_guard_shares_one_floor_and_message(self, unit_params, call):
+        assert MIN_NODES == 4
+        with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
+            call(MIN_NODES - 1, unit_params)
+
 
 class TestNetworkConfig:
     def test_defaults(self):
@@ -165,7 +181,9 @@ class TestValidatePlan:
     def test_undersized_cluster_points_at_its_index(self):
         with pytest.raises(PlanError) as err:
             validate_plan(HierarchyPlan(h=3, sizes=(8.0, 1.5)))
-        assert "index 1" in err.value.reason
+        # the floor is params.MIN_CLUSTER; the message keeps its wording
+        assert MIN_CLUSTER == 2.0
+        assert err.value.reason == "cluster size at index 1 must be >= 2, got 1.5"
 
     def test_non_finite_cluster_size_is_rejected(self):
         with pytest.raises(PlanError):

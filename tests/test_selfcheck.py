@@ -4,10 +4,13 @@ import math
 import pytest
 
 from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all
+from hiercoop.explorer import RATIO_ROUTE_TOL
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
+    _rel_err,
     _result,
+    _worse,
     recursion_vs_closed_form,
 )
 
@@ -62,6 +65,8 @@ class TestRunAll:
         assert by_name["am_gm_equal_terms"].tolerance == TRANSCENDENTAL_TOL
         assert by_name["phase_balance"].tolerance == TRANSCENDENTAL_TOL
         assert by_name["ratio_two_routes"].tolerance == TRANSCENDENTAL_TOL
+        # the bound ratio_original enforces on the same two routes
+        assert by_name["ratio_two_routes"].tolerance == RATIO_ROUTE_TOL
 
 
 class TestFaultInjection:
@@ -88,12 +93,23 @@ class TestFaultInjection:
 
 class TestNonFiniteErrors:
     def test_nan_case_error_fails_its_suite(self):
-        # at Q/R = 1.7e308 both slot routes reach inf for most plans, and
-        # inf - inf is NaN; max(worst, nan) used to keep worst and pass
-        result = recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
-        assert result.cases == 200
+        # max(worst, nan) would keep worst and pass; _worse keeps the NaN
+        worst = _worse(_worse(_worse(0.0, 1e-16), math.nan), 1e-15)
+        assert math.isnan(worst)
+        result = _result("nan", worst, 200, RATIONAL_TOL)
         assert result.passed is False
-        assert not math.isfinite(result.worst_rel_err)
+
+    @pytest.mark.parametrize(
+        "value, reference", [(math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)]
+    )
+    def test_case_past_float_range_is_an_overflow(self, value, reference):
+        with pytest.raises(OverflowError):
+            _rel_err(value, reference)
+
+    def test_slot_routes_past_float_range_overflow(self):
+        # at Q/R = 1.7e308 both slot routes reach inf, and inf - inf is NaN
+        with pytest.raises(OverflowError):
+            recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
 
 
 class TestResultPlumbing:
