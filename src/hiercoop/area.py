@@ -17,7 +17,7 @@ import enum
 import math
 
 from .errors import DomainError
-from .params import NetworkConfig, SchemeParams, derive
+from .params import NetworkConfig, SchemeParams, check_network_size, derive
 from .throughput import ThroughputReport, optimal_modified
 
 
@@ -78,10 +78,9 @@ def throughput_with_area(cfg: NetworkConfig, params: SchemeParams) -> Throughput
 def area_from_exponent(n: int, nu: float) -> float:
     """Area n**nu for sweeps that grow the area with the network.
 
-    Raises DomainError when n**nu overflows a float.
+    Raises DomainError when n < MIN_NODES or n**nu overflows a float.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    check_network_size(n)
     if nu < 0.0:
         raise DomainError(f"area exponent must be >= 0, got {nu}")
     try:

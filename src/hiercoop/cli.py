@@ -97,8 +97,10 @@ def _parse_depth(key: str, raw: str) -> int:
 
 
 def _parse_format(key: str, raw: str) -> str:
-    if raw not in ("csv", "jsonl"):
-        raise ConfigError(f"{key}: expected csv or jsonl, got {raw!r}")
+    # any format some subcommand prints; main checks the subcommand's own list
+    known = sorted({fmt for _, _, formats in _COMMANDS.values() for fmt in formats})
+    if raw not in known:
+        raise ConfigError(f"{key}: expected {', '.join(known[:-1])} or {known[-1]}, got {raw!r}")
     return raw
 
 
@@ -186,7 +188,7 @@ _OPTIONS: dict[str, _Option] = {
     "nu": _Option("options", _parse_float, (_S,), "grow area as n**nu across a sweep"),
     "h-max": _Option("options", _parse_depth, (_A,), f"depth search cap, 2..{MAX_LAYERS}"),
     "format": _Option("options", _parse_format, (_A, _S, _T),
-                      "output format, csv (sweep only) or jsonl"),
+                      "output format: text, csv or jsonl, as the subcommand offers"),
     "seed": _Option("options", _parse_int, (_V,), "seed for the verify suites", 0),
     "candidates": _Option("tradeoff", _parse_candidates, (_T,),
                           "candidate triple C0:R:Q; repeat for several", flag="candidate"),
@@ -386,7 +388,7 @@ def _cmd_verify(cfg: dict[str, object]) -> int:
             f"suite {r.name}: {status} cases={r.cases} "
             f"worst_rel_err={_fmt(r.worst_rel_err)} tol={_fmt(r.tolerance)}"
         )
-    worst = max((r.worst_rel_err for r in results), key=lambda e: (math.isnan(e), e))  # NaN wins
+    worst = max(r.worst_rel_err for r in results)
     print(f"worst_rel_err_overall={_fmt(worst)}")
     ok = all(r.passed for r in results)
     print(f"verify: {'PASS' if ok else 'FAIL'}")

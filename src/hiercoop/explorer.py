@@ -135,8 +135,10 @@ def compare_schemes(
             raise DomainError(f"grid must increase strictly, got {n} after {prev}")
         prev = n
         try:
-            area = area_from_exponent(n, nu) if nu is not None else cfg.area
-            geo = NetworkConfig(n=n, area=area, alpha=cfg.alpha, c0=cfg.c0)
+            # the row's n is checked here, before n**nu can be computed from it
+            geo = NetworkConfig(n=n, area=cfg.area, alpha=cfg.alpha, c0=cfg.c0)
+            if nu is not None:
+                geo = dataclasses.replace(geo, area=area_from_exponent(n, nu))
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:

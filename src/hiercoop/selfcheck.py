@@ -1,7 +1,9 @@
 """Built-in oracle suites behind the verify subcommand.
 
 Each suite checks one analytical identity numerically on either a seeded
-random population or a fixed grid, reporting its worst relative error:
+random population or a fixed grid. It is a function (params, seed) that
+returns one relative error per case, in case order, each the largest of
+that case's comparisons:
 
 * recursion_vs_closed_form: the level-by-level recursion (driven by Q and R)
   against the unrolled bracket (driven by the stored c), total and per-term.
@@ -12,21 +14,20 @@ random population or a fixed grid, reporting its worst relative error:
   come to (h-1) times the long-range slots.
 * bound_checks: every feasible integer-depth throughput sits under the
   envelope (one-sided; only excess above the bound counts as error).
-* ratio_two_routes: division of the two scheme throughputs against the
-  closed-form ratio expression.
+* ratio_two_routes: the quotient of the scheme throughputs vs the ratio formula.
 
-Tolerances split by arithmetic: 1e-12 where the identity is rational in the
-inputs, 1e-9 where exp/log round-trips are involved; ratio_two_routes judges
-with explorer.RATIO_ROUTE_TOL, the bound ratio_original enforces on the same
-two routes. A case whose operands leave float range raises OverflowError,
-which run_all reports as a DomainError naming the suite. The n grids of
-phase_balance and bound_checks start where depth 2 fits, n >= 8*(1 + Q/R),
-and stop at N_MAX; if that leaves none, run_all raises InfeasibleError,
-which verify reports with exit code 3.
+SUITES declares the run order and each tolerance once: 1e-12 for identities
+rational in the inputs, 1e-9 where exp/log round-trips enter, and for
+ratio_two_routes the bound ratio_original enforces on the same two routes.
+run_all alone judges: a suite passes when it ran a case and its worst case
+error is within tolerance. _rel_err refuses non-finite operands with
+OverflowError, so no case error is NaN; run_all reports that overflow as a
+DomainError naming the suite and the rate pair. The n grids of phase_balance
+and bound_checks start where depth 2 fits, n >= 8*(1 + Q/R), and stop at
+N_MAX; if none is left the suite raises InfeasibleError (verify: exit 3).
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ from .throughput import (
 RATIONAL_TOL = 1e-12
 TRANSCENDENTAL_TOL = 1e-9
 
+_RANDOM_CASES = 200  # random hierarchies drawn by recursion_vs_closed_form
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -66,19 +69,6 @@ def _rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / reference
 
 
-def _worse(worst: float, err: float) -> float:
-    # max() that keeps a NaN error: max(0.0, nan) is 0.0, which would pass it
-    return worst if err <= worst or math.isnan(worst) else err
-
-
-def _result(name: str, worst: float, cases: int, tol: float) -> SuiteResult:
-    # zero cases means the suite never exercised anything; that is a failure,
-    # as is a NaN or infinite worst error, which worst <= tol rejects
-    return SuiteResult(
-        name=name, passed=cases > 0 and worst <= tol, worst_rel_err=worst, cases=cases, tolerance=tol
-    )
-
-
 def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> list[int]:
     # n = 2**x, shifted up by whole octaves until the first n reaches
     # 8*(1 + Q/R), where depth 2 starts to fit; none above N_MAX
@@ -92,13 +82,11 @@ def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> 
     return [n for n in (round(2.0 ** (shift + x)) for x in exponents) if n <= N_MAX]
 
 
-def recursion_vs_closed_form(
-    params: SchemeParams, seed: int, cases: int = 200
-) -> SuiteResult:
+def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
     """Random geometric hierarchies, recursion vs bracket, sum and per term."""
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(cases):
+    errors = []
+    for _ in range(_RANDOM_CASES):
         h = rng.randint(2, 6)
         sizes = [rng.uniform(2.0, 64.0)]
         for _ in range(h - 2):
@@ -107,16 +95,17 @@ def recursion_vs_closed_form(
         plan = HierarchyPlan(h=h, sizes=tuple(sizes), L=rng.uniform(0.25, 8.0))
         walked = delay_recursive(plan, params)
         bracket = delay_closed_form(plan, params)
-        worst = _worse(worst, _rel_err(walked.slots, bracket.slots))
+        worst = _rel_err(walked.slots, bracket.slots)
         for a, b in zip(walked.decomposition, bracket.decomposition):
-            worst = _worse(worst, _rel_err(a, b))
-    return _result("recursion_vs_closed_form", worst, cases, RATIONAL_TOL)
+            err = _rel_err(a, b)
+            worst = err if err > worst else worst
+        errors.append(worst)
+    return errors
 
 
-def am_gm_equal_terms(params: SchemeParams) -> SuiteResult:
+def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
     """Equal-term sizes really equalize the bracket, and minimal_delay agrees."""
-    worst = 0.0
-    cases = 0
+    errors = []
     for h in range(2, 7):
         for M1 in (32.0, 512.0, 4096.0, 131072.0):
             try:
@@ -125,18 +114,18 @@ def am_gm_equal_terms(params: SchemeParams) -> SuiteResult:
                 continue
             terms = delay_closed_form(plan, params).decomposition
             mean = sum(terms) / len(terms)
+            worst = 0.0
             for t in terms:
-                worst = _worse(worst, _rel_err(t, mean))
-            direct = minimal_delay(h, M1, 1.0, params).slots
-            worst = _worse(worst, _rel_err(sum(terms), direct))
-            cases += 1
-    return _result("am_gm_equal_terms", worst, cases, TRANSCENDENTAL_TOL)
+                err = _rel_err(t, mean)
+                worst = err if err > worst else worst
+            err = _rel_err(sum(terms), minimal_delay(h, M1, 1.0, params).slots)
+            errors.append(err if err > worst else worst)
+    return errors
 
 
-def phase_balance(params: SchemeParams) -> SuiteResult:
+def phase_balance(params: SchemeParams, seed: int) -> list[float]:
     """(P1 + P3) == (h-1) * P2 at the balanced top size."""
-    worst = 0.0
-    cases = 0
+    errors = []
     sizes = _sizes("phase_balance", params, range(12, 31, 2))
     for h in range(2, 7):
         for n in sizes:
@@ -146,15 +135,13 @@ def phase_balance(params: SchemeParams) -> SuiteResult:
             except InfeasibleError:
                 continue
             p1, p2, p3 = report.phase_slots
-            worst = _worse(worst, _rel_err(p1 + p3, (h - 1) * p2))
-            cases += 1
-    return _result("phase_balance", worst, cases, TRANSCENDENTAL_TOL)
+            errors.append(_rel_err(p1 + p3, (h - 1) * p2))
+    return errors
 
 
-def bound_checks(params: SchemeParams) -> SuiteResult:
+def bound_checks(params: SchemeParams, seed: int) -> list[float]:
     """Integer-depth throughput never exceeds the envelope (one-sided)."""
-    worst = 0.0
-    cases = 0
+    errors = []
     sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
     for h in range(2, 13):
         for n in sizes:
@@ -164,46 +151,45 @@ def bound_checks(params: SchemeParams) -> SuiteResult:
                 continue
             cap = upper_bound(n, params)
             err = _rel_err(value, cap)
-            worst = _worse(worst, err if value > cap else 0.0)
-            cases += 1
-    return _result("bound_checks", worst, cases, RATIONAL_TOL)
+            errors.append(err if value > cap else 0.0)
+    return errors
 
 
-def ratio_two_routes(params: SchemeParams) -> SuiteResult:
+def ratio_two_routes(params: SchemeParams, seed: int) -> list[float]:
     """Direct division of the scheme throughputs vs the closed-form ratio."""
-    worst = 0.0
-    cases = 0
-    for k in range(10, 45, 2):
-        n = 2**k
-        direct = (
-            optimal_modified(n, params).smooth.value
-            / original_throughput(n, params)
-        )
-        worst = _worse(worst, _rel_err(ratio_original_closed_form(n, params), direct))
-        cases += 1
-    return _result("ratio_two_routes", worst, cases, RATIO_ROUTE_TOL)
+    errors = []
+    for n in (2**k for k in range(10, 45, 2)):
+        direct = optimal_modified(n, params).smooth.value / original_throughput(n, params)
+        errors.append(_rel_err(ratio_original_closed_form(n, params), direct))
+    return errors
+
+
+#: (suite, tolerance) in run order; run_all judges every suite against its row
+SUITES = (
+    (recursion_vs_closed_form, RATIONAL_TOL),
+    (am_gm_equal_terms, TRANSCENDENTAL_TOL),
+    (phase_balance, TRANSCENDENTAL_TOL),
+    (bound_checks, RATIONAL_TOL),
+    (ratio_two_routes, RATIO_ROUTE_TOL),
+)
 
 
 def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:
-    """All suites in fixed order; deterministic for a given params and seed.
+    """Judge every SUITES row in order; deterministic for a given params and seed.
 
-    Raises DomainError naming the suite and the rate pair when a suite's
-    arithmetic overflows a float, InfeasibleError when no n <= N_MAX fits.
+    Raises DomainError naming the suite and the rate pair when a suite
+    overflows a float, InfeasibleError when no n <= N_MAX fits.
     """
-    suites = (
-        functools.partial(recursion_vs_closed_form, params, seed),
-        functools.partial(am_gm_equal_terms, params),
-        functools.partial(phase_balance, params),
-        functools.partial(bound_checks, params),
-        functools.partial(ratio_two_routes, params),
-    )
     results = []
-    for suite in suites:
+    for suite, tol in SUITES:
         try:
-            results.append(suite())
+            errors = suite(params, seed)
         except OverflowError as exc:
             raise DomainError(
-                f"suite {suite.func.__name__} overflowed at "
+                f"suite {suite.__name__} overflowed at "
                 f"R={params.R:g}, Q={params.Q:g}: {exc}"
             ) from exc
+        # zero cases means the suite never exercised anything: a failure
+        worst, cases = max(errors, default=0.0), len(errors)
+        results.append(SuiteResult(suite.__name__, cases > 0 and worst <= tol, worst, cases, tol))
     return results

@@ -175,8 +175,7 @@ def multihop_baseline(n: int, c_mh: float) -> float:
     """
     if not (math.isfinite(c_mh) and c_mh > 0):
         raise DomainError(f"multihop constant must be positive, got {c_mh}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    check_network_size(n)
     return c_mh * math.sqrt(n)
 
 

@@ -124,6 +124,10 @@ class TestAreaFromExponent:
         with pytest.raises(DomainError):
             area_from_exponent(10000, -0.1)
 
+    def test_node_floor_is_the_network_size_rule(self):
+        with pytest.raises(DomainError, match=r"^need n >= 4, got 0$"):
+            area_from_exponent(0, 1.0)
+
     def test_overflowing_area_is_a_domain_error_naming_n_and_nu(self):
         with pytest.raises(DomainError, match=r"^n\*\*nu overflows at n=20, nu=300$"):
             area_from_exponent(20, 300.0)

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hiercoop import SuiteResult, cli
+from hiercoop import SuiteResult, cli, selfcheck
 from hiercoop.cli import SWEEP_COLUMNS, main
 from hiercoop.optimizer import _search_depth
 
@@ -143,8 +143,22 @@ class TestAnalyzeJsonl:
         assert rc == 2
         assert "config error" in err
 
+    def test_text_format_is_the_default_spelled_out(self, capsys):
+        plain = run_cli(capsys, "analyze", "--n", "1000")
+        assert plain[0] == 0
+        assert run_cli(capsys, "analyze", "--n", "1000", "--format", "text") == plain
+
 
 class TestSweep:
+    def test_undersized_row_has_one_message_with_or_without_nu(self, capsys):
+        argv = ("sweep", "--grid", "0:10:3:lin", "--c-mh", "1")
+        rc, fixed, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rc, grown, _ = run_cli(capsys, *argv, "--nu", "1")
+        assert rc == 0
+        row0 = [out.splitlines()[1] for out in (fixed, grown)]
+        assert row0 == ['0,,,,,,,,,"n must be an integer >= 4, got 0"'] * 2
+
     def test_golden_csv_byte_identical(self, capsys):
         rc, out, err = run_cli(
             capsys, "sweep", "--grid", "1024:1073741824:21:log", "--c-mh", "1"
@@ -259,8 +273,9 @@ class TestVerify:
         assert rc == 0
         assert out.strip().endswith("verify: PASS")
 
-    def test_nan_suite_error_is_the_overall_worst(self, capsys, monkeypatch):
-        # a plain max over (1e-16, nan, 1e-15) keeps 1e-15 and hides the NaN
+    def test_nan_suite_error_fails_verify(self, capsys, monkeypatch):
+        # no real suite returns NaN (_rel_err refuses non-finite operands), so
+        # the overall worst is a plain max; the NaN suite still fails verify
         results = [
             SuiteResult("low", True, 1e-16, 3, 1e-9),
             SuiteResult("broken", False, math.nan, 3, 1e-9),
@@ -268,8 +283,21 @@ class TestVerify:
         ]
         monkeypatch.setattr(cli, "run_all", lambda params, seed=0: results)
         rc, out, _ = run_cli(capsys, "verify")
-        assert "worst_rel_err_overall=nan" in out.splitlines()
+        assert "suite broken: FAIL cases=3 worst_rel_err=nan tol=1e-09" in out.splitlines()
+        assert out.endswith("verify: FAIL\n")
         assert rc == 1
+
+    def test_a_suites_row_is_its_own_line_in_table_order(self, capsys, monkeypatch):
+        def extra(params, seed):
+            return [1e-13, 2e-13]
+
+        monkeypatch.setattr(selfcheck, "SUITES", (*selfcheck.SUITES, (extra, 1e-12)))
+        rc, out, _ = run_cli(capsys, "verify")
+        names = [line.split(":")[0].removeprefix("suite ") for line in out.splitlines()[:-2]]
+        assert names == [suite.__name__ for suite, _ in selfcheck.SUITES]
+        assert names[-1] == "extra"
+        assert "suite extra: PASS cases=2 worst_rel_err=2e-13 tol=1e-12" in out.splitlines()
+        assert rc == 0
 
 
 class TestTradeoff:
@@ -314,6 +342,11 @@ class TestTradeoff:
         rc, _, err = run_cli(capsys, *self.ARGS, "--format", "csv")
         assert rc == 2
         assert "config error" in err
+
+    def test_text_format_is_the_default_spelled_out(self, capsys):
+        plain = run_cli(capsys, *self.ARGS)
+        assert plain[0] == 0
+        assert run_cli(capsys, *self.ARGS, "--format", "text") == plain
 
     def test_reused_parser_keeps_no_flag_value_between_calls(self, capsys):
         assert cli._build_parser() is cli._build_parser()
@@ -541,6 +574,21 @@ class TestExitCodes:
         rc, out, _ = run_cli(capsys, "analyze", "--config", str(ini))
         assert rc == 0 and json.loads(out)["h_int"] == 2
 
+    def test_text_is_a_format_but_not_sweeps(self, capsys, tmp_path):
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", "16:1024:5:log", "--c-mh", "1", "--format", "text"
+        )
+        assert rc == 2 and out == ""
+        assert err == "config error: sweep prints csv or jsonl, not text\n"
+        rc, _, err = run_cli(capsys, "analyze", "--n", "1000", "--format", "xml")
+        assert rc == 2
+        assert err == "config error: format: expected csv, jsonl or text, got 'xml'\n"
+        # verify does not read format, so a shared file's text is no error for it
+        ini = tmp_path / "shared.ini"
+        ini.write_text("[options]\nformat = text\n")
+        rc, out, _ = run_cli(capsys, "verify", "--config", str(ini))
+        assert rc == 0 and out.endswith("verify: PASS\n")
+
     def test_unknown_flag(self, capsys):
         rc, _, _ = run_cli(capsys, "analyze", "--n", "1024", "--frobnicate")
         assert rc == 2
@@ -597,7 +645,7 @@ _VALUES = {
     cli._parse_int: _INTS,
     cli._parse_n: _INTS,
     cli._parse_depth: _INTS,
-    cli._parse_format: st.sampled_from(["csv", "jsonl"]),
+    cli._parse_format: st.sampled_from(["text", "csv", "jsonl"]),
     cli._parse_grid: st.tuples(_INTS, _INTS, _INTS, st.sampled_from(["log", "lin"])).map(
         ":".join
     ),

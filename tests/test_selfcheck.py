@@ -3,14 +3,12 @@ import math
 
 import pytest
 
-from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all
+from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck
 from hiercoop.explorer import RATIO_ROUTE_TOL
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
     _rel_err,
-    _result,
-    _worse,
     recursion_vs_closed_form,
 )
 
@@ -31,6 +29,11 @@ class TestRunAll:
             assert r.passed, f"{r.name} failed: worst={r.worst_rel_err}"
             assert r.cases > 0
             assert r.worst_rel_err <= r.tolerance
+
+    def test_cases_are_counted_per_case_not_per_comparison(self, unit_params):
+        # recursion_vs_closed_form and am_gm_equal_terms make several
+        # comparisons per case; each case still counts once
+        assert [r.cases for r in run_all(unit_params)] == [200, 12, 34, 108, 18]
 
     @pytest.mark.parametrize("ratio", [0.3, 2.0, 10.0])
     def test_all_suites_pass_across_rate_ratios(self, ratio):
@@ -88,16 +91,26 @@ class TestFaultInjection:
         bad = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.25
         )
-        assert not recursion_vs_closed_form(bad, seed=5, cases=20).passed
+        assert max(recursion_vs_closed_form(bad, 5)[:20]) > RATIONAL_TOL
+
+
+def _judge(monkeypatch, errors, tol=1e-9):
+    """run_all's verdict on a lone fake suite that returns errors."""
+    def fake(params, seed):
+        return errors
+
+    monkeypatch.setattr(selfcheck, "SUITES", ((fake, tol),))
+    (result,) = run_all(derive(1.0, 1.0))
+    assert isinstance(result, SuiteResult)
+    assert (result.name, result.cases, result.tolerance) == ("fake", len(errors), tol)
+    return result
 
 
 class TestNonFiniteErrors:
-    def test_nan_case_error_fails_its_suite(self):
-        # max(worst, nan) would keep worst and pass; _worse keeps the NaN
-        worst = _worse(_worse(_worse(0.0, 1e-16), math.nan), 1e-15)
-        assert math.isnan(worst)
-        result = _result("nan", worst, 200, RATIONAL_TOL)
-        assert result.passed is False
+    def test_nan_case_error_fails_its_suite(self, monkeypatch):
+        # _rel_err keeps every real suite from returning NaN; the judge still
+        # fails one, since nan <= tol is false
+        assert _judge(monkeypatch, [math.nan]).passed is False
 
     @pytest.mark.parametrize(
         "value, reference", [(math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)]
@@ -113,11 +126,14 @@ class TestNonFiniteErrors:
 
 
 class TestResultPlumbing:
-    def test_zero_cases_never_passes(self):
-        empty = _result("empty", 0.0, 0, 1e-9)
-        assert isinstance(empty, SuiteResult)
-        assert empty.passed is False
+    def test_zero_cases_never_passes(self, monkeypatch):
+        empty = _judge(monkeypatch, [])
+        assert empty.passed is False and empty.worst_rel_err == 0.0
 
-    def test_worst_at_tolerance_still_passes(self):
-        assert _result("edge", 1e-9, 5, 1e-9).passed is True
-        assert _result("over", 2e-9, 5, 1e-9).passed is False
+    def test_worst_at_tolerance_still_passes(self, monkeypatch):
+        assert _judge(monkeypatch, [1e-9]).passed is True
+        assert _judge(monkeypatch, [2e-9]).passed is False
+
+    def test_worst_is_the_largest_case_error(self, monkeypatch):
+        result = _judge(monkeypatch, [1e-12, 5e-10, 3e-11])
+        assert result.passed is True and result.worst_rel_err == 5e-10

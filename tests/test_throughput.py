@@ -249,6 +249,10 @@ class TestBaselinesAndShares:
         with pytest.raises(DomainError):
             multihop_baseline(0, 1.0)
 
+    def test_flat_relaying_node_floor_is_the_network_size_rule(self):
+        with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
+            multihop_baseline(3, 1.0)
+
     def test_per_pair_share_at_the_reference_size(self, unit_params):
         got = per_pair_rate(131072, unit_params)
         assert got == pytest.approx(5.806675366224224e-4, rel=1e-12)
