@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from typing import NamedTuple
 
 from .errors import DomainError
 from .params import NetworkConfig, SchemeParams, check_network_size, derive
@@ -28,8 +29,7 @@ class Regime(enum.Enum):
     SPARSE = "sparse"
 
 
-@dataclasses.dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Classification of one network geometry."""
 
     regime: Regime
@@ -67,8 +67,7 @@ def throughput_with_area(cfg: NetworkConfig, params: SchemeParams) -> Throughput
     factor = classify(cfg).factor
     if factor == 1.0:
         return report
-    return dataclasses.replace(
-        report,
+    return report._replace(
         value=report.value * factor,
         pre_constant=report.pre_constant * factor,
         factor=factor,
@@ -89,8 +88,7 @@ def area_from_exponent(n: int, nu: float) -> float:
         raise DomainError(f"n**nu overflows at n={n}, nu={nu:g}") from None
 
 
-@dataclasses.dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     """One (c0, R, Q) triple's result in a tradeoff sweep."""
 
     c0: float

@@ -22,8 +22,7 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .area import c0_tradeoff, classify
 from .errors import DomainError, InfeasibleError, PlanError
@@ -151,8 +150,7 @@ def _parse_candidates(key: str, raw: str) -> list[tuple[float, ...]]:
     return [tuple(_parse_float(key, p) for p in parts) for parts in triples]
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One option: its config file section, the parser that turns a raw flag or
     file string into its value, the subcommands that read it (only they offer
     the flag), help text, default (None: unset), and, for a repeatable flag

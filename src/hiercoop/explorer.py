@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 from .area import area_from_exponent, classify
 from .errors import DomainError
@@ -38,8 +39,7 @@ from .throughput import (
 RATIO_ROUTE_TOL = 1e-9
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Metrics for one network size; extras is empty when error is set."""
 
     n: int

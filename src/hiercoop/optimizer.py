@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError, PlanError
 from .params import (
@@ -160,8 +160,7 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float]:
     return M1, pre * (n / 2.0) ** e
 
 
-@dataclass(frozen=True)
-class LayerChoice:
+class LayerChoice(NamedTuple):
     """Depth selection for one network size."""
 
     h_exact: float
@@ -206,8 +205,8 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     for the last (n, params, h_max) and is reused while they repeat, as
     they do across the depth-optimized figures of one sweep row; params
     compare by every field. The reused LayerChoice is the same object each
-    time, and it is frozen. A search that finds no feasible depth is
-    reused too, and each call raises a new InfeasibleError for it.
+    time, and it is an immutable tuple. A search that finds no feasible
+    depth is reused too, and each call raises a new InfeasibleError for it.
 
     Raises:
         DomainError: n < MIN_NODES, Q/R <= 1/4 (direct construction only), or c <= 1.

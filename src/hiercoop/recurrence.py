@@ -19,7 +19,7 @@ share no arithmetic, so their agreement is a real consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import HierarchyPlan, SchemeParams, validate_plan
 
@@ -27,8 +27,7 @@ from .params import HierarchyPlan, SchemeParams, validate_plan
 TIME_SHARING_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class DelaySlots:
+class DelaySlots(NamedTuple):
     """Total slot count plus its per-layer additive decomposition."""
 
     slots: float
@@ -56,21 +55,19 @@ def delay_recursive(
     """
     validate_plan(plan)
     R, Q = params.R, params.Q
-
-    def walk(sizes: tuple[float, ...], L: float) -> tuple[float, ...]:
-        if len(sizes) == 1:
-            M = sizes[0]
-            base = (L / R) * (M * (M - 1.0) if exact_pairs else M * M)
-            return (math.ceil(base) if integer_slots else base,)
-        top, below = sizes[0], sizes[1]
+    sizes, L = plan.sizes, plan.L
+    # scale stays an int (TIME_SHARING_FACTOR**i), so integer_slots counts stay ints
+    scale = 1
+    decomposition = []
+    for top, below in zip(sizes, sizes[1:]):
         relay = (top / below) * 2.0 * top * (L / R)
-        if integer_slots:
-            relay = math.ceil(relay)
-        rest = walk(sizes[1:], L * (Q / R) * (top / below))
-        return (relay,) + tuple(TIME_SHARING_FACTOR * x for x in rest)
-
-    decomposition = walk(plan.sizes, plan.L)
-    return DelaySlots(slots=sum(decomposition), decomposition=decomposition)
+        decomposition.append(scale * (math.ceil(relay) if integer_slots else relay))
+        L = L * (Q / R) * (top / below)
+        scale *= TIME_SHARING_FACTOR
+    M = sizes[-1]
+    base = (L / R) * (M * (M - 1.0) if exact_pairs else M * M)
+    decomposition.append(scale * (math.ceil(base) if integer_slots else base))
+    return DelaySlots(slots=sum(decomposition), decomposition=tuple(decomposition))
 
 
 def delay_closed_form(plan: HierarchyPlan, params: SchemeParams) -> DelaySlots:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
@@ -51,8 +51,7 @@ TRANSCENDENTAL_TOL = 1e-9
 _RANDOM_CASES = 200  # random hierarchies drawn by recursion_vs_closed_form
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """Outcome of one oracle suite."""
 
     name: str

@@ -21,7 +21,7 @@ sweeps; multihop_baseline is the flat nearest-neighbor reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import depth_optimum, layer_choice, minimal_delay
@@ -29,8 +29,7 @@ from .params import SchemeParams, check_network_size, smooth_depth
 from .recurrence import TIME_SHARING_FACTOR
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
+class ThroughputReport(NamedTuple):
     """One throughput figure plus the pieces it was assembled from."""
 
     value: float
@@ -58,8 +57,7 @@ class ThroughputReport:
     """Area attenuation applied on top (1.0 unless classified sparse)."""
 
 
-@dataclass(frozen=True)
-class ModifiedThroughput:
+class ModifiedThroughput(NamedTuple):
     """Smooth and integer-depth readings of the two-phase scheme."""
 
     smooth: ThroughputReport

@@ -39,6 +39,30 @@ def slots_by_tree_walk(sizes, L, R, Q):
     return total
 
 
+def delay_by_recursion(sizes, L, R, Q, integer_slots=False, exact_pairs=False):
+    """(slots, decomposition) of the slot recursion, walked recursively.
+
+    Each level rebuilds the tuple below it with one more time-sharing
+    factor of 4. The float operations are the ones delay_recursive's loop
+    performs, in the same order, so the two must agree exactly.
+    """
+
+    def walk(sizes, L):
+        if len(sizes) == 1:
+            M = sizes[0]
+            base = (L / R) * (M * (M - 1.0) if exact_pairs else M * M)
+            return (math.ceil(base) if integer_slots else base,)
+        top, below = sizes[0], sizes[1]
+        relay = (top / below) * 2.0 * top * (L / R)
+        if integer_slots:
+            relay = math.ceil(relay)
+        rest = walk(sizes[1:], L * (Q / R) * (top / below))
+        return (relay,) + tuple(4 * x for x in rest)
+
+    decomposition = walk(tuple(sizes), L)
+    return sum(decomposition), decomposition
+
+
 def golden_min(f, lo, hi, iters=200):
     """Golden-section minimum of a unimodal f on [lo, hi]; (argmin, min)."""
     a, b = float(lo), float(hi)

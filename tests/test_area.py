@@ -1,6 +1,4 @@
 """Geometry regime classification and its effect on throughput."""
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,7 +75,7 @@ class TestThroughputWithArea:
         cfg = NetworkConfig(n=131072, area=4.0, alpha=3.0, c0=1.0)
         plain = optimal_modified(131072, unit_params).smooth
         got = throughput_with_area(cfg, unit_params)
-        assert got == plain  # same frozen dataclass, factor still 1.0
+        assert got == plain  # an equal report, factor still 1.0
         assert got.factor == 1.0
 
     def test_sparse_regime_scales_value_and_front_factor(self, unit_params):
@@ -109,7 +107,7 @@ class TestThroughputWithArea:
         plain = optimal_modified(200, unit_params).smooth
         got = throughput_with_area(cfg, unit_params)
         assert got is not plain
-        assert dataclasses.replace(got, value=plain.value, pre_constant=plain.pre_constant, factor=1.0) == plain
+        assert got._replace(value=plain.value, pre_constant=plain.pre_constant, factor=1.0) == plain
 
 
 class TestAreaFromExponent:

@@ -273,6 +273,14 @@ class TestLayerChoice:
     def test_depth_cap_is_respected(self, unit_params):
         assert layer_choice(2**40, unit_params, h_max=2).h_int == 2
 
+    def test_repeated_calls_share_one_immutable_choice(self):
+        # params compare by value, so an equal rate pair reuses the last search
+        first = layer_choice(131072, derive(1.0, 1.0))
+        assert layer_choice(131072, derive(1.0, 1.0)) is first
+        with pytest.raises(AttributeError):
+            first.h_int = 4
+        assert layer_choice(131072, derive(1.0, 1.0)).h_int == 3
+
     @pytest.mark.parametrize("h_max", [-5, 0, 1, MAX_LAYERS + 1])
     def test_explicit_depth_cap_out_of_range_is_refused(self, unit_params, h_max):
         with pytest.raises(PlanError, match="h_max"):

@@ -1,11 +1,26 @@
 """The package root's export list, and the imports of every module."""
 import ast
+import dataclasses
+import importlib
 import pathlib
 import types
 
 import pytest
 
 import hiercoop
+from hiercoop import (
+    HierarchyPlan,
+    NetworkConfig,
+    SuiteResult,
+    c0_tradeoff,
+    classify,
+    compare_schemes,
+    delay_recursive,
+    derive,
+    layer_choice,
+    optimal_modified,
+)
+from hiercoop.cli import _OPTIONS
 
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
 
@@ -39,3 +54,45 @@ def test_every_imported_name_is_used(path):
         ):
             used |= {elt.value for elt in node.value.elts}
     assert sorted(imported - used) == []
+
+
+def test_a_dataclass_checks_or_derives_a_field():
+    # a record that neither checks nor derives a field is a NamedTuple, which
+    # is several times cheaper to build than a frozen dataclass
+    found = [
+        cls
+        for path in MODULES
+        if path.stem not in ("__init__", "__main__")
+        for mod in [importlib.import_module(f"hiercoop.{path.stem}")]
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__
+    ]
+    assert found
+    assert [cls.__qualname__ for cls in found if "__post_init__" not in vars(cls)] == []
+
+
+def _records():
+    # one instance of each result record, from the call that returns it
+    params = derive(1.0, 1.0)
+    sparse = NetworkConfig(n=200, area=100.0, alpha=4.0)
+    both = optimal_modified(131072, params)
+    return [
+        both,
+        both.smooth,
+        layer_choice(131072, params),
+        delay_recursive(HierarchyPlan(h=3, sizes=(512.0, 16.0)), params),
+        compare_schemes([131072], NetworkConfig(n=131072), params, c_mh=1.0)[0],
+        classify(sparse),
+        c0_tradeoff(sparse, [(1.0, 1.0, 1.0)])[0],
+        SuiteResult("suite", True, 0.0, 1, 1e-9),
+        _OPTIONS["n"],
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_result_records_are_immutable(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "added"

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercoop import (
+    MAX_LAYERS,
     TIME_SHARING_FACTOR,
     HierarchyPlan,
     PlanError,
     delay_closed_form,
     delay_recursive,
 )
-from oracles import base_slots_by_enumeration, slots_by_tree_walk
+from oracles import base_slots_by_enumeration, delay_by_recursion, slots_by_tree_walk
 from strategies import plans, rate_params
 
 
@@ -99,6 +100,24 @@ def test_tree_walk_oracle_agrees_with_the_recursion(plan, params):
     walked = delay_recursive(plan, params).slots
     oracle = slots_by_tree_walk(plan.sizes, plan.L, params.R, params.Q)
     assert walked == pytest.approx(oracle, rel=1e-12)
+
+
+@given(
+    plan=plans(max_h=MAX_LAYERS),
+    params=rate_params(),
+    integer_slots=st.booleans(),
+    exact_pairs=st.booleans(),
+)
+@settings(max_examples=300)
+def test_loop_equals_the_recursive_walk_exactly(plan, params, integer_slots, exact_pairs):
+    got = delay_recursive(plan, params, integer_slots=integer_slots, exact_pairs=exact_pairs)
+    slots, decomposition = delay_by_recursion(
+        plan.sizes, plan.L, params.R, params.Q, integer_slots, exact_pairs
+    )
+    assert got.slots == slots and type(got.slots) is type(slots)
+    assert got.decomposition == decomposition
+    assert [type(x) for x in got.decomposition] == [type(x) for x in decomposition]
+    assert all(type(x) is (int if integer_slots else float) for x in decomposition)
 
 
 @given(plan=plans(), params=rate_params(), scale=st.floats(1.1, 4.0))
