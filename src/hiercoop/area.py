@@ -12,7 +12,6 @@ tradeoff helper sweeps candidate (c0, R, Q) triples supplied by the caller.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from typing import NamedTuple
@@ -113,7 +112,7 @@ def c0_tradeoff(
             if not c0 > 0:
                 raise DomainError(f"area constant must be positive, got {c0}")
             params = derive(R, Q)
-            geo = dataclasses.replace(cfg, c0=c0)
+            geo = NetworkConfig(n=cfg.n, area=cfg.area, alpha=cfg.alpha, c0=c0)
             report = throughput_with_area(geo, params)
             if not math.isfinite(report.value):
                 raise DomainError("throughput is not finite")

@@ -20,7 +20,6 @@ regime. Rows that fail carry the message in .error and the sweep continues.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -60,10 +59,15 @@ def ratio_original(n: int, params: SchemeParams) -> float:
     """Two-phase over three-phase depth-optimized throughput (smooth depth).
 
     Computed by direct division and checked against the closed-form route
-    to RATIO_ROUTE_TOL; a disagreement raises DomainError, as does a NaN
-    from routes that overflow.
+    to RATIO_ROUTE_TOL; a disagreement raises DomainError, as do a NaN
+    from routes that overflow and a three-phase throughput that underflows
+    to 0.
     """
-    direct = optimal_modified(n, params).smooth.value / original_throughput(n, params)
+    modified = optimal_modified(n, params).smooth.value
+    original = original_throughput(n, params)
+    if not original > 0.0:
+        raise DomainError(f"three-phase throughput underflows to {original:g} at n={n}")
+    direct = modified / original
     if not abs(direct - ratio_original_closed_form(n, params)) <= RATIO_ROUTE_TOL * direct:
         raise DomainError(f"ratio routes disagree at n={n}")
     return direct
@@ -135,10 +139,11 @@ def compare_schemes(
             raise DomainError(f"grid must increase strictly, got {n} after {prev}")
         prev = n
         try:
-            # the row's n is checked here, before n**nu can be computed from it
-            geo = NetworkConfig(n=n, area=cfg.area, alpha=cfg.alpha, c0=cfg.c0)
-            if nu is not None:
-                geo = dataclasses.replace(geo, area=area_from_exponent(n, nu))
+            area = cfg.area
+            # NetworkConfig names a bad n; n**nu is taken only of a valid one
+            if nu is not None and isinstance(n, int) and n >= MIN_NODES:
+                area = area_from_exponent(n, nu)
+            geo = NetworkConfig(n=n, area=area, alpha=cfg.alpha, c0=cfg.c0)
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:

@@ -15,7 +15,6 @@ rejects anything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, PlanError
 
@@ -35,8 +34,46 @@ MIN_NODES = 4
 MIN_CLUSTER = 2.0
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+#: Sets a slot past _Frozen.__setattr__; only constructors call it.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the records that check or derive a field on construction.
+
+    A subclass names its fields in a __slots__ dict of field docstrings. Its
+    __init__ sets each field with _set, then _values, the tuple of all field
+    values in slot order that equality, hash and repr read. The last _derived
+    fields are computed, not passed; copy and pickle rebuild through __init__
+    from the others, so they run its checks again.
+    """
+
+    __slots__ = ("_values",)
+    _derived = 0
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), self._values[: len(self._values) - self._derived]
+
+
+class SchemeParams(_Frozen):
     """Rate pair plus the constants derived from it.
 
     Build instances with derive(); constructing directly bypasses the
@@ -44,39 +81,39 @@ class SchemeParams:
     deliberately corrupted constants).
     """
 
-    R: float
-    """Rate of a long-range node-to-node transmission."""
+    __slots__ = {
+        "R": "Rate of a long-range node-to-node transmission.",
+        "Q": "Rate of the in-cluster quantized-observation exchange.",
+        "beta1": "2*sqrt(Q/R); per-layer growth base of the two-phase scheme.",
+        "beta": "2*sqrt(1 + Q/R); growth base of the three-phase ancestor.",
+        "c": "4*Q/R; slot inflation factor per hierarchy layer.",
+        "log_beta1": (
+            "log(beta1) from R and Q, not settable. For 1/8 < Q/R < 5/4 it is "
+            "0.5*log1p(4*(Q - R/4)/R): Q - R/4 is exact where log(beta1) would "
+            "cancel, as Q/R -> 1/4. Elsewhere it is log(beta1), which cannot overflow."
+        ),
+    }
+    _derived = 1
 
-    Q: float
-    """Rate of the in-cluster quantized-observation exchange."""
-
-    beta1: float
-    """2*sqrt(Q/R); per-layer growth base of the two-phase scheme."""
-
-    beta: float
-    """2*sqrt(1 + Q/R); growth base of the three-phase ancestor."""
-
-    c: float
-    """4*Q/R; slot inflation factor per hierarchy layer."""
-
-    log_beta1: float = field(init=False)
-    """log(beta1) from R and Q, not settable. For 1/8 < Q/R < 5/4 it is
-    0.5*log1p(4*(Q - R/4)/R): Q - R/4 is exact where log(beta1) would cancel,
-    as Q/R -> 1/4. Elsewhere it is log(beta1), which cannot overflow."""
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise DomainError(f"R must be positive and finite, got {self.R}")
-        if not (math.isfinite(self.Q) and self.Q > 0):
-            raise DomainError(f"Q must be positive and finite, got {self.Q}")
-        ratio = self.Q / self.R
+    def __init__(self, R: float, Q: float, beta1: float, beta: float, c: float) -> None:
+        if not (math.isfinite(R) and R > 0):
+            raise DomainError(f"R must be positive and finite, got {R}")
+        if not (math.isfinite(Q) and Q > 0):
+            raise DomainError(f"Q must be positive and finite, got {Q}")
+        ratio = Q / R
         if 0.125 < ratio < 1.25:
             # R = m * 2**e; scaled, Q - R/4 stays exact where R/4 is subnormal
-            m, e = math.frexp(self.R)
-            log_beta1 = 0.5 * math.log1p(4.0 * ((math.ldexp(self.Q, -e) - m / 4.0) / m))
+            m, e = math.frexp(R)
+            log_beta1 = 0.5 * math.log1p(4.0 * ((math.ldexp(Q, -e) - m / 4.0) / m))
         else:
             log_beta1 = math.log(2.0 * math.sqrt(ratio))
-        object.__setattr__(self, "log_beta1", log_beta1)
+        _set(self, "R", R)
+        _set(self, "Q", Q)
+        _set(self, "beta1", beta1)
+        _set(self, "beta", beta)
+        _set(self, "c", c)
+        _set(self, "log_beta1", log_beta1)
+        _set(self, "_values", (R, Q, beta1, beta, c, log_beta1))
 
 
 def derive(R: float, Q: float) -> SchemeParams:
@@ -118,35 +155,33 @@ def smooth_depth(n: int, params: SchemeParams) -> float:
     return math.sqrt(math.log(n / 2.0) / params.log_beta1)
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(_Frozen):
     """Network size and geometry."""
 
-    n: int
-    """Number of nodes; at least MIN_NODES."""
+    __slots__ = {
+        "n": "Number of nodes; at least MIN_NODES.",
+        "area": "Physical area of the square deployment region.",
+        "alpha": "Path-loss exponent; at least 2.",
+        "c0": "Power-threshold constant separating the dense and sparse regimes.",
+    }
 
-    area: float = 1.0
-    """Physical area of the square deployment region."""
-
-    alpha: float = 3.0
-    """Path-loss exponent; at least 2."""
-
-    c0: float = 1.0
-    """Power-threshold constant separating the dense and sparse regimes."""
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < MIN_NODES:
-            raise ValueError(f"n must be an integer >= {MIN_NODES}, got {self.n!r}")
-        if not (math.isfinite(self.area) and self.area > 0):
-            raise ValueError(f"area must be positive and finite, got {self.area}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 2):
-            raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        if not (math.isfinite(self.c0) and self.c0 > 0):
-            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
+    def __init__(self, n: int, area: float = 1.0, alpha: float = 3.0, c0: float = 1.0) -> None:
+        if not isinstance(n, int) or n < MIN_NODES:
+            raise ValueError(f"n must be an integer >= {MIN_NODES}, got {n!r}")
+        if not (math.isfinite(area) and area > 0):
+            raise ValueError(f"area must be positive and finite, got {area}")
+        if not (math.isfinite(alpha) and alpha >= 2):
+            raise ValueError(f"alpha must be >= 2, got {alpha}")
+        if not (math.isfinite(c0) and c0 > 0):
+            raise ValueError(f"c0 must be positive and finite, got {c0}")
+        _set(self, "n", n)
+        _set(self, "area", area)
+        _set(self, "alpha", alpha)
+        _set(self, "c0", c0)
+        _set(self, "_values", (n, area, alpha, c0))
 
 
-@dataclass(frozen=True)
-class HierarchyPlan:
+class HierarchyPlan(_Frozen):
     """A concrete hierarchy: h layers and the cluster size at each of them.
 
     sizes holds (M1, ..., M_{h-1}) top-down: sizes[0] is the top-layer
@@ -158,12 +193,18 @@ class HierarchyPlan:
     purpose; validate_plan() checks the structural invariants.
     """
 
-    h: int
-    sizes: tuple[float, ...]
-    L: float = 1.0
+    __slots__ = {
+        "h": "Number of layers.",
+        "sizes": "Cluster sizes top-down, coerced to floats.",
+        "L": "Bits in each source block.",
+    }
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(float(m) for m in self.sizes))
+    def __init__(self, h: int, sizes: tuple[float, ...], L: float = 1.0) -> None:
+        sizes = tuple(float(m) for m in sizes)
+        _set(self, "h", h)
+        _set(self, "sizes", sizes)
+        _set(self, "L", L)
+        _set(self, "_values", (h, sizes, L))
 
 
 def check_layer_count(h: int) -> None:

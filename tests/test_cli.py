@@ -431,6 +431,17 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Q/R" in err
 
+    def test_underflowed_three_phase_throughput_is_a_domain_error(self, capsys):
+        n = "4611686018427387904"
+        tiny = ("--rate-r", "5e-324", "--rate-q", "5e-324")
+        rc, out, err = run_cli(capsys, "analyze", "--n", n, *tiny)
+        assert (rc, out) == (3, "")
+        assert err == f"error: three-phase throughput underflows to 0 at n={n}\n"
+        rc, out, err = run_cli(capsys, "sweep", "--grid", f"4:{n}:5:log", "--c-mh", "1", *tiny)
+        assert rc == 3
+        assert out.splitlines()[-1].endswith(f"three-phase throughput underflows to 0 at n={n}")
+        assert err == "sweep: every grid point failed\n"
+
     def test_analyze_needs_a_size(self, capsys):
         rc, _, err = run_cli(capsys, "analyze")
         assert rc == 2
@@ -676,6 +687,11 @@ class TestTotality:
     @example(argv=["verify", "--rate-q=1e100"])
     @example(argv=["analyze", "--n=1000", "--c0=1e308"])
     @example(argv=["analyze", "--n=1000", "--rate-q=4.49e307"])
+    @example(argv=["analyze", "--n=4611686018427387904", "--rate-r=5e-324", "--rate-q=5e-324"])
+    @example(
+        argv=["sweep", "--grid=4:4611686018427387904:5:log", "--c-mh=1",
+              "--rate-r=5e-324", "--rate-q=5e-324"]
+    )
     def test_every_argv_gives_an_answer_or_a_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

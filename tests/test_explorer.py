@@ -56,6 +56,11 @@ class TestRatioRoutes:
         )
         assert ratio_original(n, unit_params) == expected
 
+    def test_underflowed_three_phase_throughput_raises_naming_n(self):
+        n, params = 2**62, derive(5e-324, 5e-324)
+        assert original_throughput(n, params) == 0.0
+        with pytest.raises(DomainError, match=rf"^three-phase throughput underflows to 0 at n={n}$"):
+            ratio_original(n, params)
 
     def test_disagreeing_routes_raise_even_under_optimize(self):
         # both routes overflow at these rates; the check must not be an assert

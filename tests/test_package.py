@@ -1,8 +1,11 @@
 """The package root's export list, and the imports of every module."""
 import ast
-import dataclasses
+import enum
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -21,6 +24,7 @@ from hiercoop import (
     optimal_modified,
 )
 from hiercoop.cli import _OPTIONS
+from hiercoop.params import _Frozen
 
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
 
@@ -56,19 +60,52 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
-def test_a_dataclass_checks_or_derives_a_field():
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses loads inspect; the three records that check or derive a field
+    # are _Frozen subclasses instead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.partition(".")[0])
+    assert "dataclasses" not in imported
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    code = "import sys, hiercoop.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_a_record_checks_or_derives_in_init_or_is_a_named_tuple():
     # a record that neither checks nor derives a field is a NamedTuple, which
-    # is several times cheaper to build than a frozen dataclass
-    found = [
+    # is several times cheaper to build; the others define their own __init__
+    records = [
         cls
         for path in MODULES
         if path.stem not in ("__init__", "__main__")
         for mod in [importlib.import_module(f"hiercoop.{path.stem}")]
         for cls in vars(mod).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__
+        if isinstance(cls, type)
+        and cls.__module__ == mod.__name__
+        and not issubclass(cls, (Exception, enum.Enum))
+        and cls is not _Frozen
     ]
-    assert found
-    assert [cls.__qualname__ for cls in found if "__post_init__" not in vars(cls)] == []
+    frozen = [cls.__qualname__ for cls in records if issubclass(cls, _Frozen)]
+    assert sorted(frozen) == ["HierarchyPlan", "NetworkConfig", "SchemeParams"]
+    assert [
+        cls.__qualname__
+        for cls in records
+        if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+        and not (issubclass(cls, _Frozen) and "__init__" in vars(cls))
+    ] == []
 
 
 def _records():

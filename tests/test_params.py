@@ -1,5 +1,7 @@
-"""Parameter derivation, network geometry, and plan validation."""
+"""Parameter derivation, network geometry, plan validation, and the record contract."""
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -218,3 +220,84 @@ class TestValidatePlan:
     def test_every_strictly_decreasing_plan_is_accepted(self, h, bottom, growth, L):
         sizes = tuple(bottom * growth ** (h - 1 - i) for i in range(h - 1))
         validate_plan(HierarchyPlan(h=h, sizes=sizes, L=L))
+
+
+#: (record class, constructor arguments, one changed value per argument)
+RECORDS = [
+    (
+        SchemeParams,
+        {"R": 1.0, "Q": 1.0, "beta1": 2.0, "beta": 2.0 * math.sqrt(2.0), "c": 4.0},
+        # a corrupted beta must break equality as well as a changed rate
+        {"R": 2.0, "Q": 2.0, "beta1": 2.5, "beta": 2.9, "c": 4.25},
+    ),
+    (
+        NetworkConfig,
+        {"n": 200, "area": 1.0, "alpha": 3.0, "c0": 1.0},
+        {"n": 201, "area": 2.0, "alpha": 4.0, "c0": 2.0},
+    ),
+    (
+        HierarchyPlan,
+        {"h": 3, "sizes": (512.0, 16.0), "L": 1.0},
+        {"h": 4, "sizes": (512.0, 8.0), "L": 2.0},
+    ),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
+    def test_equal_values_give_equal_records_and_hashes(self, cls, kwargs, changed):
+        a, b = cls(**kwargs), cls(**kwargs)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != tuple(kwargs.values())
+
+    @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
+    def test_changing_any_single_field_breaks_equality(self, cls, kwargs, changed):
+        base = cls(**kwargs)
+        for name, value in changed.items():
+            other = cls(**{**kwargs, name: value})
+            assert other != base, name
+            assert getattr(other, name) == value
+
+    @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_set_deleted_or_added(self, cls, kwargs, changed):
+        record = cls(**kwargs)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                setattr(record, name, changed[name])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.note = "added"
+        assert record == cls(**kwargs)
+
+    @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
+    def test_copies_and_pickles_are_equal(self, cls, kwargs, changed):
+        record = cls(**kwargs)
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is cls
+            assert clone == record and hash(clone) == hash(record)
+
+    def test_copies_rebuild_through_the_checks(self, monkeypatch):
+        cfg = NetworkConfig(n=200)
+        monkeypatch.setattr("hiercoop.params.MIN_NODES", 1000)
+        for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            with pytest.raises(ValueError, match="n must be an integer >= 1000"):
+                rebuild(cfg)
+
+    @pytest.mark.parametrize(
+        "record,text",
+        [
+            (
+                derive(1.0, 1.0),
+                "SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8284271247461903, c=4.0, "
+                "log_beta1=0.6931471805599453)",
+            ),
+            (NetworkConfig(n=200), "NetworkConfig(n=200, area=1.0, alpha=3.0, c0=1.0)"),
+            (HierarchyPlan(h=3, sizes=(512, 16)), "HierarchyPlan(h=3, sizes=(512.0, 16.0), L=1.0)"),
+        ],
+        ids=RECORD_IDS,
+    )
+    def test_repr_keeps_the_field_order_and_format(self, record, text):
+        assert repr(record) == text
