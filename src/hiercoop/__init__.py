@@ -36,7 +36,6 @@ from .optimizer import (
 from .params import (
     MAX_LAYERS,
     MIN_RATE_RATIO,
-    HierarchyPlan,
     NetworkConfig,
     SchemeParams,
     derive,
@@ -68,7 +67,6 @@ __all__ = [
     "CandidateOutcome",
     "DelaySlots",
     "DomainError",
-    "HierarchyPlan",
     "InfeasibleError",
     "LayerChoice",
     "MAX_LAYERS",

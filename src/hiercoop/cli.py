@@ -12,7 +12,8 @@ measurements.
 
 Numbers are printed with 12 significant digits. Exit codes: 0 success,
 1 verify failure, 2 configuration error, 3 domain or infeasibility error
-(a float overflow counts as a domain error).
+(a float overflow counts as a domain error), 141 when the reader closed
+stdout early, as a shell reports a process ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import configparser
 import csv
 import functools
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -194,12 +196,15 @@ _OPTIONS: dict[str, _Option] = {
 
 
 def _load_config(path: str) -> dict[str, object]:
-    parser = configparser.ConfigParser()
+    # no interpolation: a value is its literal text, so "1%" fails as a number
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     values: dict[str, object] = {}
@@ -326,7 +331,7 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         for key in ("h_exact", "h_approx", "h_int", "M1_int", "T1_int", "P1", "P2", "P3"):
             record[key] = None
     else:
-        given = throughput_given_M1(choice.h_int, choice.M1, n, 1.0, params)
+        given = throughput_given_M1(choice.h_int, choice.M1, n, params)
         record.update(
             h_exact=choice.h_exact,
             h_approx=choice.h_approx,
@@ -450,13 +455,22 @@ def main(argv: list[str] | None = None) -> int:
         fmt = cfg["format"] = cfg["format"] or formats[0]
         if fmt not in formats:
             raise ConfigError(f"{args.command} prints {' or '.join(formats)}, not {fmt}")
-        return run(cfg)
+        code = run(cfg)
+        sys.stdout.flush()  # a closed pipe fails here, inside the try, not at shutdown
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, InfeasibleError, PlanError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); send what is still buffered
+        # to devnull so the flush at shutdown stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

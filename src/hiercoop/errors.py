@@ -7,7 +7,7 @@ class DomainError(ValueError):
 
 
 class PlanError(ValueError):
-    """A hierarchy plan violates a structural invariant."""
+    """A layer count or a tuple of cluster sizes violates a structural invariant."""
 
     def __init__(self, field: str, reason: str) -> None:
         self.field = field

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError, PlanError
 from .params import (
-    MAX_LAYERS, MIN_CLUSTER, HierarchyPlan, SchemeParams, check_layer_count, check_network_size,
-    smooth_depth, validate_plan,
+    MAX_LAYERS, MIN_CLUSTER, SchemeParams, check_layer_count, check_network_size, smooth_depth,
+    validate_plan,
 )
 from .recurrence import DelaySlots
 
@@ -60,19 +60,17 @@ def _check_top(h: int, M1: float) -> None:
         raise InfeasibleError(f"top cluster must hold >= {MIN_CLUSTER:g} nodes, got {M1}")
 
 
-def optimal_cluster_sizes(
-    h: int, M1: float, params: SchemeParams, L: float = 1.0
-) -> HierarchyPlan:
+def optimal_cluster_sizes(h: int, M1: float, params: SchemeParams) -> tuple[float, ...]:
     """Equal-term layer sizes below a given top size.
 
     Args:
         h: layer count, integer >= 2.
         M1: top-layer cluster size, >= 2.
         params: derived rate constants.
-        L: bits per source block carried by the returned plan.
 
     Returns:
-        A validated HierarchyPlan whose bracket terms are all equal.
+        The validated cluster sizes (M1, ..., M_{h-1}), top-down, whose
+        bracket terms are all equal.
 
     Raises:
         InfeasibleError: some layer would drop below MIN_CLUSTER nodes.
@@ -88,27 +86,23 @@ def optimal_cluster_sizes(
                 f"at h={h}, M1={M1:g}"
             )
         sizes.append(m)
-    plan = HierarchyPlan(h=h, sizes=tuple(sizes), L=L)
-    validate_plan(plan)
-    return plan
+    return validate_plan(sizes)
 
 
-def minimal_delay(h: int, M1: float, L: float, params: SchemeParams) -> DelaySlots:
-    """Slot count at the equal-term optimum.
+def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
+    """Slot count of a unit block at the equal-term optimum.
 
-    Evaluates 2*M1*(L/R) * (h-1) * c**((h-2)/2) * (M1/2)**(1/(h-1)) directly,
+    Evaluates (2*M1/R) * (h-1) * c**((h-2)/2) * (M1/2)**(1/(h-1)) directly,
     decomposed into its h-1 equal terms; it must match delay_closed_form
     over optimal_cluster_sizes to 1e-12.
     """
     _check_top(h, M1)
     if _bottom_size(h, M1, params) < MIN_CLUSTER:
         raise InfeasibleError(f"depth h={h} does not fit below M1={M1:g}")
-    if not (math.isfinite(L) and L > 0):
-        raise PlanError("L", f"bits per block must be positive, got {L}")
     term = (
         2.0
         * M1
-        * (L / params.R)
+        * (1.0 / params.R)
         * params.c ** ((h - 2) / 2.0)
         * (M1 / 2.0) ** (1.0 / (h - 1))
     )

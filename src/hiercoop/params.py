@@ -1,5 +1,5 @@
 """Model parameters: link rates, derived growth constants, network geometry,
-and hierarchy plans.
+and the check on a hierarchy's cluster sizes.
 
 Two rates drive everything. R is the rate of a long-range transmission
 between distant nodes; Q is the rate at which quantized observations are
@@ -181,32 +181,6 @@ class NetworkConfig(_Frozen):
         _set(self, "_values", (n, area, alpha, c0))
 
 
-class HierarchyPlan(_Frozen):
-    """A concrete hierarchy: h layers and the cluster size at each of them.
-
-    sizes holds (M1, ..., M_{h-1}) top-down: sizes[0] is the top-layer
-    cluster size, each further entry the size one layer below. Sizes are
-    real-valued; the fluid relaxation is the primary model. L is the number
-    of bits in each source block.
-
-    Construction does not validate, so tests can build broken plans on
-    purpose; validate_plan() checks the structural invariants.
-    """
-
-    __slots__ = {
-        "h": "Number of layers.",
-        "sizes": "Cluster sizes top-down, coerced to floats.",
-        "L": "Bits in each source block.",
-    }
-
-    def __init__(self, h: int, sizes: tuple[float, ...], L: float = 1.0) -> None:
-        sizes = tuple(float(m) for m in sizes)
-        _set(self, "h", h)
-        _set(self, "sizes", sizes)
-        _set(self, "L", L)
-        _set(self, "_values", (h, sizes, L))
-
-
 def check_layer_count(h: int) -> None:
     """Raise PlanError unless the layer count h is an integer in 2..MAX_LAYERS."""
     if not isinstance(h, int) or h < 2:
@@ -215,24 +189,26 @@ def check_layer_count(h: int) -> None:
         raise PlanError("h", f"layer count capped at {MAX_LAYERS}, got {h}")
 
 
-def validate_plan(plan: HierarchyPlan) -> None:
-    """Raise PlanError naming the first violated invariant; return None if valid."""
-    check_layer_count(plan.h)
-    if len(plan.sizes) != plan.h - 1:
-        raise PlanError(
-            "sizes", f"need h-1 = {plan.h - 1} cluster sizes, got {len(plan.sizes)}"
-        )
-    for i, m in enumerate(plan.sizes):
+def validate_plan(sizes: tuple[float, ...]) -> tuple[float, ...]:
+    """Check a hierarchy given as its cluster sizes and return them as floats.
+
+    sizes holds (M1, ..., M_{h-1}) top-down for an h-layer hierarchy:
+    sizes[0] is the top-layer cluster size, each further entry the size one
+    layer below. Sizes are real-valued; the fluid relaxation is the primary
+    model. Raises PlanError naming the first violated invariant.
+    """
+    sizes = tuple(float(m) for m in sizes)
+    check_layer_count(len(sizes) + 1)
+    for i, m in enumerate(sizes):
         if not (math.isfinite(m) and m >= MIN_CLUSTER):
             raise PlanError(
                 "sizes", f"cluster size at index {i} must be >= {MIN_CLUSTER:g}, got {m}"
             )
-    for i in range(len(plan.sizes) - 1):
-        if not plan.sizes[i] > plan.sizes[i + 1]:
+    for i in range(len(sizes) - 1):
+        if not sizes[i] > sizes[i + 1]:
             raise PlanError(
                 "sizes",
                 f"sizes must strictly decrease, violated at index {i}: "
-                f"{plan.sizes[i]:g} <= {plan.sizes[i + 1]:g}",
+                f"{sizes[i]:g} <= {sizes[i + 1]:g}",
             )
-    if not (math.isfinite(plan.L) and plan.L > 0):
-        raise PlanError("L", f"bits per block must be positive, got {plan.L}")
+    return sizes

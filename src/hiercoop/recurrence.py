@@ -1,16 +1,22 @@
 """Slot-count accounting for the layered exchange schedule.
 
+A hierarchy is its tuple of cluster sizes (M1, ..., M_{h-1}), top-down; see
+params.validate_plan. Every slot count here is for a unit block: each source
+holds one bit, and a block of L bits takes L times as many fluid slots. No
+throughput depends on L, since bits served and slots spent both scale by it.
+
 The slot count of an h-layer hierarchy obeys a linear recursion. The top
-layer spends (M1/M2) * 2*M1 * (L/R) slots relaying blocks between itself and
-the layer below, then hands each cluster one level down an inflated block of
-L * (Q/R) * (M1/M2) bits; neighboring clusters at that level time-share the
-channel in groups of TIME_SHARING_FACTOR. A single bottom-layer cluster
-finishes its all-to-all exchange directly in (L/R) * M**2 slots.
+layer spends (M1/M2) * 2*M1 / R slots relaying blocks between itself and
+the layer below, then hands each cluster one level down an inflated block
+of (Q/R) * (M1/M2) bits; neighboring clusters at that level time-share the
+channel in groups of TIME_SHARING_FACTOR. A single bottom-layer cluster with
+blocks of b bits finishes its all-to-all exchange directly in (b/R) * M**2
+slots.
 
 Unrolling the recursion gives, with c from SchemeParams,
 
-    slots = 2*M1*(L/R) * ( M1/M2 + c*M2/M3 + ... + c**(h-3) * M_{h-2}/M_{h-1}
-                           + c**(h-2) * M_{h-1}/2 )
+    slots = (2*M1/R) * ( M1/M2 + c*M2/M3 + ... + c**(h-3) * M_{h-2}/M_{h-1}
+                         + c**(h-2) * M_{h-1}/2 )
 
 delay_recursive walks the recursion using Q and R directly;
 delay_closed_form evaluates the bracket using the stored c. The two routes
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .params import HierarchyPlan, SchemeParams, validate_plan
+from .params import SchemeParams, validate_plan
 
 #: Neighboring clusters time-share the channel in groups of this size.
 TIME_SHARING_FACTOR = 4
@@ -35,7 +41,7 @@ class DelaySlots(NamedTuple):
 
 
 def delay_recursive(
-    plan: HierarchyPlan,
+    sizes: tuple[float, ...],
     params: SchemeParams,
     *,
     integer_slots: bool = False,
@@ -50,31 +56,32 @@ def delay_recursive(
     integer_slots rounds each level's count up to a whole slot before
     scaling; exact_pairs uses M*(M-1) ordered pairs at the base instead of
     M**2. Both are reporting variants, the fluid count is the model. They
-    stay for the schedule-level slot oracle (ROADMAP item 6), which counts
-    whole slots and compares against integer_slots=True.
+    stay for a schedule-level slot oracle, which would lay out the exchange
+    schedule, count whole slots for a unit block and compare against
+    integer_slots=True.
     """
-    validate_plan(plan)
+    sizes = validate_plan(sizes)
     R, Q = params.R, params.Q
-    sizes, L = plan.sizes, plan.L
+    # block load in bits at the current layer: one bit at the top
+    load = 1.0
     # scale stays an int (TIME_SHARING_FACTOR**i), so integer_slots counts stay ints
     scale = 1
     decomposition = []
     for top, below in zip(sizes, sizes[1:]):
-        relay = (top / below) * 2.0 * top * (L / R)
+        relay = (top / below) * 2.0 * top * (load / R)
         decomposition.append(scale * (math.ceil(relay) if integer_slots else relay))
-        L = L * (Q / R) * (top / below)
+        load = load * (Q / R) * (top / below)
         scale *= TIME_SHARING_FACTOR
     M = sizes[-1]
-    base = (L / R) * (M * (M - 1.0) if exact_pairs else M * M)
+    base = (load / R) * (M * (M - 1.0) if exact_pairs else M * M)
     decomposition.append(scale * (math.ceil(base) if integer_slots else base))
     return DelaySlots(slots=sum(decomposition), decomposition=tuple(decomposition))
 
 
-def delay_closed_form(plan: HierarchyPlan, params: SchemeParams) -> DelaySlots:
+def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
     """Evaluate the closed-form bracket; one decomposition entry per layer."""
-    validate_plan(plan)
-    sizes = plan.sizes
-    lead = 2.0 * sizes[0] * (plan.L / params.R)
+    sizes = validate_plan(sizes)
+    lead = 2.0 * sizes[0] * (1.0 / params.R)
     terms = [
         lead * params.c**i * sizes[i] / sizes[i + 1] for i in range(len(sizes) - 1)
     ]

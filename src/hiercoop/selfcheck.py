@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import minimal_delay, optimal_cluster_sizes, optimal_top_cluster
-from .params import N_MAX, HierarchyPlan, SchemeParams
+from .params import N_MAX, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
     layer_throughput,
@@ -91,9 +91,8 @@ def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
         for _ in range(h - 2):
             sizes.append(sizes[-1] * rng.uniform(1.5, 8.0))
         sizes.reverse()
-        plan = HierarchyPlan(h=h, sizes=tuple(sizes), L=rng.uniform(0.25, 8.0))
-        walked = delay_recursive(plan, params)
-        bracket = delay_closed_form(plan, params)
+        walked = delay_recursive(sizes, params)
+        bracket = delay_closed_form(sizes, params)
         worst = _rel_err(walked.slots, bracket.slots)
         for a, b in zip(walked.decomposition, bracket.decomposition):
             err = _rel_err(a, b)
@@ -108,16 +107,16 @@ def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
     for h in range(2, 7):
         for M1 in (32.0, 512.0, 4096.0, 131072.0):
             try:
-                plan = optimal_cluster_sizes(h, M1, params)
+                sizes = optimal_cluster_sizes(h, M1, params)
             except InfeasibleError:
                 continue
-            terms = delay_closed_form(plan, params).decomposition
+            terms = delay_closed_form(sizes, params).decomposition
             mean = sum(terms) / len(terms)
             worst = 0.0
             for t in terms:
                 err = _rel_err(t, mean)
                 worst = err if err > worst else worst
-            err = _rel_err(sum(terms), minimal_delay(h, M1, 1.0, params).slots)
+            err = _rel_err(sum(terms), minimal_delay(h, M1, params).slots)
             errors.append(err if err > worst else worst)
     return errors
 
@@ -130,7 +129,7 @@ def phase_balance(params: SchemeParams, seed: int) -> list[float]:
         for n in sizes:
             try:
                 M1 = optimal_top_cluster(h, n, params)
-                report = throughput_given_M1(h, M1, n, 1.0, params)
+                report = throughput_given_M1(h, M1, n, params)
             except InfeasibleError:
                 continue
             p1, p2, p3 = report.phase_slots

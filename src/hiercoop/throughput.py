@@ -1,11 +1,12 @@
 """Aggregate throughput of the hierarchical schemes.
 
-The modified (two-phase) scheme serves n*M1 source blocks of L bits in
-three slot groups: cooperative exchange within top clusters (P1), one
-long-range transmission per source (P2), and the re-encoded exchange that
-replaces the original's separate delivery phase (P3 = P1 * Q/R). Dividing
-bits served by total slots and optimizing M1, then the depth h, yields the
-closed forms below.
+The modified (two-phase) scheme serves n*M1 source blocks in three slot
+groups: cooperative exchange within top clusters (P1), one long-range
+transmission per source (P2), and the re-encoded exchange that replaces
+the original's separate delivery phase (P3 = P1 * Q/R). Dividing bits
+served by total slots and optimizing M1, then the depth h, yields the
+closed forms below. Slot counts are for a unit block of one bit; a block of
+L bits takes L times as many fluid slots, so L cancels from every throughput.
 
 Two conventions coexist and are reported side by side:
 
@@ -42,7 +43,7 @@ class ThroughputReport(NamedTuple):
     """Top cluster size, when one was materialized."""
 
     phase_slots: tuple[float, float, float] | None
-    """(P1, P2, P3) slot counts, when the figure came from an explicit plan."""
+    """(P1, P2, P3) slot counts, when the figure came from an explicit design."""
 
     pre_constant: float
     """value / (n/2)**exponent, the scaling-law front factor."""
@@ -64,9 +65,7 @@ class ModifiedThroughput(NamedTuple):
     integer: ThroughputReport | None
 
 
-def throughput_given_M1(
-    h: int, M1: float, n: int, L: float, params: SchemeParams
-) -> ThroughputReport:
+def throughput_given_M1(h: int, M1: float, n: int, params: SchemeParams) -> ThroughputReport:
     """Throughput of an explicit (h, M1) design at the equal-term sizes.
 
     Builds the three phase groups and divides bits served by slots spent;
@@ -76,12 +75,12 @@ def throughput_given_M1(
     check_network_size(n)
     if not M1 <= n:
         raise InfeasibleError(f"top cluster {M1:g} exceeds n={n}")
-    exchange = TIME_SHARING_FACTOR * minimal_delay(h, M1, L, params).slots
-    long_range = 2.0 * n * L / params.R
+    exchange = TIME_SHARING_FACTOR * minimal_delay(h, M1, params).slots
+    long_range = 2.0 * n / params.R
     re_exchange = exchange * params.Q / params.R
     total = exchange + long_range + re_exchange
     return _depth_report(
-        h, n, float(M1), n * M1 * L / total, (exchange, long_range, re_exchange)
+        h, n, float(M1), n * M1 / total, (exchange, long_range, re_exchange)
     )
 
 

@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 from hypothesis import strategies as st
 
-from hiercoop import HierarchyPlan, derive
+from hiercoop import derive
 
 
 @st.composite
@@ -14,12 +14,12 @@ def rate_params(draw):
 
 @st.composite
 def plans(draw, max_h=6):
-    """Structurally valid plans, built bottom-up with ratios bounded away
-    from 1 so the sizes stay strictly decreasing."""
+    """Structurally valid hierarchies as top-down cluster-size tuples, built
+    bottom-up with ratios bounded away from 1 so the sizes stay strictly
+    decreasing."""
     h = draw(st.integers(2, max_h))
     sizes = [draw(st.floats(2.0, 64.0))]
     for _ in range(h - 2):
         sizes.append(sizes[-1] * draw(st.floats(1.5, 8.0)))
     sizes.reverse()
-    L = draw(st.floats(0.25, 8.0))
-    return HierarchyPlan(h=h, sizes=tuple(sizes), L=L)
+    return tuple(sizes)

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from hiercoop import (
-    HierarchyPlan,
     InfeasibleError,
     NetworkConfig,
     classify,
@@ -68,11 +67,10 @@ def test_criterion_2_recursion_matches_closed_form():
         for _ in range(h - 1):
             sizes.append(m)
             m *= rng.uniform(1.5, 8.0)
-        plan = HierarchyPlan(h=h, sizes=tuple(reversed(sizes)),
-                             L=rng.uniform(0.25, 8.0))
+        sizes.reverse()
         params = derive(1.0, rng.uniform(0.3, 10.0))
-        recursed = delay_recursive(plan, params).slots
-        closed = delay_closed_form(plan, params).slots
+        recursed = delay_recursive(sizes, params).slots
+        closed = delay_closed_form(sizes, params).slots
         worst = max(worst, abs(recursed - closed) / closed)
     elapsed = time.perf_counter() - t0
     assert cases >= 100
@@ -86,13 +84,11 @@ def test_criterion_3_delay_minimum_against_search_oracles(unit_params):
     t0 = time.perf_counter()
 
     def three_layer(m2):
-        return delay_recursive(
-            HierarchyPlan(h=3, sizes=(512.0, m2)), unit_params
-        ).slots
+        return delay_recursive((512.0, m2), unit_params).slots
 
     arg, val = grid_min(three_layer, 2.0, 511.75, 0.25)
-    ref3 = minimal_delay(3, 512.0, 1.0, unit_params).slots
-    assert ref3 == pytest.approx(65536.0, rel=1e-12)  # D* = 65536 * L/R
+    ref3 = minimal_delay(3, 512.0, unit_params).slots
+    assert ref3 == pytest.approx(65536.0, rel=1e-12)  # D* = 65536/R for a unit block
     assert abs(arg - 16.0) <= 0.01 * 16.0
     assert abs(val - ref3) <= 1e-3 * ref3
 
@@ -100,15 +96,13 @@ def test_criterion_3_delay_minimum_against_search_oracles(unit_params):
         m2, m3 = point
         if not 4096.0 > m2 > m3 >= 2.0:
             return math.inf
-        return delay_recursive(
-            HierarchyPlan(h=4, sizes=(4096.0, m2, m3)), unit_params
-        ).slots
+        return delay_recursive((4096.0, m2, m3), unit_params).slots
 
     best, best_val = coordinate_descent_min(
         four_layer, (256.0, 16.0), [(2.0, 4000.0), (2.0, 200.0)]
     )
-    sizes4 = optimal_cluster_sizes(4, 4096.0, unit_params).sizes
-    ref4 = minimal_delay(4, 4096.0, 1.0, unit_params).slots
+    sizes4 = optimal_cluster_sizes(4, 4096.0, unit_params)
+    ref4 = minimal_delay(4, 4096.0, unit_params).slots
     assert abs(best[0] - sizes4[1]) <= 0.01 * sizes4[1]
     assert abs(best[1] - sizes4[2]) <= 0.01 * sizes4[2]
     assert abs(best_val - ref4) <= 1e-3 * ref4
@@ -127,7 +121,7 @@ def test_criterion_4_phase_balance_identity():
         for k in range(12, 31, 2):
             n = 2**k
             M1 = optimal_top_cluster(h, n, params_a)
-            p1, p2, p3 = throughput_given_M1(h, M1, n, 1.0, params_a).phase_slots
+            p1, p2, p3 = throughput_given_M1(h, M1, n, params_a).phase_slots
             worst = max(worst, abs((p1 + p3) - (h - 1) * p2) / ((h - 1) * p2))
     assert worst <= 1e-9
 
@@ -139,7 +133,7 @@ def test_criterion_4_phase_balance_identity():
             n = 2**k
             try:
                 M1 = optimal_top_cluster(h, n, params_b)
-                p1, p2, p3 = throughput_given_M1(h, M1, n, 1.0, params_b).phase_slots
+                p1, p2, p3 = throughput_given_M1(h, M1, n, params_b).phase_slots
             except InfeasibleError:
                 skipped += 1
                 continue
@@ -166,7 +160,7 @@ def test_criterion_5_integer_depth_argmax(unit_params):
     for h, pinned in ((3, t3), (4, t4)):
         def gain(M1, h=h):
             try:
-                return throughput_given_M1(h, M1, 131072, 1.0, unit_params).value
+                return throughput_given_M1(h, M1, 131072, unit_params).value
             except InfeasibleError:
                 return 0.0
 

@@ -418,6 +418,50 @@ class TestConfigFile:
         assert rc == 2
         assert "malformed config file" in err
 
+    def test_non_utf8_file_is_a_config_error(self, capsys, tmp_path):
+        ini = tmp_path / "utf16.ini"
+        ini.write_bytes(b"\xff\xfe[params]\n")
+        rc, _, err = run_cli(capsys, "analyze", "--n", "1024", "--config", str(ini))
+        assert rc == 2
+        assert err.startswith(f"config error: config file {ini} is not UTF-8 text")
+
+    @pytest.mark.parametrize("raw", ["1%", "%(x)s"])
+    def test_percent_signs_are_literal_text(self, capsys, tmp_path, raw):
+        # no interpolation: the value is the text itself, which is no number
+        ini = tmp_path / "percent.ini"
+        ini.write_text(f"[params]\nrate-r = {raw}\n")
+        rc, _, err = run_cli(capsys, "analyze", "--n", "1024", "--config", str(ini))
+        assert rc == 2
+        assert err == f"config error: rate-r: expected a number, got {raw!r}\n"
+
+    @settings(max_examples=200)
+    @given(
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([
+                        b"[params]\n", b"[network]\n", b"[options]\n", b"[DEFAULT]\n",
+                        b"rate-r", b"rate-q", b"n", b"area", b"h-max", b"format",
+                        b" = ", b":", b"%", b"%(n)s", b"\n", b"\r\n", b"\t", b"1e308",
+                        b"2", b"-1", b"\xff", b"\xc3\xa9", b"\x00",
+                    ]),
+                    st.binary(max_size=4),
+                ),
+                max_size=24,
+            ).map(b"".join),
+        )
+    )
+    @example(data=b"\xff\xfe[params]\n")
+    @example(data=b"[params]\nrate-r = %(x)s\n")
+    def test_any_bytes_as_the_file_give_an_answer_or_a_typed_error(self, tmp_path_factory, data):
+        ini = tmp_path_factory.getbasetemp() / "arbitrary.ini"
+        ini.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["analyze", "--n", "1000", "--config", str(ini)])
+        assert rc in (0, 2, 3)
+
 
 class TestExitCodes:
     def test_undersized_network_is_a_config_error(self, capsys):
@@ -642,6 +686,21 @@ class TestSubprocessSmoke:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_a_reader_that_stops_early_gets_exit_141_and_no_traceback(self):
+        # the sweep prints far more than a pipe buffer holds, so closing the
+        # read end after one line makes its next write fail
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hiercoop", "sweep",
+             "--grid", "1024:4611686018427387904:2000:log", "--c-mh", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"n,T1_smooth,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from hiercoop import (
     MAX_LAYERS,
     DomainError,
-    HierarchyPlan,
     InfeasibleError,
     PlanError,
     SchemeParams,
@@ -23,27 +22,23 @@ from hiercoop import (
     validate_plan,
 )
 from hiercoop.optimizer import DEPTH_SEARCH_MARGIN, _search_depth
-from hiercoop.params import smooth_depth
+from hiercoop.params import check_layer_count, smooth_depth
 from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
 from strategies import rate_params
 
 
 class TestClusterSizes:
     def test_three_layer_sizes_land_on_integers_at_unit_rates(self, unit_params):
-        plan = optimal_cluster_sizes(3, 512.0, unit_params)
-        assert plan.sizes == (512.0, 16.0)
+        assert optimal_cluster_sizes(3, 512.0, unit_params) == (512.0, 16.0)
 
     def test_two_layer_plan_is_just_the_top(self, unit_params):
-        assert optimal_cluster_sizes(2, 100.0, unit_params).sizes == (100.0,)
+        assert optimal_cluster_sizes(2, 100.0, unit_params) == (100.0,)
 
     def test_four_layer_sizes(self, unit_params):
-        plan = optimal_cluster_sizes(4, 4096.0, unit_params)
-        assert plan.sizes[0] == 4096.0
-        assert plan.sizes[1] == pytest.approx(80.63494719327186, rel=1e-12)
-        assert plan.sizes[2] == pytest.approx(6.3496042078727974, rel=1e-12)
-
-    def test_block_size_is_carried_through(self, unit_params):
-        assert optimal_cluster_sizes(3, 512.0, unit_params, L=2.5).L == 2.5
+        sizes = optimal_cluster_sizes(4, 4096.0, unit_params)
+        assert sizes[0] == 4096.0
+        assert sizes[1] == pytest.approx(80.63494719327186, rel=1e-12)
+        assert sizes[2] == pytest.approx(6.3496042078727974, rel=1e-12)
 
     def test_depth_that_cannot_fit_is_rejected(self, unit_params):
         with pytest.raises(InfeasibleError, match="layer"):
@@ -63,10 +58,14 @@ class TestClusterSizes:
     def test_depth_is_refused_as_a_plan_refuses_it(self, unit_params, h):
         # one layer-count rule: every per-depth function raises the plan's error
         with pytest.raises(PlanError) as want:
-            validate_plan(HierarchyPlan(h=h, sizes=(8.0,)))
+            check_layer_count(h)
+        if isinstance(h, int):
+            with pytest.raises(PlanError) as plan:
+                validate_plan(tuple(2.0 ** (h - i) for i in range(h - 1)))
+            assert str(plan.value) == str(want.value)
         calls = (
             lambda: optimal_cluster_sizes(h, 8.0, unit_params),
-            lambda: minimal_delay(h, 8.0, 1.0, unit_params),
+            lambda: minimal_delay(h, 8.0, unit_params),
             lambda: optimal_top_cluster(h, 1024, unit_params),
             lambda: depth_optimum(h, 1024, unit_params),
         )
@@ -78,10 +77,10 @@ class TestClusterSizes:
     @given(h=st.integers(2, 6), M1=st.floats(16.0, 1e6), params=rate_params())
     def test_bracket_terms_are_equalized(self, h, M1, params):
         try:
-            plan = optimal_cluster_sizes(h, M1, params)
+            sizes = optimal_cluster_sizes(h, M1, params)
         except InfeasibleError:
             return
-        terms = delay_closed_form(plan, params).decomposition
+        terms = delay_closed_form(sizes, params).decomposition
         mean = sum(terms) / len(terms)
         for t in terms:
             assert t == pytest.approx(mean, rel=1e-9)
@@ -90,9 +89,7 @@ class TestClusterSizes:
 class TestGridAndDescentOracles:
     def test_grid_search_confirms_the_middle_size(self, unit_params):
         def bracket(m2):
-            return delay_closed_form(
-                HierarchyPlan(h=3, sizes=(512.0, m2)), unit_params
-            ).slots
+            return delay_closed_form((512.0, m2), unit_params).slots
 
         arg, val = grid_min(bracket, 2.0, 511.75, 0.25)
         assert arg == pytest.approx(16.0, rel=0.01)
@@ -103,36 +100,32 @@ class TestGridAndDescentOracles:
             m2, m3 = ms
             if not 4096.0 > m2 > m3 >= 2.0:
                 return math.inf
-            return delay_closed_form(
-                HierarchyPlan(h=4, sizes=(4096.0, m2, m3)), unit_params
-            ).slots
+            return delay_closed_form((4096.0, m2, m3), unit_params).slots
 
         sizes, val = coordinate_descent_min(
             bracket, (256.0, 16.0), [(2.0, 4000.0), (2.0, 200.0)]
         )
-        plan = optimal_cluster_sizes(4, 4096.0, unit_params)
-        assert sizes[0] == pytest.approx(plan.sizes[1], rel=0.01)
-        assert sizes[1] == pytest.approx(plan.sizes[2], rel=0.01)
-        best = minimal_delay(4, 4096.0, 1.0, unit_params).slots
+        optimal = optimal_cluster_sizes(4, 4096.0, unit_params)
+        assert sizes[0] == pytest.approx(optimal[1], rel=0.01)
+        assert sizes[1] == pytest.approx(optimal[2], rel=0.01)
+        best = minimal_delay(4, 4096.0, unit_params).slots
         assert val == pytest.approx(best, rel=1e-3)
 
 
 class TestMinimalDelay:
     def test_three_layer_reference_point(self, unit_params):
-        out = minimal_delay(3, 512.0, 1.0, unit_params)
+        out = minimal_delay(3, 512.0, unit_params)
         assert out.slots == pytest.approx(65536.0, rel=1e-12)
         assert out.decomposition == (32768.0, 32768.0)
 
     def test_two_layers_collapse_to_the_base_exchange(self, unit_params):
-        assert minimal_delay(2, 8.0, 1.0, unit_params).slots == pytest.approx(
+        assert minimal_delay(2, 8.0, unit_params).slots == pytest.approx(
             64.0, rel=1e-12
         )
 
     def test_beats_an_off_optimum_plan(self, unit_params):
-        best = minimal_delay(3, 512.0, 1.0, unit_params).slots
-        worse = delay_closed_form(
-            HierarchyPlan(h=3, sizes=(512.0, 8.0)), unit_params
-        ).slots
+        best = minimal_delay(3, 512.0, unit_params).slots
+        worse = delay_closed_form((512.0, 8.0), unit_params).slots
         assert worse == pytest.approx(81920.0, rel=1e-12)
         assert best < worse
 
@@ -140,35 +133,31 @@ class TestMinimalDelay:
         for h in (2, 3, 4, 5):
             for M1 in (64.0, 512.0, 4096.0):
                 try:
-                    plan = optimal_cluster_sizes(h, M1, unit_params)
+                    sizes = optimal_cluster_sizes(h, M1, unit_params)
                 except InfeasibleError:
                     continue
-                direct = minimal_delay(h, M1, 1.0, unit_params).slots
-                bracket = delay_closed_form(plan, unit_params).slots
+                direct = minimal_delay(h, M1, unit_params).slots
+                bracket = delay_closed_form(sizes, unit_params).slots
                 assert direct == pytest.approx(bracket, rel=1e-12)
 
     def test_guards(self, unit_params):
         with pytest.raises(InfeasibleError):
-            minimal_delay(3, 1.5, 1.0, unit_params)
+            minimal_delay(3, 1.5, unit_params)
         with pytest.raises(InfeasibleError):
-            minimal_delay(6, 32.0, 1.0, unit_params)
+            minimal_delay(6, 32.0, unit_params)
         with pytest.raises(PlanError):
-            minimal_delay(1, 8.0, 1.0, unit_params)
-        with pytest.raises(PlanError):
-            minimal_delay(3, 512.0, 0.0, unit_params)
+            minimal_delay(1, 8.0, unit_params)
 
     @pytest.mark.parametrize("h,M1", [(3, 512.0), (4, 4096.0), (5, 131072.0)])
     @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
     def test_perturbing_any_layer_never_helps(self, unit_params, h, M1, factor):
-        plan = optimal_cluster_sizes(h, M1, unit_params)
-        best = delay_closed_form(plan, unit_params).slots
-        for i in range(1, len(plan.sizes)):
-            sizes = list(plan.sizes)
+        optimal = optimal_cluster_sizes(h, M1, unit_params)
+        best = delay_closed_form(optimal, unit_params).slots
+        for i in range(1, len(optimal)):
+            sizes = list(optimal)
             sizes[i] *= factor
             try:
-                slots = delay_closed_form(
-                    HierarchyPlan(h=h, sizes=tuple(sizes)), unit_params
-                ).slots
+                slots = delay_closed_form(sizes, unit_params).slots
             except PlanError:
                 continue  # the perturbation broke the ordering; nothing to compare
             assert slots >= best * (1.0 - 1e-12)
@@ -206,7 +195,7 @@ class TestBalancedTopSize:
 
             def gain(m1, h=h):
                 try:
-                    return throughput_given_M1(h, m1, n, 1.0, unit_params).value
+                    return throughput_given_M1(h, m1, n, unit_params).value
                 except InfeasibleError:
                     return 0.0
 

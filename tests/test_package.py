@@ -12,7 +12,6 @@ import pytest
 
 import hiercoop
 from hiercoop import (
-    HierarchyPlan,
     NetworkConfig,
     SuiteResult,
     c0_tradeoff,
@@ -62,7 +61,7 @@ def test_every_imported_name_is_used(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
-    # dataclasses loads inspect; the three records that check or derive a field
+    # dataclasses loads inspect; the two records that check or derive a field
     # are _Frozen subclasses instead
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
@@ -99,7 +98,7 @@ def test_a_record_checks_or_derives_in_init_or_is_a_named_tuple():
         and cls is not _Frozen
     ]
     frozen = [cls.__qualname__ for cls in records if issubclass(cls, _Frozen)]
-    assert sorted(frozen) == ["HierarchyPlan", "NetworkConfig", "SchemeParams"]
+    assert sorted(frozen) == ["NetworkConfig", "SchemeParams"]
     assert [
         cls.__qualname__
         for cls in records
@@ -117,7 +116,7 @@ def _records():
         both,
         both.smooth,
         layer_choice(131072, params),
-        delay_recursive(HierarchyPlan(h=3, sizes=(512.0, 16.0)), params),
+        delay_recursive((512.0, 16.0), params),
         compare_schemes([131072], NetworkConfig(n=131072), params, c_mh=1.0)[0],
         classify(sparse),
         c0_tradeoff(sparse, [(1.0, 1.0, 1.0)])[0],

@@ -1,4 +1,4 @@
-"""Parameter derivation, network geometry, plan validation, and the record contract."""
+"""Parameter derivation, network geometry, cluster-size validation, and the record contract."""
 import copy
 import math
 import pickle
@@ -10,7 +10,6 @@ from hiercoop import (
     MAX_LAYERS,
     MIN_RATE_RATIO,
     DomainError,
-    HierarchyPlan,
     NetworkConfig,
     PlanError,
     SchemeParams,
@@ -18,7 +17,7 @@ from hiercoop import (
     validate_plan,
 )
 from hiercoop.optimizer import optimal_top_cluster
-from hiercoop.params import MIN_CLUSTER, MIN_NODES, smooth_depth
+from hiercoop.params import MIN_CLUSTER, MIN_NODES, check_layer_count, smooth_depth
 from hiercoop.throughput import original_optimal_layers, throughput_given_M1
 
 
@@ -110,7 +109,7 @@ class TestLogBeta1:
         [
             lambda n, p: smooth_depth(n, p),
             lambda n, p: optimal_top_cluster(2, n, p),
-            lambda n, p: throughput_given_M1(2, 2.0, n, 1.0, p),
+            lambda n, p: throughput_given_M1(2, 2.0, n, p),
             lambda n, p: original_optimal_layers(n, p.beta),
         ],
     )
@@ -154,72 +153,59 @@ class TestNetworkConfig:
 
 class TestValidatePlan:
     def test_two_layer_plan(self):
-        validate_plan(HierarchyPlan(h=2, sizes=(8.0,), L=1.0))
+        assert validate_plan((8.0,)) == (8.0,)
 
     def test_three_layer_plan(self):
-        validate_plan(HierarchyPlan(h=3, sizes=(512.0, 16.0)))
+        assert validate_plan((512.0, 16.0)) == (512.0, 16.0)
 
     def test_sizes_are_coerced_to_floats(self):
-        plan = HierarchyPlan(h=3, sizes=(512, 16))
-        assert plan.sizes == (512.0, 16.0)
-        assert all(isinstance(m, float) for m in plan.sizes)
+        sizes = validate_plan([512, 16])
+        assert sizes == (512.0, 16.0)
+        assert all(isinstance(m, float) for m in sizes)
 
     def test_nondecreasing_sizes_are_rejected(self):
         with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=3, sizes=(16.0, 32.0)))
+            validate_plan((16.0, 32.0))
         assert err.value.field == "sizes"
         assert "decrease" in err.value.reason
 
     def test_equal_adjacent_sizes_are_rejected(self):
         with pytest.raises(PlanError):
-            validate_plan(HierarchyPlan(h=3, sizes=(16.0, 16.0)))
-
-    def test_wrong_size_count_names_the_field(self):
-        with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=3, sizes=(16.0,)))
-        assert err.value.field == "sizes"
-        assert "h-1 = 2" in err.value.reason
+            validate_plan((16.0, 16.0))
 
     def test_undersized_cluster_points_at_its_index(self):
         with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=3, sizes=(8.0, 1.5)))
+            validate_plan((8.0, 1.5))
         # the floor is params.MIN_CLUSTER; the message keeps its wording
         assert MIN_CLUSTER == 2.0
         assert err.value.reason == "cluster size at index 1 must be >= 2, got 1.5"
 
     def test_non_finite_cluster_size_is_rejected(self):
         with pytest.raises(PlanError):
-            validate_plan(HierarchyPlan(h=2, sizes=(float("nan"),)))
+            validate_plan((float("nan"),))
 
-    @pytest.mark.parametrize("h", [1, 0, MAX_LAYERS + 1])
+    @pytest.mark.parametrize("h", [1, MAX_LAYERS + 1])
     def test_depth_violations_win_over_everything_else(self, h):
+        # h - 1 sizes that are undersized and not decreasing; the count is checked first
         with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=h, sizes=(8.0,)))
+            validate_plan((1.0,) * (h - 1))
         assert err.value.field == "h"
+        assert err.value.reason.endswith(f"got {h}")
 
     def test_non_integer_depth_is_rejected(self):
+        # the layer-count rule validate_plan applies to len(sizes) + 1
         with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=2.0, sizes=(8.0,)))
+            check_layer_count(2.0)
         assert err.value.field == "h"
-
-    def test_nonpositive_block_size_is_rejected(self):
-        with pytest.raises(PlanError) as err:
-            validate_plan(HierarchyPlan(h=2, sizes=(8.0,), L=0.0))
-        assert err.value.field == "L"
 
     def test_message_carries_field_and_reason(self):
         with pytest.raises(PlanError, match="sizes:"):
-            validate_plan(HierarchyPlan(h=3, sizes=(16.0, 32.0)))
+            validate_plan((16.0, 32.0))
 
-    @given(
-        h=st.integers(2, 8),
-        bottom=st.floats(2.0, 100.0),
-        growth=st.floats(1.01, 10.0),
-        L=st.floats(1e-3, 1e3),
-    )
-    def test_every_strictly_decreasing_plan_is_accepted(self, h, bottom, growth, L):
+    @given(h=st.integers(2, 8), bottom=st.floats(2.0, 100.0), growth=st.floats(1.01, 10.0))
+    def test_every_strictly_decreasing_plan_is_accepted(self, h, bottom, growth):
         sizes = tuple(bottom * growth ** (h - 1 - i) for i in range(h - 1))
-        validate_plan(HierarchyPlan(h=h, sizes=sizes, L=L))
+        assert validate_plan(sizes) == sizes
 
 
 #: (record class, constructor arguments, one changed value per argument)
@@ -234,11 +220,6 @@ RECORDS = [
         NetworkConfig,
         {"n": 200, "area": 1.0, "alpha": 3.0, "c0": 1.0},
         {"n": 201, "area": 2.0, "alpha": 4.0, "c0": 2.0},
-    ),
-    (
-        HierarchyPlan,
-        {"h": 3, "sizes": (512.0, 16.0), "L": 1.0},
-        {"h": 4, "sizes": (512.0, 8.0), "L": 2.0},
     ),
 ]
 RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
@@ -295,7 +276,6 @@ class TestRecordContract:
                 "log_beta1=0.6931471805599453)",
             ),
             (NetworkConfig(n=200), "NetworkConfig(n=200, area=1.0, alpha=3.0, c0=1.0)"),
-            (HierarchyPlan(h=3, sizes=(512, 16)), "HierarchyPlan(h=3, sizes=(512.0, 16.0), L=1.0)"),
         ],
         ids=RECORD_IDS,
     )

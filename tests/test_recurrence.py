@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from hiercoop import (
     MAX_LAYERS,
     TIME_SHARING_FACTOR,
-    HierarchyPlan,
     PlanError,
     delay_closed_form,
     delay_recursive,
@@ -20,53 +19,50 @@ def test_time_sharing_group_size():
 
 class TestBaseExchange:
     def test_matches_literal_pair_enumeration(self, unit_params):
-        got = delay_recursive(HierarchyPlan(h=2, sizes=(16.0,), L=2.0), unit_params).slots
-        assert got == 512.0
-        assert got == base_slots_by_enumeration(16, 2.0, 1.0)
+        got = delay_recursive((16.0,), unit_params).slots
+        assert got == 256.0
+        assert got == base_slots_by_enumeration(16, 1.0, 1.0)
 
 
 class TestRecursion:
     def test_two_layers_reduce_to_the_base_case(self, unit_params):
-        plan = HierarchyPlan(h=2, sizes=(8.0,), L=1.0)
-        out = delay_recursive(plan, unit_params)
+        out = delay_recursive((8.0,), unit_params)
         assert out.slots == 64.0
 
     def test_three_layer_hand_expansion(self, unit_params):
         # relay 2*512*32 = 32768, then 4 subproblems of 16**2 slots at an
         # inflated 32-bit block: 4 * 8192 = 32768
-        out = delay_recursive(HierarchyPlan(h=3, sizes=(512.0, 16.0)), unit_params)
+        out = delay_recursive((512.0, 16.0), unit_params)
         assert out.slots == 65536.0
         assert out.decomposition == (32768.0, 32768.0)
 
     def test_three_layers_off_the_optimum(self, unit_params):
-        plan = HierarchyPlan(h=3, sizes=(512.0, 8.0))
-        assert delay_recursive(plan, unit_params).slots == 81920.0
+        assert delay_recursive((512.0, 8.0), unit_params).slots == 81920.0
 
     def test_four_layer_value_and_tree_walk_agreement(self, unit_params):
-        plan = HierarchyPlan(h=4, sizes=(4096.0, 256.0, 16.0))
-        walked = delay_recursive(plan, unit_params).slots
+        sizes = (4096.0, 256.0, 16.0)
+        walked = delay_recursive(sizes, unit_params).slots
         assert walked == 1703936.0
-        oracle = slots_by_tree_walk(plan.sizes, 1.0, 1.0, 1.0)
+        oracle = slots_by_tree_walk(sizes, 1.0, 1.0, 1.0)
         assert walked == pytest.approx(oracle, rel=1e-12)
 
     def test_invalid_plans_are_rejected_before_any_arithmetic(self, unit_params):
         with pytest.raises(PlanError):
-            delay_recursive(HierarchyPlan(h=3, sizes=(16.0, 32.0)), unit_params)
+            delay_recursive((16.0, 32.0), unit_params)
         with pytest.raises(PlanError):
-            delay_closed_form(HierarchyPlan(h=3, sizes=(16.0,)), unit_params)
+            delay_closed_form((16.0, 1.5), unit_params)
         with pytest.raises(PlanError):
-            delay_recursive(HierarchyPlan(h=65, sizes=tuple(2.0 ** (66 - i) for i in range(64))), unit_params)
+            delay_recursive(tuple(2.0 ** (66 - i) for i in range(64)), unit_params)
 
 
 class TestClosedForm:
     def test_two_layer_bracket(self, unit_params):
-        out = delay_closed_form(HierarchyPlan(h=2, sizes=(8.0,)), unit_params)
+        out = delay_closed_form((8.0,), unit_params)
         assert out.slots == 64.0
 
     def test_bracket_terms_follow_the_unrolled_recursion(self, unit_params):
-        plan = HierarchyPlan(h=4, sizes=(100.0, 25.0, 5.0), L=3.0)
-        out = delay_closed_form(plan, unit_params)
-        lead = 2.0 * 100.0 * 3.0  # 2*M1*L/R
+        out = delay_closed_form((100.0, 25.0, 5.0), unit_params)
+        lead = 2.0 * 100.0  # 2*M1/R
         expected = (
             lead * 100.0 / 25.0,
             lead * 4.0 * 25.0 / 5.0,
@@ -76,43 +72,42 @@ class TestClosedForm:
         assert out.slots == pytest.approx(sum(expected), rel=1e-12)
 
     def test_four_layer_agreement_with_the_recursion(self, unit_params):
-        plan = HierarchyPlan(h=4, sizes=(4096.0, 256.0, 16.0))
-        assert delay_closed_form(plan, unit_params).slots == pytest.approx(
+        assert delay_closed_form((4096.0, 256.0, 16.0), unit_params).slots == pytest.approx(
             1703936.0, rel=1e-12
         )
 
 
-@given(plan=plans(), params=rate_params())
+@given(sizes=plans(), params=rate_params())
 @settings(max_examples=150)
-def test_recursion_equals_the_bracket(plan, params):
-    walked = delay_recursive(plan, params)
-    bracket = delay_closed_form(plan, params)
-    assert len(walked.decomposition) == plan.h - 1
-    assert len(bracket.decomposition) == plan.h - 1
+def test_recursion_equals_the_bracket(sizes, params):
+    walked = delay_recursive(sizes, params)
+    bracket = delay_closed_form(sizes, params)
+    assert len(walked.decomposition) == len(sizes)
+    assert len(bracket.decomposition) == len(sizes)
     assert walked.slots == pytest.approx(bracket.slots, rel=1e-12)
     for a, b in zip(walked.decomposition, bracket.decomposition):
         assert a == pytest.approx(b, rel=1e-12)
     assert walked.slots == pytest.approx(sum(walked.decomposition), rel=1e-12)
 
 
-@given(plan=plans(), params=rate_params())
-def test_tree_walk_oracle_agrees_with_the_recursion(plan, params):
-    walked = delay_recursive(plan, params).slots
-    oracle = slots_by_tree_walk(plan.sizes, plan.L, params.R, params.Q)
+@given(sizes=plans(), params=rate_params())
+def test_tree_walk_oracle_agrees_with_the_recursion(sizes, params):
+    walked = delay_recursive(sizes, params).slots
+    oracle = slots_by_tree_walk(sizes, 1.0, params.R, params.Q)
     assert walked == pytest.approx(oracle, rel=1e-12)
 
 
 @given(
-    plan=plans(max_h=MAX_LAYERS),
+    sizes=plans(max_h=MAX_LAYERS),
     params=rate_params(),
     integer_slots=st.booleans(),
     exact_pairs=st.booleans(),
 )
 @settings(max_examples=300)
-def test_loop_equals_the_recursive_walk_exactly(plan, params, integer_slots, exact_pairs):
-    got = delay_recursive(plan, params, integer_slots=integer_slots, exact_pairs=exact_pairs)
+def test_loop_equals_the_recursive_walk_exactly(sizes, params, integer_slots, exact_pairs):
+    got = delay_recursive(sizes, params, integer_slots=integer_slots, exact_pairs=exact_pairs)
     slots, decomposition = delay_by_recursion(
-        plan.sizes, plan.L, params.R, params.Q, integer_slots, exact_pairs
+        sizes, 1.0, params.R, params.Q, integer_slots, exact_pairs
     )
     assert got.slots == slots and type(got.slots) is type(slots)
     assert got.decomposition == decomposition
@@ -120,51 +115,38 @@ def test_loop_equals_the_recursive_walk_exactly(plan, params, integer_slots, exa
     assert all(type(x) is (int if integer_slots else float) for x in decomposition)
 
 
-@given(plan=plans(), params=rate_params(), scale=st.floats(1.1, 4.0))
-def test_delay_grows_with_the_block_size(plan, params, scale):
-    bigger = HierarchyPlan(h=plan.h, sizes=plan.sizes, L=plan.L * scale)
-    assert delay_recursive(bigger, params).slots > delay_recursive(plan, params).slots
-
-
-@given(plan=plans(), params=rate_params(), scale=st.floats(1.1, 4.0))
-def test_delay_grows_with_the_top_cluster(plan, params, scale):
-    sizes = (plan.sizes[0] * scale,) + plan.sizes[1:]
-    bigger = HierarchyPlan(h=plan.h, sizes=sizes, L=plan.L)
-    assert delay_recursive(bigger, params).slots > delay_recursive(plan, params).slots
+@given(sizes=plans(), params=rate_params(), scale=st.floats(1.1, 4.0))
+def test_delay_grows_with_the_top_cluster(sizes, params, scale):
+    bigger = (sizes[0] * scale,) + sizes[1:]
+    assert delay_recursive(bigger, params).slots > delay_recursive(sizes, params).slots
 
 
 def test_block_size_scales_the_slot_count_linearly(unit_params):
-    plan = HierarchyPlan(h=4, sizes=(4096.0, 256.0, 16.0), L=1.0)
-    scaled = HierarchyPlan(h=4, sizes=plan.sizes, L=8.0)
-    assert (
-        delay_recursive(scaled, unit_params).slots
-        == 8.0 * delay_recursive(plan, unit_params).slots
-    )
-    assert (
-        delay_closed_form(scaled, unit_params).slots
-        == 8.0 * delay_closed_form(plan, unit_params).slots
-    )
+    # the counts are for a unit block; the oracle's 8-bit block takes 8 times as many
+    sizes = (4096.0, 256.0, 16.0)
+    oracle = slots_by_tree_walk(sizes, 8.0, 1.0, 1.0)
+    assert oracle == 8.0 * delay_recursive(sizes, unit_params).slots
+    assert oracle == 8.0 * delay_closed_form(sizes, unit_params).slots
 
 
 class TestIntegerSlots:
     def test_integral_plan_has_zero_ceiling_overhead(self, unit_params):
-        plan = HierarchyPlan(h=3, sizes=(512.0, 16.0))
-        fluid = delay_recursive(plan, unit_params).slots
-        assert delay_recursive(plan, unit_params, integer_slots=True).slots == fluid
+        sizes = (512.0, 16.0)
+        fluid = delay_recursive(sizes, unit_params).slots
+        assert delay_recursive(sizes, unit_params, integer_slots=True).slots == fluid
 
     def test_fractional_plan_pays_a_small_overhead(self, unit_params):
-        plan = HierarchyPlan(h=3, sizes=(511.3, 15.7), L=1.1)
-        fluid = delay_recursive(plan, unit_params).slots
-        assert delay_recursive(plan, unit_params, integer_slots=True).slots > fluid
+        sizes = (511.3, 15.7)
+        fluid = delay_recursive(sizes, unit_params).slots
+        assert delay_recursive(sizes, unit_params, integer_slots=True).slots > fluid
 
-    @given(plan=plans(), params=rate_params())
-    def test_ceiling_overhead_is_never_negative(self, plan, params):
-        fluid = delay_recursive(plan, params).slots
-        assert delay_recursive(plan, params, integer_slots=True).slots >= fluid
+    @given(sizes=plans(), params=rate_params())
+    def test_ceiling_overhead_is_never_negative(self, sizes, params):
+        fluid = delay_recursive(sizes, params).slots
+        assert delay_recursive(sizes, params, integer_slots=True).slots >= fluid
 
     def test_exact_pair_count_can_undercut_the_fluid_model(self, unit_params):
         # M*(M-1) = 56 ordered pairs trim the base layer below the fluid M**2 = 64
-        plan = HierarchyPlan(h=2, sizes=(8.0,))
-        assert delay_recursive(plan, unit_params).slots == 64.0
-        exact = delay_recursive(plan, unit_params, integer_slots=True, exact_pairs=True)
+        assert delay_recursive((8.0,), unit_params).slots == 64.0
+        exact = delay_recursive((8.0,), unit_params, integer_slots=True, exact_pairs=True)
         assert exact.slots == 56.0
