@@ -20,7 +20,6 @@ from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import (
     SweepRow,
     compare_schemes,
-    find_n_for_ratio,
     ratio_log_adjusted,
     ratio_original,
     ratio_original_closed_form,
@@ -89,7 +88,6 @@ __all__ = [
     "delay_recursive",
     "depth_optimum",
     "derive",
-    "find_n_for_ratio",
     "layer_choice",
     "layer_throughput",
     "minimal_delay",

@@ -8,10 +8,10 @@ throughputs is
         * beta ** (2 * (1 - sqrt(log_beta(beta1))) * sqrt(log_beta(n/2)))
 
 and the exponent is positive because beta1 < beta. Limits are not directly
-testable, so the claim is exercised as strict monotonicity on finite grids
-plus threshold crossing (find_n_for_ratio). ratio_original evaluates both
-the direct division and the closed form and raises DomainError when they
-disagree; the check is an explicit test, so it also runs under -O.
+testable, so the claim is exercised as strict monotonicity on finite grids.
+ratio_original evaluates both the direct division and the closed form and
+raises DomainError when they disagree; the check is an explicit test, so it
+also runs under -O.
 
 compare_schemes assembles one row of named metrics per grid point. Scheme
 columns hold the interference-limited values; the area factor travels in
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .area import area_from_exponent, classify
 from .errors import DomainError
-from .params import MIN_NODES, N_MAX, NetworkConfig, SchemeParams, smooth_depth
+from .params import MIN_NODES, NetworkConfig, SchemeParams, smooth_depth
 from .throughput import (
     multihop_baseline,
     optimal_modified,
@@ -78,40 +78,6 @@ def ratio_log_adjusted(n: int, a: float, params: SchemeParams) -> float:
     if not a > 1.0:
         raise DomainError(f"log base must exceed 1, got {a}")
     return ratio_original(n, params) / (math.log(n) / math.log(a))
-
-
-def find_n_for_ratio(
-    threshold: float, params: SchemeParams, n_cap: int = N_MAX
-) -> int | None:
-    """Smallest n with ratio_original(n) >= threshold, or None past n_cap
-    (default N_MAX, the largest network size accepted).
-
-    Doubles from n = MIN_NODES to bracket the crossing, then bisects to the integer.
-    """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
-    if n_cap < MIN_NODES:
-        raise DomainError(f"cap must be >= {MIN_NODES}, got {n_cap}")
-    lo = MIN_NODES
-    if ratio_original(lo, params) >= threshold:
-        return lo
-    hi = 2 * lo
-    while True:
-        if hi > n_cap:
-            hi = n_cap
-            if hi <= lo or ratio_original(hi, params) < threshold:
-                return None
-            break
-        if ratio_original(hi, params) >= threshold:
-            break
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ratio_original(mid, params) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def compare_schemes(

@@ -48,9 +48,15 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
-def _bottom_size(h: int, M1: float, params: SchemeParams) -> float:
-    # smallest layer of the equal-term hierarchy; equals M1 itself at h=2
-    return M1 if h == 2 else _size_at(h - 1, h, M1, params)
+def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
+    # the equal-term bottom layer, M1 itself at h=2, holds at least MIN_CLUSTER
+    # nodes; for c > 1 the layers above it are then larger and decrease
+    bottom = M1 if h == 2 else _size_at(h - 1, h, M1, params)
+    if bottom < MIN_CLUSTER:
+        raise InfeasibleError(
+            f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
+            f"{bottom:.6g} is below {MIN_CLUSTER:g}"
+        )
 
 
 def _check_top(h: int, M1: float) -> None:
@@ -73,20 +79,12 @@ def optimal_cluster_sizes(h: int, M1: float, params: SchemeParams) -> tuple[floa
         bracket terms are all equal.
 
     Raises:
-        InfeasibleError: some layer would drop below MIN_CLUSTER nodes.
+        InfeasibleError: the bottom layer would drop below MIN_CLUSTER nodes.
         PlanError: h out of range.
     """
     _check_top(h, M1)
-    sizes = [float(M1)]
-    for i in range(2, h):
-        m = _size_at(i, h, M1, params)
-        if m < MIN_CLUSTER:
-            raise InfeasibleError(
-                f"layer {i} cluster size {m:.6g} falls below {MIN_CLUSTER:g} "
-                f"at h={h}, M1={M1:g}"
-            )
-        sizes.append(m)
-    return validate_plan(sizes)
+    _check_fit(h, M1, params)
+    return validate_plan([M1, *(_size_at(i, h, M1, params) for i in range(2, h))])
 
 
 def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
@@ -97,8 +95,7 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
     over optimal_cluster_sizes to 1e-12.
     """
     _check_top(h, M1)
-    if _bottom_size(h, M1, params) < MIN_CLUSTER:
-        raise InfeasibleError(f"depth h={h} does not fit below M1={M1:g}")
+    _check_fit(h, M1, params)
     term = (
         2.0
         * M1
@@ -144,11 +141,7 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float]:
     of range.
     """
     M1 = optimal_top_cluster(h, n, params)
-    if _bottom_size(h, M1, params) < MIN_CLUSTER:
-        raise InfeasibleError(
-            f"depth h={h} does not fit n={n}: bottom layer falls below "
-            f"{MIN_CLUSTER:g} nodes"
-        )
+    _check_fit(h, M1, params)
     e = (h - 1.0) / h
     pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e

@@ -24,7 +24,6 @@ share no arithmetic, so their agreement is a real consistency check.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .params import SchemeParams, validate_plan
@@ -40,51 +39,44 @@ class DelaySlots(NamedTuple):
     decomposition: tuple[float, ...]
 
 
-def delay_recursive(
-    sizes: tuple[float, ...],
-    params: SchemeParams,
-    *,
-    integer_slots: bool = False,
-    exact_pairs: bool = False,
-) -> DelaySlots:
+def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
     """Evaluate the recursion level by level.
 
     The decomposition entry at index i is the slot share contributed by
     layer i+1 of the hierarchy, including the time-sharing multiplier
     accumulated on the way down.
-
-    integer_slots rounds each level's count up to a whole slot before
-    scaling; exact_pairs uses M*(M-1) ordered pairs at the base instead of
-    M**2. Both are reporting variants, the fluid count is the model. They
-    stay for a schedule-level slot oracle, which would lay out the exchange
-    schedule, count whole slots for a unit block and compare against
-    integer_slots=True.
     """
     sizes = validate_plan(sizes)
     R, Q = params.R, params.Q
     # block load in bits at the current layer: one bit at the top
     load = 1.0
-    # scale stays an int (TIME_SHARING_FACTOR**i), so integer_slots counts stay ints
+    # TIME_SHARING_FACTOR**i, an exact int
     scale = 1
     decomposition = []
     for top, below in zip(sizes, sizes[1:]):
-        relay = (top / below) * 2.0 * top * (load / R)
-        decomposition.append(scale * (math.ceil(relay) if integer_slots else relay))
+        decomposition.append(scale * ((top / below) * 2.0 * top * (load / R)))
         load = load * (Q / R) * (top / below)
         scale *= TIME_SHARING_FACTOR
     M = sizes[-1]
-    base = (load / R) * (M * (M - 1.0) if exact_pairs else M * M)
-    decomposition.append(scale * (math.ceil(base) if integer_slots else base))
+    decomposition.append(scale * ((load / R) * (M * M)))
     return DelaySlots(slots=sum(decomposition), decomposition=tuple(decomposition))
 
 
 def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
-    """Evaluate the closed-form bracket; one decomposition entry per layer."""
-    sizes = validate_plan(sizes)
-    lead = 2.0 * sizes[0] * (1.0 / params.R)
-    terms = [
-        lead * params.c**i * sizes[i] / sizes[i + 1] for i in range(len(sizes) - 1)
-    ]
-    terms.append(lead * params.c ** (len(sizes) - 1) * sizes[-1] / 2.0)
-    return DelaySlots(slots=sum(terms), decomposition=tuple(terms))
+    """Evaluate the closed-form bracket; one decomposition entry per layer.
 
+    Raises OverflowError naming the power of c that leaves float range.
+    """
+    sizes = validate_plan(sizes)
+    c = params.c
+    lead = 2.0 * sizes[0] * (1.0 / params.R)
+    last = len(sizes) - 1
+    terms = []
+    try:
+        for i in range(last):
+            terms.append(lead * c**i * sizes[i] / sizes[i + 1])
+        terms.append(lead * c**last * sizes[-1] / 2.0)
+    except OverflowError:
+        # len(terms) is the index of the term whose power overflowed
+        raise OverflowError(f"c**{len(terms)} overflows at c={c:g}") from None
+    return DelaySlots(slots=sum(terms), decomposition=tuple(terms))

@@ -39,7 +39,7 @@ def slots_by_tree_walk(sizes, L, R, Q):
     return total
 
 
-def delay_by_recursion(sizes, L, R, Q, integer_slots=False, exact_pairs=False):
+def delay_by_recursion(sizes, L, R, Q):
     """(slots, decomposition) of the slot recursion, walked recursively.
 
     Each level rebuilds the tuple below it with one more time-sharing
@@ -50,12 +50,9 @@ def delay_by_recursion(sizes, L, R, Q, integer_slots=False, exact_pairs=False):
     def walk(sizes, L):
         if len(sizes) == 1:
             M = sizes[0]
-            base = (L / R) * (M * (M - 1.0) if exact_pairs else M * M)
-            return (math.ceil(base) if integer_slots else base,)
+            return ((L / R) * (M * M),)
         top, below = sizes[0], sizes[1]
         relay = (top / below) * 2.0 * top * (L / R)
-        if integer_slots:
-            relay = math.ceil(relay)
         rest = walk(sizes[1:], L * (Q / R) * (top / below))
         return (relay,) + tuple(4 * x for x in rest)
 

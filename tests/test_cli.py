@@ -15,7 +15,8 @@ from hiercoop import SuiteResult, cli, selfcheck
 from hiercoop.cli import SWEEP_COLUMNS, main
 from hiercoop.optimizer import _search_depth
 
-GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_21pt.csv"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_SWEEP = GOLDEN / "sweep_21pt.csv"
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,23 @@ class TestAnalyzeJsonl:
         plain = run_cli(capsys, "analyze", "--n", "1000")
         assert plain[0] == 0
         assert run_cli(capsys, "analyze", "--n", "1000", "--format", "text") == plain
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("analyze_131072.txt", ("analyze", "--n", "131072")),
+        ("analyze_20000_q24.jsonl",
+         ("analyze", "--n", "20000", "--rate-q", "24", "--format", "jsonl")),
+        ("tradeoff_200.txt",
+         ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
+          "--candidate", "2:1:1", "--candidate", "1:1:1")),
+    ],
+)
+def test_stdout_matches_its_golden_file(capsys, golden, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
 
 
 class TestSweep:
@@ -530,8 +548,9 @@ class TestExitCodes:
     def test_overflowing_verify_suite_is_named(self, capsys):
         rc, out, err = run_cli(capsys, "verify", "--rate-q", "1e100")
         assert rc == 3 and out == ""
-        assert err.startswith(
+        assert err == (
             "error: suite recursion_vs_closed_form overflowed at R=1, Q=1e+100: "
+            "c**4 overflows at c=4e+100\n"
         )
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Cross-scheme ratio behavior, threshold search, and sweep assembly."""
+"""Cross-scheme ratio behavior, threshold crossings, and sweep assembly."""
 import math
 import os
 import subprocess
@@ -12,7 +12,6 @@ from hiercoop import (
     NetworkConfig,
     compare_schemes,
     derive,
-    find_n_for_ratio,
     layer_throughput,
     multihop_baseline,
     optimal_modified,
@@ -94,26 +93,10 @@ class TestDivergence:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_threshold_crossings(self, unit_params):
-        assert find_n_for_ratio(0.5, unit_params) == 4
-        for threshold, expected in ((1.0, 4106), (1.2, 146088), (1.5, 20855297)):
-            n_star = find_n_for_ratio(threshold, unit_params)
-            assert n_star == expected
-            assert ratio_original(n_star, unit_params) >= threshold
-            assert ratio_original(n_star - 1, unit_params) < threshold
-
-    def test_search_respects_the_cap(self, unit_params):
-        assert find_n_for_ratio(10.0, unit_params, n_cap=2**20) is None
-
-    def test_search_reaches_the_largest_network_by_default(self, unit_params):
-        threshold = ratio_original(2**61, unit_params)
-        n_star = find_n_for_ratio(threshold, unit_params)
-        assert n_star is not None and 2**60 < n_star <= 2**61
-
-    def test_search_guards(self, unit_params):
-        with pytest.raises(DomainError):
-            find_n_for_ratio(0.0, unit_params)
-        with pytest.raises(DomainError):
-            find_n_for_ratio(1.0, unit_params, n_cap=3)
+        # each n is the smallest network whose ratio reaches k
+        assert ratio_original(4, unit_params) >= 0.5
+        for k, n in ((1.0, 4106), (1.2, 146088), (1.5, 20855297)):
+            assert ratio_original(n, unit_params) >= k > ratio_original(n - 1, unit_params)
 
 
 class TestLogAdjustedRatio:

@@ -41,8 +41,12 @@ class TestClusterSizes:
         assert sizes[2] == pytest.approx(6.3496042078727974, rel=1e-12)
 
     def test_depth_that_cannot_fit_is_rejected(self, unit_params):
-        with pytest.raises(InfeasibleError, match="layer"):
+        # one message for every depth-fit check: h, M1 and the bottom size
+        msg = r"^depth h=6 does not fit below M1=32: bottom cluster size 0\.2176\d* is below 2$"
+        with pytest.raises(InfeasibleError, match=msg):
             optimal_cluster_sizes(6, 32.0, unit_params)
+        with pytest.raises(InfeasibleError, match=msg):
+            minimal_delay(6, 32.0, unit_params)
 
     def test_tiny_top_cluster_is_rejected(self, unit_params):
         with pytest.raises(InfeasibleError):

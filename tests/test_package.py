@@ -39,6 +39,22 @@ def test_export_list_is_the_public_surface_without_repeats():
     assert set(hiercoop.__all__) == public - {"annotations"}
 
 
+def test_every_exported_function_has_a_caller_in_the_package():
+    # a public function that only tests call is deleted, not exported
+    called = set()
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    functions = [
+        name for name in hiercoop.__all__ if isinstance(getattr(hiercoop, name), types.FunctionType)
+    ]
+    assert functions and sorted(set(functions) - called) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     # a deletion that leaves its imports behind fails here; __all__ counts as a use

@@ -97,22 +97,14 @@ def test_tree_walk_oracle_agrees_with_the_recursion(sizes, params):
     assert walked == pytest.approx(oracle, rel=1e-12)
 
 
-@given(
-    sizes=plans(max_h=MAX_LAYERS),
-    params=rate_params(),
-    integer_slots=st.booleans(),
-    exact_pairs=st.booleans(),
-)
+@given(sizes=plans(max_h=MAX_LAYERS), params=rate_params())
 @settings(max_examples=300)
-def test_loop_equals_the_recursive_walk_exactly(sizes, params, integer_slots, exact_pairs):
-    got = delay_recursive(sizes, params, integer_slots=integer_slots, exact_pairs=exact_pairs)
-    slots, decomposition = delay_by_recursion(
-        sizes, 1.0, params.R, params.Q, integer_slots, exact_pairs
-    )
-    assert got.slots == slots and type(got.slots) is type(slots)
+def test_loop_equals_the_recursive_walk_exactly(sizes, params):
+    got = delay_recursive(sizes, params)
+    slots, decomposition = delay_by_recursion(sizes, 1.0, params.R, params.Q)
+    assert got.slots == slots and type(got.slots) is float
     assert got.decomposition == decomposition
-    assert [type(x) for x in got.decomposition] == [type(x) for x in decomposition]
-    assert all(type(x) is (int if integer_slots else float) for x in decomposition)
+    assert all(type(x) is float for x in got.decomposition)
 
 
 @given(sizes=plans(), params=rate_params(), scale=st.floats(1.1, 4.0))
@@ -127,26 +119,3 @@ def test_block_size_scales_the_slot_count_linearly(unit_params):
     oracle = slots_by_tree_walk(sizes, 8.0, 1.0, 1.0)
     assert oracle == 8.0 * delay_recursive(sizes, unit_params).slots
     assert oracle == 8.0 * delay_closed_form(sizes, unit_params).slots
-
-
-class TestIntegerSlots:
-    def test_integral_plan_has_zero_ceiling_overhead(self, unit_params):
-        sizes = (512.0, 16.0)
-        fluid = delay_recursive(sizes, unit_params).slots
-        assert delay_recursive(sizes, unit_params, integer_slots=True).slots == fluid
-
-    def test_fractional_plan_pays_a_small_overhead(self, unit_params):
-        sizes = (511.3, 15.7)
-        fluid = delay_recursive(sizes, unit_params).slots
-        assert delay_recursive(sizes, unit_params, integer_slots=True).slots > fluid
-
-    @given(sizes=plans(), params=rate_params())
-    def test_ceiling_overhead_is_never_negative(self, sizes, params):
-        fluid = delay_recursive(sizes, params).slots
-        assert delay_recursive(sizes, params, integer_slots=True).slots >= fluid
-
-    def test_exact_pair_count_can_undercut_the_fluid_model(self, unit_params):
-        # M*(M-1) = 56 ordered pairs trim the base layer below the fluid M**2 = 64
-        assert delay_recursive((8.0,), unit_params).slots == 64.0
-        exact = delay_recursive((8.0,), unit_params, integer_slots=True, exact_pairs=True)
-        assert exact.slots == 56.0
