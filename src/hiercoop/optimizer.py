@@ -17,6 +17,12 @@ Three nested choices, each with a closed-form answer:
   it when c > 1. So the best feasible depth is the nearest feasible one
   on either side of h*, and no other depth needs evaluating. LayerChoice
   reports h* as h_exact.
+* Depth h fits n nodes exactly when the balanced top size puts at least
+  MIN_CLUSTER nodes in the equal-term bottom layer, that is when
+  n >= 8 * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
+  h, so the depths that fit are a run 2..H. The nearest feasible depth
+  above h* is then floor(h*) + 1 or none at all, and the nearest one below
+  is the first that fits walking down from floor(h*).
 
 Brute-force counterparts of all three (grid search, golden section,
 coordinate descent) live in the test suite and must land on the same
@@ -35,12 +41,9 @@ from .params import (
 )
 from .recurrence import DelaySlots
 
-#: Headroom added above ceil(h_approx) when no explicit depth cap is given.
-DEPTH_SEARCH_MARGIN = 3
-
 
 def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
-    # equal-term layer size, valid for 2 <= i <= h-1
+    # equal-term layer size, valid for 1 <= i <= h-1 (M1 itself at i = 1)
     return (
         2.0
         * params.c ** (-((i - 1) * (h - i)) / 2.0)
@@ -51,7 +54,7 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
 def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
     # the equal-term bottom layer, M1 itself at h=2, holds at least MIN_CLUSTER
     # nodes; for c > 1 the layers above it are then larger and decrease
-    bottom = M1 if h == 2 else _size_at(h - 1, h, M1, params)
+    bottom = _size_at(h - 1, h, M1, params)
     if bottom < MIN_CLUSTER:
         raise InfeasibleError(
             f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
@@ -157,7 +160,9 @@ class LayerChoice(NamedTuple):
     """smooth_depth(n) = sqrt(log_beta1(n/2)), the large-n shortcut for h_exact."""
 
     h_int: int
-    """Bounded argmax of per-depth throughput over feasible integer depths."""
+    """Bounded argmax of per-depth throughput over feasible depths in 2..h_max
+    (default MAX_LAYERS). Only floor(h*), walking down past depths that do
+    not fit, and floor(h*) + 1 are evaluated."""
 
     M1: float
     """Balanced top cluster size at h_int."""
@@ -179,14 +184,14 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     """Pick the number of layers for n nodes.
 
     h_int is the best feasible integer depth in 2..h_max (default
-    ceil(h_approx) plus DEPTH_SEARCH_MARGIN, capped at MAX_LAYERS), ties
-    broken toward fewer layers. Per-depth throughput rises below the
-    stationary point h* of its closed form and falls above it (see the
-    module docstring), which takes c > 1. So the search walks down from
-    floor(h*) and up from the depth after it, keeps the first feasible depth
-    on each side, and returns the better of the two. When that value
-    overflows to inf it ties every other infinite value, and the smallest
-    feasible depth that reaches it wins.
+    MAX_LAYERS), ties broken toward fewer layers. Per-depth throughput rises
+    below the stationary point h* of its closed form and falls above it, and
+    the depths that fit form a run 2..H (see the module docstring); both
+    take c > 1. So the search evaluates floor(h*), clamped to 2..h_max and
+    walking down only past depths that do not fit, and the depth after it
+    when that is within h_max, and returns the better of the two. When that
+    value overflows to inf it ties every other infinite value, and the
+    smallest feasible depth that reaches it wins.
 
     The arguments are checked on every call. The search itself runs once
     for the last (n, params, h_max) and is reused while they repeat, as
@@ -206,7 +211,7 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     if not params.c > 1.0:
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
     if h_max is None:
-        h_max = min(math.ceil(h_approx) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
+        h_max = MAX_LAYERS
     choice = _search_depth(n, params, h_max, h_approx)
     if choice is None:
         raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
@@ -226,7 +231,8 @@ def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> 
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
     split = min(max(math.floor(h_exact), 2), h_max)
     below = next(_feasible(range(split, 1, -1), n, params), None)
-    above = next(_feasible(range(split + 1, h_max + 1), n, params), None)
+    # the depths that fit are a run 2..H: past split + 1, none fits if it does not
+    above = next(_feasible((split + 1,) if split < h_max else (), n, params), None)
     sides = [side for side in (below, above) if side is not None]
     if not sides:
         return None

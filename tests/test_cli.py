@@ -159,6 +159,7 @@ class TestAnalyzeJsonl:
         ("tradeoff_200.txt",
          ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
           "--candidate", "2:1:1", "--candidate", "1:1:1")),
+        ("verify_seed0.txt", ("verify",)),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):

@@ -21,8 +21,9 @@ from hiercoop import (
     throughput_given_M1,
     validate_plan,
 )
-from hiercoop.optimizer import DEPTH_SEARCH_MARGIN, _search_depth
-from hiercoop.params import check_layer_count, smooth_depth
+from hiercoop import optimizer
+from hiercoop.optimizer import _search_depth
+from hiercoop.params import check_layer_count
 from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
 from strategies import rate_params
 
@@ -280,7 +281,7 @@ class TestLayerChoice:
             layer_choice(10**6, unit_params, h_max=h_max)
 
     def test_default_depth_cap_stops_at_the_layer_cap(self):
-        # near Q/R = 1/4, ceil(h_approx) + margin is far above MAX_LAYERS
+        # near Q/R = 1/4, h_approx is far above the default cap, MAX_LAYERS
         choice = layer_choice(2**62, derive(1.0, 0.25 + 1e-9))
         assert choice.h_approx > MAX_LAYERS
         assert 2 <= choice.h_int <= MAX_LAYERS
@@ -299,9 +300,7 @@ class TestLayerChoice:
 
 def _depth_cap(n, params, h_max):
     # layer_choice's default cap when h_max is None
-    if h_max is not None:
-        return h_max
-    return min(math.ceil(smooth_depth(n, params)) + DEPTH_SEARCH_MARGIN, MAX_LAYERS)
+    return MAX_LAYERS if h_max is None else h_max
 
 
 def _full_scan(n, params, h_max):
@@ -419,3 +418,46 @@ class TestDepthSearch:
         choice = layer_choice(2**60, params)
         assert (choice.h_int, choice.value) == (3, math.inf)
         assert depth_optimum(2, 2**60, params)[1] < math.inf
+
+    def test_search_stops_at_the_depth_above_floor_h_star(self, monkeypatch):
+        # h* = 1.80 at n = 20000, Q/R = 24: depth 2 fits and depth 3 does not,
+        # so no deeper depth fits and none is evaluated
+        depths = []
+        real = optimizer.depth_optimum
+
+        def counted(h, n, params):
+            depths.append(h)
+            return real(h, n, params)
+
+        monkeypatch.setattr(optimizer, "depth_optimum", counted)
+        _search_depth.cache_clear()
+        assert layer_choice(20000, derive(1.0, 24.0)).h_int == 2
+        assert depths == [2, 3]
+
+    @settings(max_examples=300)
+    @given(n=st.integers(4, 2**62), params=search_params())
+    @example(n=2**40, params=derive(1.0, 4.49e307))
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-9))
+    @example(
+        n=2**40,
+        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.inf),
+    )
+    def test_depths_that_fit_are_a_run_from_two_set_by_the_law(self, n, params):
+        # depth h fits n exactly when n >= 8 (1 + Q/R) c**((h-2)(h+1)/2); the
+        # law is checked in logs wherever rounding cannot decide it
+        fits = []
+        for h in range(2, MAX_LAYERS + 1):
+            try:
+                depth_optimum(h, n, params)
+            except InfeasibleError:
+                continue
+            fits.append(h)
+        H = len(fits) + 1
+        assert fits == list(range(2, H + 1))
+        room = math.log(n) - math.log(8.0) - math.log1p(params.Q / params.R)
+        log_c = math.log(params.c)
+        for h in range(2, MAX_LAYERS + 1):
+            # c drops out at h = 2, where 0 * log(c) would be NaN for c = inf
+            need = 0.0 if h == 2 else (h - 2) * (h + 1) / 2.0 * log_c
+            if abs(room - need) > 1e-9:
+                assert (h <= H) == (room >= need), h
