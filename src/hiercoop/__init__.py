@@ -56,6 +56,7 @@ from .throughput import (
     original_optimal_layers,
     original_throughput,
     per_pair_rate,
+    smooth_modified,
     throughput_given_M1,
     upper_bound,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "ratio_original",
     "ratio_original_closed_form",
     "run_all",
+    "smooth_modified",
     "throughput_given_M1",
     "throughput_with_area",
     "upper_bound",

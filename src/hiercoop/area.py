@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .params import NetworkConfig, SchemeParams, check_network_size, derive
-from .throughput import ThroughputReport, optimal_modified
+from .throughput import ThroughputReport, smooth_modified
 
 
 class Regime(enum.Enum):
@@ -62,7 +62,7 @@ def throughput_with_area(cfg: NetworkConfig, params: SchemeParams) -> Throughput
     Returns the smooth report scaled by the regime factor; pre_constant
     scales with it so value / (n/2)**exponent keeps holding.
     """
-    report = optimal_modified(cfg.n, params).smooth
+    report = smooth_modified(cfg.n, params)
     factor = classify(cfg).factor
     if factor == 1.0:
         return report

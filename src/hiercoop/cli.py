@@ -34,9 +34,9 @@ from .params import MAX_LAYERS, MIN_NODES, N_MAX, NetworkConfig, derive
 from .selfcheck import run_all
 from .throughput import (
     multihop_baseline,
-    optimal_modified,
     original_optimal_layers,
     original_throughput,
+    smooth_modified,
     throughput_given_M1,
 )
 
@@ -326,7 +326,7 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         choice = layer_choice(n, params, h_max=cfg["h-max"])
     except InfeasibleError:
         choice = None
-    smooth = optimal_modified(n, params).smooth
+    smooth = smooth_modified(n, params)
     if choice is None:
         for key in ("h_exact", "h_approx", "h_int", "M1_int", "T1_int", "P1", "P2", "P3"):
             record[key] = None

@@ -24,6 +24,11 @@ Three nested choices, each with a closed-form answer:
   above h* is then floor(h*) + 1 or none at all, and the nearest one below
   is the first that fits walking down from floor(h*).
 
+A depth that does not fit is an answer, not an error: depth_optimum returns
+None for it, and the search skips it. The calls that take a fixed size
+(optimal_top_cluster, optimal_cluster_sizes, minimal_delay) raise
+InfeasibleError with the reason instead.
+
 Brute-force counterparts of all three (grid search, golden section,
 coordinate descent) live in the test suite and must land on the same
 answers.
@@ -51,14 +56,17 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
-def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
+def _bottom_fits(h: int, M1: float, params: SchemeParams) -> bool:
     # the equal-term bottom layer, M1 itself at h=2, holds at least MIN_CLUSTER
     # nodes; for c > 1 the layers above it are then larger and decrease
-    bottom = _size_at(h - 1, h, M1, params)
-    if bottom < MIN_CLUSTER:
+    return not _size_at(h - 1, h, M1, params) < MIN_CLUSTER
+
+
+def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
+    if not _bottom_fits(h, M1, params):
         raise InfeasibleError(
             f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
-            f"{bottom:.6g} is below {MIN_CLUSTER:g}"
+            f"{_size_at(h - 1, h, M1, params):.6g} is below {MIN_CLUSTER:g}"
         )
 
 
@@ -109,6 +117,18 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
     return DelaySlots(slots=(h - 1) * term, decomposition=(term,) * (h - 1))
 
 
+def _balanced_top(h: int, n: int, params: SchemeParams) -> float:
+    # M1 solving n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)), unchecked
+    check_layer_count(h)
+    check_network_size(n)
+    try:
+        load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
+    except OverflowError:
+        # a load past float range drives M1 to 0, below MIN_CLUSTER
+        load = math.inf
+    return 2.0 * load ** (-(h - 1.0) / h) * float(n) ** ((h - 1.0) / h)
+
+
 def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     """Top size that balances exchange slots against long-range slots.
 
@@ -118,14 +138,7 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     Raises InfeasibleError when the balancing size leaves no room for a
     cluster (M1 < 2) or exceeds the network (M1 >= n).
     """
-    check_layer_count(h)
-    check_network_size(n)
-    try:
-        load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
-    except OverflowError:
-        # a load past float range drives M1 to 0, which the check below rejects
-        load = math.inf
-    M1 = 2.0 * load ** (-(h - 1.0) / h) * float(n) ** ((h - 1.0) / h)
+    M1 = _balanced_top(h, n, params)
     if M1 < MIN_CLUSTER:
         raise InfeasibleError(
             f"balanced top size {M1:.6g} is below {MIN_CLUSTER:g} at h={h}, n={n}"
@@ -135,16 +148,18 @@ def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
     return M1
 
 
-def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float]:
+def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
     """(M1, throughput) at depth h: the balanced top size and the closed form
     R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h).
 
-    Raises InfeasibleError when the depth does not fit n nodes (no balanced
-    top size, or a bottom layer under MIN_CLUSTER) and PlanError for h out
-    of range.
+    Returns None when the depth does not fit n nodes, that is when
+    optimal_top_cluster would raise or its size would leave a bottom layer
+    under MIN_CLUSTER. Raises PlanError for h out of range and DomainError
+    for n below MIN_NODES.
     """
-    M1 = optimal_top_cluster(h, n, params)
-    _check_fit(h, M1, params)
+    M1 = _balanced_top(h, n, params)
+    if M1 < MIN_CLUSTER or not M1 < n or not _bottom_fits(h, M1, params):
+        return None
     e = (h - 1.0) / h
     pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e
@@ -174,10 +189,9 @@ class LayerChoice(NamedTuple):
 def _feasible(depths, n: int, params: SchemeParams):
     # (h, M1, value) for each depth in order that fits the node budget
     for h in depths:
-        try:
-            yield (h, *depth_optimum(h, n, params))
-        except InfeasibleError:
-            continue
+        best = depth_optimum(h, n, params)
+        if best is not None:
+            yield (h, *best)
 
 
 def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice:

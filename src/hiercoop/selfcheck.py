@@ -13,8 +13,10 @@ that case's comparisons:
 * phase_balance: at the balanced top size, exchange plus re-exchange slots
   come to (h-1) times the long-range slots.
 * bound_checks: every feasible integer-depth throughput sits under the
-  envelope (one-sided; only excess above the bound counts as error).
-* ratio_two_routes: the quotient of the scheme throughputs vs the ratio formula.
+  envelope (one-sided; only excess above the bound counts as error). A
+  depth that does not fit has no throughput (None) and is no case.
+* ratio_two_routes: the quotient of the scheme throughputs vs the ratio
+  formula, smooth convention, so no depth is searched.
 
 SUITES declares the run order and each tolerance once: 1e-12 for identities
 rational in the inputs, 1e-9 where exp/log round-trips enter, and for
@@ -39,8 +41,8 @@ from .params import N_MAX, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
     layer_throughput,
-    optimal_modified,
     original_throughput,
+    smooth_modified,
     throughput_given_M1,
     upper_bound,
 )
@@ -143,13 +145,12 @@ def bound_checks(params: SchemeParams, seed: int) -> list[float]:
     sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
     for h in range(2, 13):
         for n in sizes:
-            try:
-                value = layer_throughput(h, n, params).value
-            except (InfeasibleError, DomainError):
+            report = layer_throughput(h, n, params)
+            if report is None:
                 continue
             cap = upper_bound(n, params)
-            err = _rel_err(value, cap)
-            errors.append(err if value > cap else 0.0)
+            err = _rel_err(report.value, cap)
+            errors.append(err if report.value > cap else 0.0)
     return errors
 
 
@@ -157,7 +158,7 @@ def ratio_two_routes(params: SchemeParams, seed: int) -> list[float]:
     """Direct division of the scheme throughputs vs the closed-form ratio."""
     errors = []
     for n in (2**k for k in range(10, 45, 2)):
-        direct = optimal_modified(n, params).smooth.value / original_throughput(n, params)
+        direct = smooth_modified(n, params).value / original_throughput(n, params)
         errors.append(_rel_err(ratio_original_closed_form(n, params), direct))
     return errors
 

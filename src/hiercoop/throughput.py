@@ -12,9 +12,11 @@ Two conventions coexist and are reported side by side:
 
 * smooth: depth treated as the real number smooth_depth(n) = sqrt(lg) with
   lg = log_beta1(n/2), giving beta1*R/(c_n*sqrt(lg)) * (n/2)**(1 - 2/sqrt(lg)).
+  smooth_modified computes it alone, with no depth search.
 * integer: depth from layer_choice, throughput from the per-depth closed
   form. Only this one respects the upper bound at every n; the smooth
-  curve may poke above it when sqrt(lg) < 1/c_n.
+  curve may poke above it when sqrt(lg) < 1/c_n. layer_throughput gives
+  None at a depth that does not fit n.
 
 original_throughput is the three-phase counterpart kept for head-to-head
 sweeps; multihop_baseline is the flat nearest-neighbor reference.
@@ -84,13 +86,15 @@ def throughput_given_M1(h: int, M1: float, n: int, params: SchemeParams) -> Thro
     )
 
 
-def layer_throughput(h: int, n: int, params: SchemeParams) -> ThroughputReport:
+def layer_throughput(h: int, n: int, params: SchemeParams) -> ThroughputReport | None:
     """Best throughput at a fixed integer depth: M1 balanced, sizes equal-term.
 
     Closed form R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h);
-    agrees with throughput_given_M1 at the balanced M1 to 1e-9.
+    agrees with throughput_given_M1 at the balanced M1 to 1e-9. None when
+    depth h does not fit n nodes, as for depth_optimum.
     """
-    return _depth_report(h, n, *depth_optimum(h, n, params))
+    best = depth_optimum(h, n, params)
+    return None if best is None else _depth_report(h, n, *best)
 
 
 def _depth_report(
@@ -107,18 +111,16 @@ def _depth_report(
     )
 
 
-def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
-    """Depth-optimized throughput of the two-phase scheme.
+def smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
+    """Smooth-convention throughput of the two-phase scheme.
 
-    The smooth report uses h = sqrt(log_beta1(n/2)) as a real number. The
-    integer report optimizes over feasible integer depths and is None when
-    no depth fits the node budget (tiny n at large beta1).
+    Uses h = sqrt(log_beta1(n/2)) as a real number; no depth is searched.
     """
     root = smooth_depth(n, params)
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
-    smooth = ThroughputReport(
+    return ThroughputReport(
         value=pre * (n / 2.0) ** exponent,
         h_used=root,
         M1_used=None,
@@ -127,6 +129,16 @@ def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
         exponent=exponent,
         c_n=c_n,
     )
+
+
+def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
+    """Depth-optimized throughput of the two-phase scheme.
+
+    The smooth report is smooth_modified's. The integer report optimizes
+    over feasible integer depths and is None when no depth fits the node
+    budget (tiny n at large beta1).
+    """
+    smooth = smooth_modified(n, params)
     try:
         choice = layer_choice(n, params)
     except InfeasibleError:
@@ -139,8 +151,9 @@ def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
 def upper_bound(n: int, params: SchemeParams) -> float:
     """Envelope beta1 * R * (n/2)**(1 - 2/sqrt(lg)) over integer-depth curves.
 
-    Every layer_throughput(h, n, ...) stays at or below this; the smooth
-    convention does not, so never test it against this bound.
+    Every layer_throughput(h, n, ...) that is not None, one per depth that
+    fits n, stays at or below this; the smooth convention does not, so never
+    test it against this bound.
     """
     return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / smooth_depth(n, params))
 

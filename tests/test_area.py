@@ -1,4 +1,6 @@
 """Geometry regime classification and its effect on throughput."""
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from hiercoop import (
     DomainError,
     NetworkConfig,
     Regime,
+    SchemeParams,
     area_from_exponent,
     c0_tradeoff,
     classify,
@@ -108,6 +111,13 @@ class TestThroughputWithArea:
         got = throughput_with_area(cfg, unit_params)
         assert got is not plain
         assert got._replace(value=plain.value, pre_constant=plain.pre_constant, factor=1.0) == plain
+
+    @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
+    def test_smooth_figure_does_not_read_c(self, unit_params, c):
+        # no depth is searched, so a c at or below one is no error here
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        for cfg in (NetworkConfig(n=131072), NetworkConfig(n=200, area=100.0, alpha=4.0)):
+            assert throughput_with_area(cfg, bad) == throughput_with_area(cfg, unit_params)
 
 
 class TestAreaFromExponent:

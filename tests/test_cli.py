@@ -160,6 +160,7 @@ class TestAnalyzeJsonl:
          ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
           "--candidate", "2:1:1", "--candidate", "1:1:1")),
         ("verify_seed0.txt", ("verify",)),
+        ("verify_q24_seed3.txt", ("verify", "--rate-q", "24", "--seed", "3")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):

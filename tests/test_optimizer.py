@@ -247,11 +247,10 @@ class TestLayerChoice:
         n = 131072
         best = layer_throughput(layer_choice(n, unit_params).h_int, n, unit_params).value
         for h in range(2, 9):
-            try:
-                value = layer_throughput(h, n, unit_params).value
-            except InfeasibleError:
+            report = layer_throughput(h, n, unit_params)
+            if report is None:
                 continue
-            assert best >= value
+            assert best >= report.value
 
     def test_exact_depth_sits_below_the_shortcut(self, unit_params):
         # the stationarity root is dragged down by the (1 + R/Q) term
@@ -308,10 +307,10 @@ def _full_scan(n, params, h_max):
     of equal values kept: the search layer_choice must reproduce."""
     best = None
     for h in range(2, h_max + 1):
-        try:
-            M1, value = depth_optimum(h, n, params)
-        except InfeasibleError:
+        fit = depth_optimum(h, n, params)
+        if fit is None:
             continue
+        M1, value = fit
         if best is None or value > best[2]:
             best = (h, M1, value)
     if best is None:
@@ -445,13 +444,7 @@ class TestDepthSearch:
     def test_depths_that_fit_are_a_run_from_two_set_by_the_law(self, n, params):
         # depth h fits n exactly when n >= 8 (1 + Q/R) c**((h-2)(h+1)/2); the
         # law is checked in logs wherever rounding cannot decide it
-        fits = []
-        for h in range(2, MAX_LAYERS + 1):
-            try:
-                depth_optimum(h, n, params)
-            except InfeasibleError:
-                continue
-            fits.append(h)
+        fits = [h for h in range(2, MAX_LAYERS + 1) if depth_optimum(h, n, params) is not None]
         H = len(fits) + 1
         assert fits == list(range(2, H + 1))
         room = math.log(n) - math.log(8.0) - math.log1p(params.Q / params.R)
@@ -461,3 +454,44 @@ class TestDepthSearch:
             need = 0.0 if h == 2 else (h - 2) * (h + 1) / 2.0 * log_c
             if abs(room - need) > 1e-9:
                 assert (h <= H) == (room >= need), h
+
+
+_ONE_PLUS = SchemeParams(
+    R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.nextafter(1.0, 2.0)
+)
+
+
+class TestDepthOptimum:
+    """A depth that does not fit is None, where the raising calls refuse it."""
+
+    @settings(max_examples=300)
+    @given(n=st.integers(4, 2**62), params=search_params())
+    @example(
+        n=2**40,
+        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.inf),
+    )
+    @example(n=2**40, params=_ONE_PLUS)
+    @example(n=4, params=_ONE_PLUS)
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-9))
+    @example(
+        n=2**40,
+        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.nan),
+    )
+    def test_none_exactly_where_the_raising_calls_refuse(self, n, params):
+        # a NaN top size (c = NaN, h >= 3) does not fit, as optimal_top_cluster says
+        for h in range(2, MAX_LAYERS + 1):
+            got = depth_optimum(h, n, params)
+            try:
+                M1 = optimal_top_cluster(h, n, params)
+                optimizer._check_fit(h, M1, params)
+            except InfeasibleError:
+                assert got is None, h
+            else:
+                assert got is not None, h
+                assert got[0].hex() == M1.hex(), h
+
+    def test_undersized_network_still_raises(self, unit_params):
+        # n = 4 is a network whose depths do not fit; n = 3 is no network
+        assert depth_optimum(2, 4, unit_params) is None
+        with pytest.raises(DomainError):
+            depth_optimum(2, 3, unit_params)

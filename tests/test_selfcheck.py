@@ -5,6 +5,7 @@ import pytest
 
 from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck
 from hiercoop.explorer import RATIO_ROUTE_TOL
+from hiercoop.optimizer import _search_depth
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
@@ -87,6 +88,13 @@ class TestFaultInjection:
         for name in SUITE_ORDER[1:]:
             assert by_name[name].passed, f"{name} should not depend on c alone"
 
+    @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
+    def test_constant_at_or_just_below_one_is_judged_not_refused(self, c):
+        # no suite searches depths, so c <= 1 reaches the judge; the slot routes
+        # and the envelope both see the inconsistent c
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        assert [r.passed for r in run_all(bad, seed=0)] == [False, True, True, False, True]
+
     def test_corruption_is_visible_at_low_case_count_too(self):
         bad = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.25
@@ -137,3 +145,27 @@ class TestResultPlumbing:
     def test_worst_is_the_largest_case_error(self, monkeypatch):
         result = _judge(monkeypatch, [1e-12, 5e-10, 3e-11])
         assert result.passed is True and result.worst_rel_err == 5e-10
+
+
+class TestWork:
+    def test_verify_builds_few_infeasible_errors(self, monkeypatch):
+        # a depth that does not fit is None, not an error: the errors left come
+        # from optimal_cluster_sizes and minimal_delay (am_gm_equal_terms,
+        # phase_balance); the depth checks of bound_checks built 222 more
+        built = []
+        init = InfeasibleError.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(InfeasibleError, "__init__", counted)
+        run_all(derive(1.0, 1.0), 0)
+        assert len(built) <= 24
+
+    def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
+        # it reads only the smooth figure, which needs no depth
+        before = _search_depth.cache_info()
+        selfcheck.ratio_two_routes(unit_params, 0)
+        after = _search_depth.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)

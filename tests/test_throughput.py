@@ -22,6 +22,7 @@ from hiercoop import (
     original_throughput,
     per_pair_rate,
     ratio_original,
+    smooth_modified,
     throughput_given_M1,
     upper_bound,
 )
@@ -91,9 +92,8 @@ class TestPerDepthCurve:
     @pytest.mark.parametrize("h", range(2, 9))
     def test_closed_form_matches_the_explicit_phases(self, unit_params, h):
         n = 2**24
-        try:
-            report = layer_throughput(h, n, unit_params)
-        except InfeasibleError:
+        report = layer_throughput(h, n, unit_params)
+        if report is None:
             pytest.skip(f"depth {h} does not fit n=2**24 at unit rates")
         explicit = throughput_given_M1(h, report.M1_used, n, unit_params)
         assert explicit.value == pytest.approx(report.value, rel=1e-9)
@@ -148,6 +148,13 @@ class TestModifiedScheme:
         smooth = optimal_modified(131072, unit_params).smooth.value
         assert smooth == layer_throughput(4, 131072, unit_params).value
 
+    @pytest.mark.parametrize("ratio", [0.25 + 1e-9, 1.0, 24.0])
+    def test_smooth_half_is_smooth_modified(self, ratio):
+        params = derive(1.0, ratio)
+        for i in range(100):
+            n = round(2.0 ** (2.0 + 60.0 * i / 99.0))
+            assert smooth_modified(n, params) == optimal_modified(n, params).smooth
+
     def test_smooth_correction_term(self, unit_params):
         c_n = optimal_modified(131072, unit_params).smooth.c_n
         assert c_n == pytest.approx(2.0**0.75, rel=1e-12)
@@ -183,11 +190,10 @@ class TestUpperBound:
         for h in range(2, 13):
             for i in range(30):
                 n = round(2.0 ** (8.0 + 32.0 * i / 29.0))
-                try:
-                    value = layer_throughput(h, n, unit_params).value
-                except InfeasibleError:
+                report = layer_throughput(h, n, unit_params)
+                if report is None:
                     continue
-                assert value <= upper_bound(n, unit_params) * (1.0 + 1e-12)
+                assert report.value <= upper_bound(n, unit_params) * (1.0 + 1e-12)
                 checked += 1
         assert checked > 100
 
