@@ -30,7 +30,6 @@ from .optimizer import (
     layer_choice,
     minimal_delay,
     optimal_cluster_sizes,
-    optimal_top_cluster,
 )
 from .params import (
     MAX_LAYERS,
@@ -95,7 +94,6 @@ __all__ = [
     "multihop_baseline",
     "optimal_cluster_sizes",
     "optimal_modified",
-    "optimal_top_cluster",
     "original_optimal_layers",
     "original_throughput",
     "per_pair_rate",

@@ -322,10 +322,7 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         # auxiliary margin as missing rather than fail the whole report
         "threshold": regime.threshold if math.isfinite(regime.threshold) else None,
     }
-    try:
-        choice = layer_choice(n, params, h_max=cfg["h-max"])
-    except InfeasibleError:
-        choice = None
+    choice = layer_choice(n, params, h_max=cfg["h-max"])
     smooth = smooth_modified(n, params)
     if choice is None:
         for key in ("h_exact", "h_approx", "h_int", "M1_int", "T1_int", "P1", "P2", "P3"):

@@ -8,7 +8,8 @@ Three nested choices, each with a closed-form answer:
   gives minimal_delay.
 * For fixed depth h and node budget n, the top size that balances the
   cooperative exchange slots against the long-range slots satisfies
-  n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)).
+  n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); depth_optimum
+  gives it with the throughput at that size.
 * The depth itself is the bounded argmax of the per-depth throughput over
   feasible integers, ties broken toward the smaller depth. With
   a = log(c)/2 and A = log(n/2) - log(1 + R/Q) the log of that throughput
@@ -25,9 +26,9 @@ Three nested choices, each with a closed-form answer:
   is the first that fits walking down from floor(h*).
 
 A depth that does not fit is an answer, not an error: depth_optimum returns
-None for it, and the search skips it. The calls that take a fixed size
-(optimal_top_cluster, optimal_cluster_sizes, minimal_delay) raise
-InfeasibleError with the reason instead.
+None for it, and the search skips it. When no depth fits, layer_choice
+returns None. The calls that take a fixed top size (optimal_cluster_sizes,
+minimal_delay) raise InfeasibleError with the reason instead.
 
 Brute-force counterparts of all three (grid search, golden section,
 coordinate descent) live in the test suite and must land on the same
@@ -117,8 +118,17 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
     return DelaySlots(slots=(h - 1) * term, decomposition=(term,) * (h - 1))
 
 
-def _balanced_top(h: int, n: int, params: SchemeParams) -> float:
-    # M1 solving n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)), unchecked
+def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
+    """(M1, throughput) at depth h: the balanced top size and the closed form
+    R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h).
+
+    M1 solves n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); at this
+    size the phase groups stand in the ratio (P1 + P3) : P2 = (h-1) : 1.
+
+    Returns None when the depth does not fit n nodes: M1 < MIN_CLUSTER,
+    M1 >= n, or a bottom layer under MIN_CLUSTER. Raises PlanError for h
+    out of range and DomainError for n below MIN_NODES.
+    """
     check_layer_count(h)
     check_network_size(n)
     try:
@@ -126,41 +136,10 @@ def _balanced_top(h: int, n: int, params: SchemeParams) -> float:
     except OverflowError:
         # a load past float range drives M1 to 0, below MIN_CLUSTER
         load = math.inf
-    return 2.0 * load ** (-(h - 1.0) / h) * float(n) ** ((h - 1.0) / h)
-
-
-def optimal_top_cluster(h: int, n: int, params: SchemeParams) -> float:
-    """Top size that balances exchange slots against long-range slots.
-
-    Solves n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)) for M1. At
-    this size the phase groups stand in the ratio (P1 + P3) : P2 = (h-1) : 1.
-
-    Raises InfeasibleError when the balancing size leaves no room for a
-    cluster (M1 < 2) or exceeds the network (M1 >= n).
-    """
-    M1 = _balanced_top(h, n, params)
-    if M1 < MIN_CLUSTER:
-        raise InfeasibleError(
-            f"balanced top size {M1:.6g} is below {MIN_CLUSTER:g} at h={h}, n={n}"
-        )
-    if not M1 < n:
-        raise InfeasibleError(f"balanced top size {M1:.6g} exceeds n={n} at h={h}")
-    return M1
-
-
-def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
-    """(M1, throughput) at depth h: the balanced top size and the closed form
-    R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h).
-
-    Returns None when the depth does not fit n nodes, that is when
-    optimal_top_cluster would raise or its size would leave a bottom layer
-    under MIN_CLUSTER. Raises PlanError for h out of range and DomainError
-    for n below MIN_NODES.
-    """
-    M1 = _balanced_top(h, n, params)
+    e = (h - 1.0) / h
+    M1 = 2.0 * load ** (-e) * float(n) ** e
     if M1 < MIN_CLUSTER or not M1 < n or not _bottom_fits(h, M1, params):
         return None
-    e = (h - 1.0) / h
     pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e
 
@@ -177,7 +156,8 @@ class LayerChoice(NamedTuple):
     h_int: int
     """Bounded argmax of per-depth throughput over feasible depths in 2..h_max
     (default MAX_LAYERS). Only floor(h*), walking down past depths that do
-    not fit, and floor(h*) + 1 are evaluated."""
+    not fit, and floor(h*) + 1 are evaluated. A LayerChoice always has one:
+    when no depth fits, layer_choice returns None instead."""
 
     M1: float
     """Balanced top cluster size at h_int."""
@@ -194,8 +174,8 @@ def _feasible(depths, n: int, params: SchemeParams):
             yield (h, *best)
 
 
-def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice:
-    """Pick the number of layers for n nodes.
+def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice | None:
+    """Pick the number of layers for n nodes, or None when no depth fits.
 
     h_int is the best feasible integer depth in 2..h_max (default
     MAX_LAYERS), ties broken toward fewer layers. Per-depth throughput rises
@@ -212,12 +192,11 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     they do across the depth-optimized figures of one sweep row; params
     compare by every field. The reused LayerChoice is the same object each
     time, and it is an immutable tuple. A search that finds no feasible
-    depth is reused too, and each call raises a new InfeasibleError for it.
+    depth is reused too: each call returns None and builds nothing.
 
     Raises:
         DomainError: n < MIN_NODES, Q/R <= 1/4 (direct construction only), or c <= 1.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
-        InfeasibleError: no depth in range fits.
     """
     h_approx = smooth_depth(n, params)
     if h_max is not None and not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
@@ -226,10 +205,7 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
     if h_max is None:
         h_max = MAX_LAYERS
-    choice = _search_depth(n, params, h_max, h_approx)
-    if choice is None:
-        raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
-    return choice
+    return _search_depth(n, params, h_max, h_approx)
 
 
 @functools.lru_cache(maxsize=1, typed=True)

@@ -11,7 +11,8 @@ that case's comparisons:
 * am_gm_equal_terms: at the optimizer's layer sizes all bracket terms are
   equal and minimal_delay matches their sum.
 * phase_balance: at the balanced top size, exchange plus re-exchange slots
-  come to (h-1) times the long-range slots.
+  come to (h-1) times the long-range slots. A depth that does not fit
+  (depth_optimum gives None) is no case.
 * bound_checks: every feasible integer-depth throughput sits under the
   envelope (one-sided; only excess above the bound counts as error). A
   depth that does not fit has no throughput (None) and is no case.
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
-from .optimizer import minimal_delay, optimal_cluster_sizes, optimal_top_cluster
+from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
 from .params import N_MAX, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
@@ -129,12 +130,10 @@ def phase_balance(params: SchemeParams, seed: int) -> list[float]:
     sizes = _sizes("phase_balance", params, range(12, 31, 2))
     for h in range(2, 7):
         for n in sizes:
-            try:
-                M1 = optimal_top_cluster(h, n, params)
-                report = throughput_given_M1(h, M1, n, params)
-            except InfeasibleError:
+            best = depth_optimum(h, n, params)
+            if best is None:
                 continue
-            p1, p2, p3 = report.phase_slots
+            p1, p2, p3 = throughput_given_M1(h, best[0], n, params).phase_slots
             errors.append(_rel_err(p1 + p3, (h - 1) * p2))
     return errors
 

@@ -134,17 +134,13 @@ def smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     """Depth-optimized throughput of the two-phase scheme.
 
-    The smooth report is smooth_modified's. The integer report optimizes
-    over feasible integer depths and is None when no depth fits the node
-    budget (tiny n at large beta1).
+    The smooth report is smooth_modified's. The integer report is
+    layer_choice's depth and is None where layer_choice is, when no depth
+    fits the node budget (tiny n at large beta1).
     """
     smooth = smooth_modified(n, params)
-    try:
-        choice = layer_choice(n, params)
-    except InfeasibleError:
-        integer = None
-    else:
-        integer = _depth_report(choice.h_int, n, choice.M1, choice.value)
+    choice = layer_choice(n, params)
+    integer = None if choice is None else _depth_report(choice.h_int, n, choice.M1, choice.value)
     return ModifiedThroughput(smooth=smooth, integer=integer)
 
 

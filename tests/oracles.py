@@ -110,29 +110,41 @@ def coordinate_descent_min(f, start, brackets, sweeps=40, iters=120):
     return x, f(x)
 
 
+def balanced_top_by_formula(h, n, R, Q, c):
+    """Balanced top size at depth h, or None when depth h does not fit n.
+
+    The top size balancing exchange against long-range slots solves
+    n = 8*(1 + Q/R)*c**((h-2)/2)*(M1/2)**(h/(h-1)). The depth fits when
+    2 <= M1 < n and the equal-term bottom layer
+    2*c**(-(h-2)/2)*(M1/2)**(1/(h-1)) holds at least 2 nodes. The float
+    expressions follow the model's formulas term for term, so depths at a
+    feasibility edge round alike.
+    """
+    e = (h - 1.0) / h
+    try:
+        load = 8.0 * (1.0 + Q / R) * c ** ((h - 2) / 2.0)
+    except OverflowError:
+        return None  # a load past float range leaves no room for a cluster
+    M1 = 2.0 * load ** (-e) * float(n) ** e
+    if not 2.0 <= M1 < n:
+        return None
+    if h > 2 and 2.0 * c ** (-(h - 2) / 2.0) * (M1 / 2.0) ** (1.0 / (h - 1.0)) < 2.0:
+        return None
+    return M1
+
+
 def best_depth_by_scan(n, R, Q, c, h_max):
     """Best integer depth in 2..h_max by trying every one; None if none fits.
 
-    At each depth the top size balancing exchange against long-range slots
-    solves n = 8*(1 + Q/R)*c**((h-2)/2)*(M1/2)**(h/(h-1)). The depth fits
-    when 2 <= M1 < n and the equal-term bottom layer
-    2*c**(-(h-2)/2)*(M1/2)**(1/(h-1)) holds at least 2 nodes. Its value is
-    R/(h*(1 + R/Q)**((h-1)/h)*c**((h-1)/2)) * (n/2)**((h-1)/h), and the
-    first of equal values wins. The float expressions follow the model's
-    formulas term for term, so depths at a feasibility edge round alike.
+    A depth fits when balanced_top_by_formula gives it a top size. Its value
+    is R/(h*(1 + R/Q)**((h-1)/h)*c**((h-1)/2)) * (n/2)**((h-1)/h), and the
+    first of equal values wins.
     """
     best_h, best_value = None, -math.inf
     for h in range(2, h_max + 1):
+        if balanced_top_by_formula(h, n, R, Q, c) is None:
+            continue
         e = (h - 1.0) / h
-        try:
-            load = 8.0 * (1.0 + Q / R) * c ** ((h - 2) / 2.0)
-        except OverflowError:
-            continue  # a load past float range leaves no room for a cluster
-        M1 = 2.0 * load ** (-e) * float(n) ** e
-        if not 2.0 <= M1 < n:
-            continue
-        if h > 2 and 2.0 * c ** (-(h - 2) / 2.0) * (M1 / 2.0) ** (1.0 / (h - 1.0)) < 2.0:
-            continue
         value = R / (h * (1.0 + R / Q) ** e * c ** ((h - 1) / 2.0)) * (n / 2.0) ** e
         if value > best_value:
             best_h, best_value = h, value

@@ -18,12 +18,12 @@ from hiercoop import (
     classify,
     delay_closed_form,
     delay_recursive,
+    depth_optimum,
     derive,
     layer_choice,
     layer_throughput,
     minimal_delay,
     optimal_cluster_sizes,
-    optimal_top_cluster,
     original_optimal_layers,
     per_pair_rate,
     ratio_log_adjusted,
@@ -120,7 +120,7 @@ def test_criterion_4_phase_balance_identity():
     for h in range(2, 7):
         for k in range(12, 31, 2):
             n = 2**k
-            M1 = optimal_top_cluster(h, n, params_a)
+            M1 = depth_optimum(h, n, params_a)[0]
             p1, p2, p3 = throughput_given_M1(h, M1, n, params_a).phase_slots
             worst = max(worst, abs((p1 + p3) - (h - 1) * p2) / ((h - 1) * p2))
     assert worst <= 1e-9
@@ -131,12 +131,11 @@ def test_criterion_4_phase_balance_identity():
     for h in range(2, 7):
         for k in range(12, 31, 2):
             n = 2**k
-            try:
-                M1 = optimal_top_cluster(h, n, params_b)
-                p1, p2, p3 = throughput_given_M1(h, M1, n, params_b).phase_slots
-            except InfeasibleError:
+            best = depth_optimum(h, n, params_b)
+            if best is None:
                 skipped += 1
                 continue
+            p1, p2, p3 = throughput_given_M1(h, best[0], n, params_b).phase_slots
             worst = max(worst, abs((p1 + p3) - (h - 1) * p2) / ((h - 1) * p2))
             checked += 1
     assert checked >= 30
@@ -165,7 +164,7 @@ def test_criterion_5_integer_depth_argmax(unit_params):
                 return 0.0
 
         arg, val = golden_max(gain, 2.0, 5000.0)
-        balanced = optimal_top_cluster(h, 131072, unit_params)
+        balanced = depth_optimum(h, 131072, unit_params)[0]
         assert abs(arg - balanced) <= 0.01 * balanced
         assert abs(val - pinned) <= 1e-3 * pinned
     _verdict(5, "h_int=3 beats rounded h_approx=4 at n=131072",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiercoop import (
     DomainError,
+    InfeasibleError,
     NetworkConfig,
     compare_schemes,
     derive,
@@ -188,6 +189,22 @@ class TestCompareSchemes:
         assert row.error is None
         assert "T1_int" not in row.extras
         assert row.extras["T1_smooth"] > 0.0
+
+    def test_rows_without_a_fitting_depth_build_no_error(self, monkeypatch):
+        # at Q/R = 24 the low rows of a log grid fit no depth; that is a value
+        built = []
+        init = InfeasibleError.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(InfeasibleError, "__init__", counted)
+        grid = sorted({round(4 * 2.0 ** (60 * i / 199)) for i in range(200)})
+        rows = compare_schemes(grid, NetworkConfig(n=4), derive(1.0, 24.0), c_mh=1.0)
+        assert all(r.error is None for r in rows)
+        assert "T1_int" not in rows[0].extras and "T1_int" in rows[-1].extras
+        assert built == []
 
     def test_grid_must_increase_strictly(self, unit_params):
         with pytest.raises(DomainError):

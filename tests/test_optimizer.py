@@ -17,14 +17,20 @@ from hiercoop import (
     layer_throughput,
     minimal_delay,
     optimal_cluster_sizes,
-    optimal_top_cluster,
+    optimal_modified,
     throughput_given_M1,
     validate_plan,
 )
 from hiercoop import optimizer
 from hiercoop.optimizer import _search_depth
 from hiercoop.params import check_layer_count
-from oracles import best_depth_by_scan, coordinate_descent_min, golden_max, grid_min
+from oracles import (
+    balanced_top_by_formula,
+    best_depth_by_scan,
+    coordinate_descent_min,
+    golden_max,
+    grid_min,
+)
 from strategies import rate_params
 
 
@@ -71,7 +77,6 @@ class TestClusterSizes:
         calls = (
             lambda: optimal_cluster_sizes(h, 8.0, unit_params),
             lambda: minimal_delay(h, 8.0, unit_params),
-            lambda: optimal_top_cluster(h, 1024, unit_params),
             lambda: depth_optimum(h, 1024, unit_params),
         )
         for call in calls:
@@ -170,13 +175,13 @@ class TestMinimalDelay:
 
 class TestBalancedTopSize:
     def test_two_layer_reference_point(self, unit_params):
-        assert optimal_top_cluster(2, 131072, unit_params) == pytest.approx(
+        assert depth_optimum(2, 131072, unit_params)[0] == pytest.approx(
             181.01933598375618, rel=1e-12
         )
 
     def test_three_layer_reference_point(self, unit_params):
         # analytically 512; floating point lands within an ulp
-        assert optimal_top_cluster(3, 131072, unit_params) == pytest.approx(
+        assert depth_optimum(3, 131072, unit_params)[0] == pytest.approx(
             512.0, rel=1e-12
         )
 
@@ -184,7 +189,7 @@ class TestBalancedTopSize:
     @pytest.mark.parametrize("k", [14, 20, 26])
     def test_balancing_identity_reconstructs_n(self, unit_params, h, k):
         n = 2**k
-        M1 = optimal_top_cluster(h, n, unit_params)
+        M1 = depth_optimum(h, n, unit_params)[0]
         qr = unit_params.Q / unit_params.R
         recon = (
             8.0
@@ -205,32 +210,29 @@ class TestBalancedTopSize:
                     return 0.0
 
             arg, val = golden_max(gain, 2.0, 5000.0)
-            M1 = optimal_top_cluster(h, n, unit_params)
+            M1 = depth_optimum(h, n, unit_params)[0]
             assert arg == pytest.approx(M1, rel=0.01)
             assert val == pytest.approx(gain(M1), rel=1e-3)
 
     def test_balanced_size_below_a_cluster_is_infeasible(self, unit_params):
         # at n = 4 the balancing equation yields M1 = 1
-        with pytest.raises(InfeasibleError):
-            optimal_top_cluster(2, 4, unit_params)
+        assert depth_optimum(2, 4, unit_params) is None
 
     def test_balanced_size_cannot_swallow_the_network(self):
         # an injected tiny c drives the balanced size past n; the guard fires
         corrupted = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=1e-4
         )
-        with pytest.raises(InfeasibleError, match="exceeds"):
-            optimal_top_cluster(3, 4, corrupted)
+        assert depth_optimum(3, 4, corrupted) is None
 
     def test_load_past_float_range_is_infeasible_not_an_overflow(self):
         # c**((h-2)/2) overflows; the balanced size it implies is below a cluster
         huge = derive(1.0, 1e100)
-        with pytest.raises(InfeasibleError, match="below"):
-            optimal_top_cluster(12, 2**40, huge)
+        assert depth_optimum(12, 2**40, huge) is None
 
     def test_network_too_small(self, unit_params):
         with pytest.raises(DomainError):
-            optimal_top_cluster(2, 3, unit_params)
+            depth_optimum(2, 3, unit_params)
 
 
 class TestLayerChoice:
@@ -258,10 +260,11 @@ class TestLayerChoice:
             choice = layer_choice(2**k, unit_params)
             assert choice.h_exact < choice.h_approx
 
-    def test_no_feasible_depth_raises(self):
+    def test_no_feasible_depth_is_none(self):
         p = derive(1.0, 100.0)  # huge Q/R forces giant clusters
-        with pytest.raises(InfeasibleError):
-            layer_choice(4, p)
+        assert layer_choice(4, p) is None
+        assert layer_choice(4, p) is None  # served from the memo
+        assert optimal_modified(4, p).integer is None
 
     def test_depth_cap_is_respected(self, unit_params):
         assert layer_choice(2**40, unit_params, h_max=2).h_int == 2
@@ -313,16 +316,7 @@ def _full_scan(n, params, h_max):
         M1, value = fit
         if best is None or value > best[2]:
             best = (h, M1, value)
-    if best is None:
-        raise InfeasibleError(f"no depth in 2..{h_max} fits n={n}")
     return best
-
-
-def _outcome(f):
-    try:
-        return f()
-    except ValueError as exc:
-        return type(exc)
 
 
 @st.composite
@@ -346,7 +340,7 @@ def search_params(draw):
 
 class TestDepthSearch:
     """layer_choice evaluates only the depths next to the stationary point;
-    it must land where trying every depth lands, error type included."""
+    it must land where trying every depth lands, None included."""
 
     @settings(max_examples=400)
     @given(
@@ -367,11 +361,11 @@ class TestDepthSearch:
     @example(n=2**60, params=derive(1e300, 1e300), h_max=None)
     def test_search_matches_the_full_scan(self, n, params, h_max):
         cap = _depth_cap(n, params, h_max)
-        want = _outcome(lambda: _full_scan(n, params, cap))
-        got = _outcome(lambda: layer_choice(n, params, h_max=h_max))
+        want = _full_scan(n, params, cap)
+        got = layer_choice(n, params, h_max=h_max)
         oracle = best_depth_by_scan(n, params.R, params.Q, params.c, cap)
-        if isinstance(want, type):
-            assert got is want
+        if want is None:
+            assert got is None
             assert oracle is None
             return
         assert (got.h_int, got.M1, got.value) == want
@@ -385,11 +379,11 @@ class TestDepthSearch:
     )
     def test_repeated_call_matches_the_first_and_the_full_scan(self, n, params, h_max):
         # the second call is served from the last-arguments memo
-        first = _outcome(lambda: layer_choice(n, params, h_max=h_max))
-        again = _outcome(lambda: layer_choice(n, params, h_max=h_max))
-        want = _outcome(lambda: _full_scan(n, params, _depth_cap(n, params, h_max)))
-        if isinstance(want, type):
-            assert first is want and again is want
+        first = layer_choice(n, params, h_max=h_max)
+        again = layer_choice(n, params, h_max=h_max)
+        want = _full_scan(n, params, _depth_cap(n, params, h_max))
+        if want is None:
+            assert first is None and again is None
             return
         assert again == first
         assert (again.h_int, again.M1, again.value) == want
@@ -462,7 +456,7 @@ _ONE_PLUS = SchemeParams(
 
 
 class TestDepthOptimum:
-    """A depth that does not fit is None, where the raising calls refuse it."""
+    """A depth that does not fit is None, where the model's fit rule fails."""
 
     @settings(max_examples=300)
     @given(n=st.integers(4, 2**62), params=search_params())
@@ -477,14 +471,12 @@ class TestDepthOptimum:
         n=2**40,
         params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.nan),
     )
-    def test_none_exactly_where_the_raising_calls_refuse(self, n, params):
-        # a NaN top size (c = NaN, h >= 3) does not fit, as optimal_top_cluster says
+    def test_none_exactly_where_the_formula_does_not_fit(self, n, params):
+        # a NaN top size (c = NaN, h >= 3) does not fit, as the oracle says
         for h in range(2, MAX_LAYERS + 1):
             got = depth_optimum(h, n, params)
-            try:
-                M1 = optimal_top_cluster(h, n, params)
-                optimizer._check_fit(h, M1, params)
-            except InfeasibleError:
+            M1 = balanced_top_by_formula(h, n, params.R, params.Q, params.c)
+            if M1 is None:
                 assert got is None, h
             else:
                 assert got is not None, h

@@ -16,7 +16,7 @@ from hiercoop import (
     derive,
     validate_plan,
 )
-from hiercoop.optimizer import optimal_top_cluster
+from hiercoop.optimizer import depth_optimum
 from hiercoop.params import MIN_CLUSTER, MIN_NODES, check_layer_count, smooth_depth
 from hiercoop.throughput import original_optimal_layers, throughput_given_M1
 
@@ -108,7 +108,7 @@ class TestLogBeta1:
         "call",
         [
             lambda n, p: smooth_depth(n, p),
-            lambda n, p: optimal_top_cluster(2, n, p),
+            lambda n, p: depth_optimum(2, n, p),
             lambda n, p: throughput_given_M1(2, 2.0, n, p),
             lambda n, p: original_optimal_layers(n, p.beta),
         ],

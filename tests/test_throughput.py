@@ -10,6 +10,7 @@ from hiercoop import (
     PlanError,
     delay_closed_form,
     delay_recursive,
+    depth_optimum,
     derive,
     layer_choice,
     layer_throughput,
@@ -17,7 +18,6 @@ from hiercoop import (
     multihop_baseline,
     optimal_cluster_sizes,
     optimal_modified,
-    optimal_top_cluster,
     original_optimal_layers,
     original_throughput,
     per_pair_rate,
@@ -101,7 +101,7 @@ class TestPerDepthCurve:
     def test_balanced_top_size_is_reported(self, unit_params):
         report = layer_throughput(3, 131072, unit_params)
         assert report.M1_used == pytest.approx(
-            optimal_top_cluster(3, 131072, unit_params), rel=1e-15
+            depth_optimum(3, 131072, unit_params)[0], rel=1e-15
         )
         assert report.phase_slots is None
 
