@@ -109,10 +109,9 @@ def c0_tradeoff(
     outcomes: list[CandidateOutcome] = []
     for c0, R, Q in candidates:
         try:
-            if not c0 > 0:
-                raise DomainError(f"area constant must be positive, got {c0}")
-            params = derive(R, Q)
+            # NetworkConfig checks c0 before derive checks the rates
             geo = NetworkConfig(n=cfg.n, area=cfg.area, alpha=cfg.alpha, c0=c0)
+            params = derive(R, Q)
             report = throughput_with_area(geo, params)
             if not math.isfinite(report.value):
                 raise DomainError("throughput is not finite")

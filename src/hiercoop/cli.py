@@ -344,7 +344,7 @@ def _cmd_analyze(cfg: dict[str, object]) -> int:
         T1_area=smooth.value * regime.factor,
         # per_pair_rate's quotient, from the report already at hand
         per_pair=smooth.value / n,
-        h_orig=original_optimal_layers(n, params.beta),
+        h_orig=original_optimal_layers(n, params),
         T_orig=original_throughput(n, params),
         ratio=ratio_original(n, params),
     )

@@ -51,7 +51,7 @@ def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
     log_b_b1 = params.log_beta1 / math.log(params.beta)
     front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
-    h_orig = original_optimal_layers(n, params.beta)
+    h_orig = original_optimal_layers(n, params)
     return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
 
 

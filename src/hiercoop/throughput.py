@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
-from .optimizer import depth_optimum, layer_choice, minimal_delay
+from .optimizer import LayerChoice, depth_optimum, layer_choice, minimal_delay
 from .params import SchemeParams, check_network_size, smooth_depth
 from .recurrence import TIME_SHARING_FACTOR
 
@@ -64,7 +64,9 @@ class ModifiedThroughput(NamedTuple):
     """Smooth and integer-depth readings of the two-phase scheme."""
 
     smooth: ThroughputReport
-    integer: ThroughputReport | None
+    integer: LayerChoice | None
+    """The depth choice itself (h_exact, h_approx, h_int, M1, value); its
+    per-depth report is layer_throughput(h_int, n, params)."""
 
 
 def throughput_given_M1(h: int, M1: float, n: int, params: SchemeParams) -> ThroughputReport:
@@ -134,14 +136,10 @@ def smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     """Depth-optimized throughput of the two-phase scheme.
 
-    The smooth report is smooth_modified's. The integer report is
-    layer_choice's depth and is None where layer_choice is, when no depth
-    fits the node budget (tiny n at large beta1).
+    The smooth report is smooth_modified's. The integer half is the very
+    LayerChoice that layer_choice(n, params) returns, None when no depth fits.
     """
-    smooth = smooth_modified(n, params)
-    choice = layer_choice(n, params)
-    integer = None if choice is None else _depth_report(choice.h_int, n, choice.M1, choice.value)
-    return ModifiedThroughput(smooth=smooth, integer=integer)
+    return ModifiedThroughput(smooth=smooth_modified(n, params), integer=layer_choice(n, params))
 
 
 def upper_bound(n: int, params: SchemeParams) -> float:
@@ -154,12 +152,13 @@ def upper_bound(n: int, params: SchemeParams) -> float:
     return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / smooth_depth(n, params))
 
 
-def original_optimal_layers(n: int, beta: float) -> float:
+def original_optimal_layers(n: int, params: SchemeParams) -> float:
     """Real-valued optimal depth sqrt(log_beta(n/2)) of the three-phase scheme."""
-    if beta <= 1.0:
-        raise DomainError(f"depth base must exceed 1, got {beta}")
+    # derive() gives beta > 2, but directly built params may carry any beta
+    if params.beta <= 1.0:
+        raise DomainError(f"depth base must exceed 1, got {params.beta}")
     check_network_size(n)
-    return math.sqrt(math.log(n / 2.0) / math.log(beta))
+    return math.sqrt(math.log(n / 2.0) / math.log(params.beta))
 
 
 def original_throughput(n: int, params: SchemeParams) -> float:
@@ -169,7 +168,7 @@ def original_throughput(n: int, params: SchemeParams) -> float:
     beta = 2*sqrt(1 + Q/R); the extra delivery phase is what moves beta1 to
     beta and drops the c_n correction.
     """
-    h = original_optimal_layers(n, params.beta)
+    h = original_optimal_layers(n, params)
     return params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
 
 

@@ -45,9 +45,10 @@ def _verdict(num, label, detail=""):
 
 
 def test_criterion_1_textbook_depth_example():
-    original_optimal_layers(20000, 10.0)  # warm the code path before timing
+    p = derive(1.0, 24.0)  # beta = 10 exactly
+    original_optimal_layers(20000, p)  # warm the code path before timing
     t0 = time.perf_counter()
-    got = original_optimal_layers(20000, 10.0)
+    got = original_optimal_layers(20000, p)
     elapsed = time.perf_counter() - t0
     assert abs(got - 2.0) <= 1e-12
     assert elapsed < 1e-3

@@ -161,6 +161,10 @@ class TestAnalyzeJsonl:
           "--candidate", "2:1:1", "--candidate", "1:1:1")),
         ("verify_seed0.txt", ("verify",)),
         ("verify_q24_seed3.txt", ("verify", "--rate-q", "24", "--seed", "3")),
+        # its three lowest rows fit no depth: "T1_int": null
+        ("sweep_q24.jsonl",
+         ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
+          "--rate-q", "24", "--format", "jsonl")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):

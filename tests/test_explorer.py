@@ -22,6 +22,7 @@ from hiercoop import (
     ratio_original,
     ratio_original_closed_form,
 )
+from hiercoop import throughput
 from hiercoop.optimizer import _search_depth
 from strategies import rate_params
 
@@ -206,6 +207,22 @@ class TestCompareSchemes:
         assert "T1_int" not in rows[0].extras and "T1_int" in rows[-1].extras
         assert built == []
 
+    def test_rows_build_no_depth_report(self, monkeypatch):
+        # T1_int is read off the LayerChoice; no per-depth report is rebuilt
+        calls = []
+        report = throughput._depth_report
+
+        def counted(*args):
+            calls.append(args)
+            return report(*args)
+
+        monkeypatch.setattr(throughput, "_depth_report", counted)
+        grid = sorted({round(4 * 2.0 ** (60 * i / 199)) for i in range(200)})
+        rows = compare_schemes(grid, NetworkConfig(n=4), derive(1.0, 24.0), c_mh=1.0)
+        assert all(r.error is None for r in rows)
+        assert "T1_int" in rows[-1].extras
+        assert calls == []
+
     def test_grid_must_increase_strictly(self, unit_params):
         with pytest.raises(DomainError):
             compare_schemes([1024, 1024], UNIT_CFG, unit_params, c_mh=1.0)
@@ -246,7 +263,7 @@ class TestCompareSchemes:
         # flat relaying, so only the constant separates them
         p = derive(1.0, 24.0)
         cfg = NetworkConfig(n=20000, area=1.0, alpha=3.0, c0=1.0)
-        assert original_optimal_layers(20000, p.beta) == 2.0
+        assert original_optimal_layers(20000, p) == 2.0
         assert layer_throughput(2, 20000, p).exponent == 0.5
         row = compare_schemes([20000], cfg, p, c_mh=0.01)[0]
         assert row.extras["T1_int"] == 5.0

@@ -110,7 +110,7 @@ class TestLogBeta1:
             lambda n, p: smooth_depth(n, p),
             lambda n, p: depth_optimum(2, n, p),
             lambda n, p: throughput_given_M1(2, 2.0, n, p),
-            lambda n, p: original_optimal_layers(n, p.beta),
+            lambda n, p: original_optimal_layers(n, p),
         ],
     )
     def test_every_size_guard_shares_one_floor_and_message(self, unit_params, call):

@@ -8,6 +8,7 @@ from hiercoop import (
     DomainError,
     InfeasibleError,
     PlanError,
+    SchemeParams,
     delay_closed_form,
     delay_recursive,
     depth_optimum,
@@ -135,7 +136,7 @@ class TestModifiedScheme:
         both = optimal_modified(131072, unit_params)
         assert both.integer is not None
         assert both.integer.value == pytest.approx(256.0 / 3.0, rel=1e-12)
-        assert both.integer.h_used == 3.0
+        assert both.integer.h_int == 3
         assert both.smooth.value == pytest.approx(76.10925536017415, rel=1e-12)
         assert both.smooth.h_used == 4.0  # sqrt(log_2 65536) exactly
         assert both.smooth.M1_used is None
@@ -164,9 +165,17 @@ class TestModifiedScheme:
         assert values[0] < values[1] < values[2] < 2.0
 
     def test_integer_report_is_absent_when_no_depth_fits(self):
-        p = derive(1.0, 100.0)
-        both = optimal_modified(4, p)
-        assert both.integer is None
+        for n, ratio in ((4, 100.0), (100, 24.0)):
+            p = derive(1.0, ratio)
+            assert layer_choice(n, p) is None
+            assert optimal_modified(n, p).integer is None
+
+    def test_integer_half_is_the_layer_choice(self, unit_params):
+        choice = optimal_modified(131072, unit_params).integer
+        assert choice is layer_choice(131072, unit_params)
+        # its per-depth report is one call away
+        report = layer_throughput(choice.h_int, 131072, unit_params)
+        assert (report.value, report.M1_used) == (choice.value, choice.M1)
 
     def test_smooth_exponent_approaches_one_from_below(self, unit_params):
         exps = [optimal_modified(2**k, unit_params).smooth.exponent for k in (10, 20, 40)]
@@ -214,22 +223,23 @@ class TestUpperBound:
 
 class TestOriginalScheme:
     def test_depth_at_the_textbook_point(self):
-        assert original_optimal_layers(20000, 10.0) == 2.0
+        assert original_optimal_layers(20000, derive(1.0, 24.0)) == 2.0
 
     def test_depth_at_the_unit_log_point(self):
-        assert original_optimal_layers(20, 10.0) == 1.0
+        assert original_optimal_layers(20, derive(1.0, 24.0)) == 1.0
 
     def test_depth_at_the_reference_size(self, unit_params):
-        got = original_optimal_layers(131072, unit_params.beta)
+        got = original_optimal_layers(131072, unit_params)
         assert got == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
     def test_depth_guards(self):
+        # only directly built params can carry a depth base of 1 or below
+        for beta in (1.0, 0.5):
+            corrupt = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=beta, c=4.0)
+            with pytest.raises(DomainError, match="depth base must exceed 1"):
+                original_optimal_layers(1024, corrupt)
         with pytest.raises(DomainError):
-            original_optimal_layers(1024, 1.0)
-        with pytest.raises(DomainError):
-            original_optimal_layers(1024, 0.5)
-        with pytest.raises(DomainError):
-            original_optimal_layers(3, 2.0)
+            original_optimal_layers(3, derive(1.0, 1.0))
 
     def test_throughput_at_the_reference_size(self, unit_params):
         got = original_throughput(131072, unit_params)
@@ -238,7 +248,7 @@ class TestOriginalScheme:
     def test_throughput_collapses_when_the_exponent_hits_zero(self, unit_params):
         # log_beta(n/2) = 4 puts the depth at 2 and the size exponent at 0
         n = 128  # n/2 = 64 = (2*sqrt(2))**4
-        assert original_optimal_layers(n, unit_params.beta) == pytest.approx(
+        assert original_optimal_layers(n, unit_params) == pytest.approx(
             2.0, rel=1e-15
         )
         assert original_throughput(n, unit_params) == pytest.approx(
@@ -248,7 +258,7 @@ class TestOriginalScheme:
     def test_exact_zero_exponent_point(self):
         p = derive(1.0, 24.0)  # beta = 10
         assert p.beta == 10.0
-        assert original_optimal_layers(20000, p.beta) == 2.0
+        assert original_optimal_layers(20000, p) == 2.0
         assert original_throughput(20000, p) == 5.0
 
 
