@@ -191,7 +191,8 @@ _OPTIONS: dict[str, _Option] = {
                       "output format: text, csv or jsonl, as the subcommand offers"),
     "seed": _Option("options", _parse_int, (_V,), "seed for the verify suites", 0),
     "candidates": _Option("tradeoff", _parse_candidates, (_T,),
-                          "candidate triple C0:R:Q; repeat for several", flag="candidate"),
+                          "candidate triple C0:R:Q; repeat for several; a value that "
+                          "starts with '-' needs --candidate=C0:R:Q", flag="candidate"),
 }
 
 

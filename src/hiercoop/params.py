@@ -195,20 +195,28 @@ def validate_plan(sizes: tuple[float, ...]) -> tuple[float, ...]:
     sizes holds (M1, ..., M_{h-1}) top-down for an h-layer hierarchy:
     sizes[0] is the top-layer cluster size, each further entry the size one
     layer below. Sizes are real-valued; the fluid relaxation is the primary
-    model. Raises PlanError naming the first violated invariant.
+    model. Raises PlanError naming the first violated invariant: the layer
+    count, then the first size below MIN_CLUSTER or not finite, then the
+    first index where the sizes stop strictly decreasing.
     """
-    sizes = tuple(float(m) for m in sizes)
+    sizes = tuple(map(float, sizes))
     check_layer_count(len(sizes) + 1)
+    above = math.inf
+    for m in sizes:
+        # one pass accepts a valid plan; NaN and inf fail it
+        if not MIN_CLUSTER <= m < above:
+            break
+        above = m
+    else:
+        return sizes
     for i, m in enumerate(sizes):
         if not (math.isfinite(m) and m >= MIN_CLUSTER):
             raise PlanError(
                 "sizes", f"cluster size at index {i} must be >= {MIN_CLUSTER:g}, got {m}"
             )
-    for i in range(len(sizes) - 1):
-        if not sizes[i] > sizes[i + 1]:
-            raise PlanError(
-                "sizes",
-                f"sizes must strictly decrease, violated at index {i}: "
-                f"{sizes[i]:g} <= {sizes[i + 1]:g}",
-            )
-    return sizes
+    i = next(i for i in range(len(sizes) - 1) if not sizes[i] > sizes[i + 1])
+    raise PlanError(
+        "sizes",
+        f"sizes must strictly decrease, violated at index {i}: "
+        f"{sizes[i]:g} <= {sizes[i + 1]:g}",
+    )

@@ -47,15 +47,16 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     accumulated on the way down.
     """
     sizes = validate_plan(sizes)
-    R, Q = params.R, params.Q
+    R, inflation = params.R, params.Q / params.R
     # block load in bits at the current layer: one bit at the top
     load = 1.0
     # TIME_SHARING_FACTOR**i, an exact int
     scale = 1
     decomposition = []
     for top, below in zip(sizes, sizes[1:]):
-        decomposition.append(scale * ((top / below) * 2.0 * top * (load / R)))
-        load = load * (Q / R) * (top / below)
+        step = top / below
+        decomposition.append(scale * (step * 2.0 * top * (load / R)))
+        load = load * inflation * step
         scale *= TIME_SHARING_FACTOR
     M = sizes[-1]
     decomposition.append(scale * ((load / R) * (M * M)))

@@ -96,11 +96,10 @@ def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
         sizes.reverse()
         walked = delay_recursive(sizes, params)
         bracket = delay_closed_form(sizes, params)
-        worst = _rel_err(walked.slots, bracket.slots)
-        for a, b in zip(walked.decomposition, bracket.decomposition):
-            err = _rel_err(a, b)
-            worst = err if err > worst else worst
-        errors.append(worst)
+        errors.append(max(
+            _rel_err(walked.slots, bracket.slots),
+            *map(_rel_err, walked.decomposition, bracket.decomposition),
+        ))
     return errors
 
 
@@ -139,15 +138,19 @@ def phase_balance(params: SchemeParams, seed: int) -> list[float]:
 
 
 def bound_checks(params: SchemeParams, seed: int) -> list[float]:
-    """Integer-depth throughput never exceeds the envelope (one-sided)."""
+    """Integer-depth throughput never exceeds the envelope (one-sided).
+
+    The envelope is evaluated once per size. Every case's error goes through
+    _rel_err, so an infinite value overflows even under the bound.
+    """
     errors = []
     sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
+    caps = [upper_bound(n, params) for n in sizes]
     for h in range(2, 13):
-        for n in sizes:
+        for n, cap in zip(sizes, caps):
             report = layer_throughput(h, n, params)
             if report is None:
                 continue
-            cap = upper_bound(n, params)
             err = _rel_err(report.value, cap)
             errors.append(err if report.value > cap else 0.0)
     return errors

@@ -60,6 +60,23 @@ def delay_by_recursion(sizes, L, R, Q):
     return sum(decomposition), decomposition
 
 
+def bracket_by_formula(sizes, R, c):
+    """(slots, terms) of the closed-form bracket, one term per layer.
+
+    slots = (2*M1/R) * (M1/M2 + c*M2/M3 + ... + c**(h-2) * M_{h-1}/2): layer i
+    (from 0) contributes lead * c**i * M_{i+1}/M_{i+2}, with lead = 2*M1*(1/R)
+    and 2 standing in for the size below the bottom layer. Each term is
+    evaluated left to right with c**i a pow, as delay_closed_form does, so
+    the two must agree exactly.
+    """
+    sizes = [float(m) for m in sizes]
+    lead = 2.0 * sizes[0] * (1.0 / R)
+    terms = tuple(
+        lead * c**i * m / below for i, (m, below) in enumerate(zip(sizes, sizes[1:] + [2.0]))
+    )
+    return sum(terms), terms
+
+
 def golden_min(f, lo, hi, iters=200):
     """Golden-section minimum of a unimodal f on [lo, hi]; (argmin, min)."""
     a, b = float(lo), float(hi)

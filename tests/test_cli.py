@@ -165,6 +165,8 @@ class TestAnalyzeJsonl:
         ("sweep_q24.jsonl",
          ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
           "--rate-q", "24", "--format", "jsonl")),
+        # near the Q/R -> 1/4 edge, where the most depths fit: 293 bound_checks cases
+        ("verify_q03_seed7.txt", ("verify", "--rate-q", "0.3", "--seed", "7")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):
@@ -356,6 +358,20 @@ class TestTradeoff:
         )
         assert rc == 3
         assert "tradeoff: every candidate failed" in err
+
+    def test_help_names_the_equals_form_for_a_leading_dash(self, capsys):
+        rc, out, _ = run_cli(capsys, "tradeoff", "--help")
+        assert rc == 0
+        assert "a value that starts with '-' needs --candidate=C0:R:Q" in " ".join(out.split())
+
+    def test_leading_dash_without_the_equals_form_is_a_usage_error(self, capsys):
+        # argparse reads -1:1:1 as a flag; the equals form reaches the ranking
+        rc, out, err = run_cli(capsys, "tradeoff", "--n", "200", "--candidate", "-1:1:1")
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "hiercoop tradeoff: error: argument --candidate: expected one argument"
+        )
+        assert "Traceback" not in err
 
     def test_candidates_are_required(self, capsys):
         rc, _, err = run_cli(capsys, "tradeoff", "--n", "200")

@@ -159,9 +159,10 @@ class TestValidatePlan:
         assert validate_plan((512.0, 16.0)) == (512.0, 16.0)
 
     def test_sizes_are_coerced_to_floats(self):
-        sizes = validate_plan([512, 16])
-        assert sizes == (512.0, 16.0)
-        assert all(isinstance(m, float) for m in sizes)
+        for given_sizes in ([512, 16], (m for m in (512, 16))):
+            sizes = validate_plan(given_sizes)
+            assert sizes == (512.0, 16.0)
+            assert all(type(m) is float for m in sizes)
 
     def test_nondecreasing_sizes_are_rejected(self):
         with pytest.raises(PlanError) as err:
@@ -183,6 +184,20 @@ class TestValidatePlan:
     def test_non_finite_cluster_size_is_rejected(self):
         with pytest.raises(PlanError):
             validate_plan((float("nan"),))
+
+    @pytest.mark.parametrize(
+        "sizes, reason",
+        [
+            # decreasing fails first at index 0, yet the size rule is checked first
+            ((8.0, 16.0, 1.5), "cluster size at index 2 must be >= 2, got 1.5"),
+            ((16.0, 16.0, 8.0), "sizes must strictly decrease, violated at index 0: 16 <= 16"),
+            ((32.0, math.inf), "cluster size at index 1 must be >= 2, got inf"),
+        ],
+    )
+    def test_first_violation_is_named_sizes_before_order(self, sizes, reason):
+        with pytest.raises(PlanError) as err:
+            validate_plan(sizes)
+        assert (err.value.field, err.value.reason) == ("sizes", reason)
 
     @pytest.mark.parametrize("h", [1, MAX_LAYERS + 1])
     def test_depth_violations_win_over_everything_else(self, h):

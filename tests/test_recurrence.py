@@ -9,7 +9,12 @@ from hiercoop import (
     delay_closed_form,
     delay_recursive,
 )
-from oracles import base_slots_by_enumeration, delay_by_recursion, slots_by_tree_walk
+from oracles import (
+    base_slots_by_enumeration,
+    bracket_by_formula,
+    delay_by_recursion,
+    slots_by_tree_walk,
+)
 from strategies import plans, rate_params
 
 
@@ -104,6 +109,16 @@ def test_loop_equals_the_recursive_walk_exactly(sizes, params):
     slots, decomposition = delay_by_recursion(sizes, 1.0, params.R, params.Q)
     assert got.slots == slots and type(got.slots) is float
     assert got.decomposition == decomposition
+    assert all(type(x) is float for x in got.decomposition)
+
+
+@given(sizes=plans(max_h=MAX_LAYERS), params=rate_params())
+@settings(max_examples=300)
+def test_closed_form_equals_the_bracket_formula_exactly(sizes, params):
+    got = delay_closed_form(sizes, params)
+    slots, terms = bracket_by_formula(sizes, params.R, params.c)
+    assert got.slots == slots and type(got.slots) is float
+    assert got.decomposition == terms
     assert all(type(x) is float for x in got.decomposition)
 
 

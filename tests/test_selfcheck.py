@@ -163,6 +163,19 @@ class TestWork:
         run_all(derive(1.0, 1.0), 0)
         assert len(built) <= 8
 
+    def test_bound_checks_evaluates_the_envelope_once_per_size(self, monkeypatch):
+        # 30 sizes, 108 cases at unit rates: one envelope per size, not per case
+        sizes = []
+        bound = selfcheck.upper_bound
+
+        def counted(n, params):
+            sizes.append(n)
+            return bound(n, params)
+
+        monkeypatch.setattr(selfcheck, "upper_bound", counted)
+        assert len(selfcheck.bound_checks(derive(1.0, 1.0), 0)) == 108
+        assert len(sizes) == len(set(sizes)) == 30
+
     def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
         # it reads only the smooth figure, which needs no depth
         before = _search_depth.cache_info()
