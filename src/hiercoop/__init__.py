@@ -14,7 +14,6 @@ from .area import (
     area_from_exponent,
     c0_tradeoff,
     classify,
-    throughput_with_area,
 )
 from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import (
@@ -103,7 +102,6 @@ __all__ = [
     "run_all",
     "smooth_modified",
     "throughput_given_M1",
-    "throughput_with_area",
     "upper_bound",
     "validate_plan",
 ]

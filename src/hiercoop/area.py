@@ -17,8 +17,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .params import NetworkConfig, SchemeParams, check_network_size, derive
-from .throughput import ThroughputReport, smooth_modified
+from .params import NetworkConfig, check_network_size, derive
+from .throughput import smooth_modified
 
 
 class Regime(enum.Enum):
@@ -56,23 +56,6 @@ def classify(cfg: NetworkConfig) -> RegimeReport:
     return RegimeReport(regime=regime, factor=factor, threshold=supply - demand)
 
 
-def throughput_with_area(cfg: NetworkConfig, params: SchemeParams) -> ThroughputReport:
-    """Smooth-convention throughput with the area attenuation applied.
-
-    Returns the smooth report scaled by the regime factor; pre_constant
-    scales with it so value / (n/2)**exponent keeps holding.
-    """
-    report = smooth_modified(cfg.n, params)
-    factor = classify(cfg).factor
-    if factor == 1.0:
-        return report
-    return report._replace(
-        value=report.value * factor,
-        pre_constant=report.pre_constant * factor,
-        factor=factor,
-    )
-
-
 def area_from_exponent(n: int, nu: float) -> float:
     """Area n**nu for sweeps that grow the area with the network.
 
@@ -88,12 +71,18 @@ def area_from_exponent(n: int, nu: float) -> float:
 
 
 class CandidateOutcome(NamedTuple):
-    """One (c0, R, Q) triple's result in a tradeoff sweep."""
+    """One (c0, R, Q) triple's result in a tradeoff sweep.
+
+    value is the smooth throughput times area_factor, classify's factor for
+    the candidate's c0; both are None, and error holds the reason, when the
+    candidate failed.
+    """
 
     c0: float
     R: float
     Q: float
-    report: ThroughputReport | None
+    value: float | None
+    area_factor: float | None
     error: str | None
 
 
@@ -104,22 +93,23 @@ def c0_tradeoff(
 
     Successes come first, best attenuated throughput on top; candidates
     whose rate pair is out of domain, or whose throughput is not finite,
-    follow with the error message instead of a report.
+    follow with the error message instead of a value.
     """
     outcomes: list[CandidateOutcome] = []
     for c0, R, Q in candidates:
         try:
             # NetworkConfig checks c0 before derive checks the rates
             geo = NetworkConfig(n=cfg.n, area=cfg.area, alpha=cfg.alpha, c0=c0)
-            params = derive(R, Q)
-            report = throughput_with_area(geo, params)
-            if not math.isfinite(report.value):
+            smooth = smooth_modified(cfg.n, derive(R, Q))
+            factor = classify(geo).factor
+            value = smooth.value * factor
+            if not math.isfinite(value):
                 raise DomainError("throughput is not finite")
         except ValueError as exc:
-            outcomes.append(CandidateOutcome(c0=c0, R=R, Q=Q, report=None, error=str(exc)))
+            outcomes.append(CandidateOutcome(c0, R, Q, None, None, str(exc)))
         else:
-            outcomes.append(CandidateOutcome(c0=c0, R=R, Q=Q, report=report, error=None))
-    successes = [o for o in outcomes if o.report is not None]
-    failures = [o for o in outcomes if o.report is None]
-    successes.sort(key=lambda o: o.report.value, reverse=True)
+            outcomes.append(CandidateOutcome(c0, R, Q, value, factor, None))
+    successes = [o for o in outcomes if o.error is None]
+    failures = [o for o in outcomes if o.error is not None]
+    successes.sort(key=lambda o: o.value, reverse=True)
     return successes + failures

@@ -143,8 +143,6 @@ def _parse_grid(key: str, raw: str) -> list[int]:
 
 def _parse_candidates(key: str, raw: str) -> list[tuple[float, ...]]:
     items = [s.strip() for s in raw.replace("\n", ",").split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key}: no candidates given")
     triples = [item.split(":") for item in items]
     for item, parts in zip(items, triples):
         if len(parts) != 3:
@@ -408,26 +406,17 @@ def _cmd_tradeoff(cfg: dict[str, object]) -> int:
     outcomes = c0_tradeoff(network, cfg["candidates"])
     if cfg["format"] == "jsonl":
         _emit(
-            [
-                {"rank": rank, "c0": o.c0, "R": o.R, "Q": o.Q,
-                 "value": o.report.value if o.report else None,
-                 "area_factor": o.report.factor if o.report else None,
-                 "error": o.error}
-                for rank, o in enumerate(outcomes, start=1)
-            ],
+            [{"rank": rank, **o._asdict()} for rank, o in enumerate(outcomes, start=1)],
             "jsonl",
         )
     else:
         for rank, o in enumerate(outcomes, start=1):
             head = f"{rank}. c0={_fmt(o.c0)} R={_fmt(o.R)} Q={_fmt(o.Q)}"
-            if o.report is None:
+            if o.error is not None:
                 print(f"{head} error: {o.error}")
             else:
-                print(
-                    f"{head} value={_fmt(o.report.value)} "
-                    f"area_factor={_fmt(o.report.factor)}"
-                )
-    if all(o.report is None for o in outcomes):
+                print(f"{head} value={_fmt(o.value)} area_factor={_fmt(o.area_factor)}")
+    if all(o.error is not None for o in outcomes):
         print("tradeoff: every candidate failed", file=sys.stderr)
         return 3
     return 0

@@ -56,9 +56,6 @@ class ThroughputReport(NamedTuple):
     c_n: float | None = None
     """Slowly varying correction (1 + R/Q)**(1 - 1/sqrt(lg)), smooth only."""
 
-    factor: float = 1.0
-    """Area attenuation applied on top (1.0 unless classified sparse)."""
-
 
 class ModifiedThroughput(NamedTuple):
     """Smooth and integer-depth readings of the two-phase scheme."""

@@ -15,6 +15,7 @@ import pytest
 from hiercoop import (
     InfeasibleError,
     NetworkConfig,
+    c0_tradeoff,
     classify,
     delay_closed_form,
     delay_recursive,
@@ -30,7 +31,6 @@ from hiercoop import (
     ratio_original,
     ratio_original_closed_form,
     throughput_given_M1,
-    throughput_with_area,
     optimal_modified,
     upper_bound,
 )
@@ -238,9 +238,8 @@ def test_criterion_8_area_attenuation(unit_params):
     assert all(b <= a for a, b in zip(factors, factors[1:]))
 
     cfg = NetworkConfig(n=200, area=100.0, alpha=4.0, c0=1.0)
-    attenuated = throughput_with_area(cfg, unit_params)
     plain = optimal_modified(200, unit_params).smooth
-    assert attenuated.value == 0.02 * plain.value
+    assert c0_tradeoff(cfg, [(1.0, 1.0, 1.0)])[0].value == 0.02 * plain.value
     _verdict(8, "sparse regime scales rates by c0*n / A**(alpha/2)",
              "(factor 0.02 exact at the reference geometry, boundary dense)")
 

@@ -1,20 +1,18 @@
 """Geometry regime classification and its effect on throughput."""
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from hiercoop import (
+    CandidateOutcome,
     DomainError,
     NetworkConfig,
     Regime,
-    SchemeParams,
     area_from_exponent,
     c0_tradeoff,
     classify,
     derive,
     optimal_modified,
-    throughput_with_area,
+    smooth_modified,
 )
 
 
@@ -74,27 +72,28 @@ class TestClassify:
 
 
 class TestThroughputWithArea:
-    def test_dense_regime_passes_the_report_through(self, unit_params):
+    """The attenuated throughput: the smooth figure times classify's factor."""
+
+    @staticmethod
+    def attenuated(cfg):
+        [outcome] = c0_tradeoff(cfg, [(cfg.c0, 1.0, 1.0)])
+        return outcome
+
+    def test_dense_regime_passes_the_value_through(self, unit_params):
         cfg = NetworkConfig(n=131072, area=4.0, alpha=3.0, c0=1.0)
         plain = optimal_modified(131072, unit_params).smooth
-        got = throughput_with_area(cfg, unit_params)
-        assert got == plain  # an equal report, factor still 1.0
-        assert got.factor == 1.0
+        got = self.attenuated(cfg)
+        assert got.value == plain.value
+        assert got.area_factor == 1.0
 
-    def test_sparse_regime_scales_value_and_front_factor(self, unit_params):
+    def test_sparse_regime_scales_the_value(self, unit_params):
         cfg = NetworkConfig(n=131072, area=131072.0**0.5 * 100.0, alpha=4.0, c0=1.0)
         factor = classify(cfg).factor
         assert 0.0 < factor < 1.0
         plain = optimal_modified(131072, unit_params).smooth
-        got = throughput_with_area(cfg, unit_params)
+        got = self.attenuated(cfg)
         assert got.value == factor * plain.value
-        assert got.pre_constant == factor * plain.pre_constant
-        assert got.exponent == plain.exponent
-        assert got.c_n == plain.c_n
-        assert got.factor == factor
-        assert got.value == pytest.approx(
-            got.pre_constant * (cfg.n / 2.0) ** got.exponent, rel=1e-12
-        )
+        assert got.area_factor == factor
 
     def test_half_rate_geometry(self, unit_params):
         # alpha = 2 makes the cutoff linear in area: area = 2n halves the rate
@@ -102,22 +101,7 @@ class TestThroughputWithArea:
         cfg = NetworkConfig(n=n, area=2.0 * n, alpha=2.0, c0=1.0)
         assert classify(cfg).factor == 0.5
         plain = optimal_modified(n, unit_params).smooth
-        got = throughput_with_area(cfg, unit_params)
-        assert got.value == 0.5 * plain.value
-
-    def test_attenuated_report_is_a_copy(self, unit_params):
-        cfg = NetworkConfig(n=200, area=100.0, alpha=4.0, c0=1.0)
-        plain = optimal_modified(200, unit_params).smooth
-        got = throughput_with_area(cfg, unit_params)
-        assert got is not plain
-        assert got._replace(value=plain.value, pre_constant=plain.pre_constant, factor=1.0) == plain
-
-    @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
-    def test_smooth_figure_does_not_read_c(self, unit_params, c):
-        # no depth is searched, so a c at or below one is no error here
-        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
-        for cfg in (NetworkConfig(n=131072), NetworkConfig(n=200, area=100.0, alpha=4.0)):
-            assert throughput_with_area(cfg, bad) == throughput_with_area(cfg, unit_params)
+        assert self.attenuated(cfg).value == 0.5 * plain.value
 
 
 class TestAreaFromExponent:
@@ -147,7 +131,7 @@ class TestC0Tradeoff:
         outcomes = c0_tradeoff(cfg, [(2.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
         assert [o.c0 for o in outcomes] == [2.0, 1.0]
         assert all(o.error is None for o in outcomes)
-        assert outcomes[0].report.value == 2.0 * outcomes[1].report.value
+        assert outcomes[0].value == 2.0 * outcomes[1].value
 
     def test_failures_sort_last_and_carry_messages(self):
         cfg = NetworkConfig(n=200, area=100.0, alpha=4.0, c0=1.0)
@@ -162,7 +146,7 @@ class TestC0Tradeoff:
         messages = {o.c0: o.error for o in failed}
         assert "0.25" in messages[1.0]  # rate ratio 0.1 under the floor
         assert "positive" in messages[-1.0]
-        assert all(o.report is None for o in failed)
+        assert all(o.value is None and o.area_factor is None for o in failed)
 
     def test_all_candidates_failing_is_not_an_exception(self):
         cfg = NetworkConfig(n=200, area=100.0, alpha=4.0, c0=1.0)
@@ -173,7 +157,7 @@ class TestC0Tradeoff:
         cfg = NetworkConfig(n=10**6, area=1.0, alpha=3.0, c0=1.0)
         outcomes = c0_tradeoff(cfg, [(1.0, 1e308, 1e308), (1.0, 1.0, 1.0)])
         assert outcomes[0].R == 1.0 and outcomes[0].error is None
-        assert outcomes[1].report is None
+        assert outcomes[1].value is None and outcomes[1].area_factor is None
         assert "not finite" in outcomes[1].error
 
     def test_successes_sorted_by_value_descending(self):
@@ -191,9 +175,14 @@ class TestC0Tradeoff:
         outcomes = c0_tradeoff(cfg, [(1.0, 1.0, 4.0), (1.0, 1.0, 1.0)])
         by_q = {o.Q: o for o in outcomes}
         assert set(by_q) == {4.0, 1.0}
+        factor = classify(cfg).factor
         for q, outcome in by_q.items():
-            expected = throughput_with_area(cfg, derive(1.0, q)).value
-            assert outcome.report.value == pytest.approx(expected, rel=1e-12)
-        assert by_q[1.0].report.value == pytest.approx(
-            throughput_with_area(cfg, unit_params).value, rel=1e-15
+            expected = smooth_modified(cfg.n, derive(1.0, q)).value * factor
+            assert outcome.value == pytest.approx(expected, rel=1e-12)
+            assert outcome.area_factor == factor
+        assert by_q[1.0].value == pytest.approx(
+            smooth_modified(cfg.n, unit_params).value * factor, rel=1e-15
         )
+
+    def test_outcome_fields_are_the_jsonl_record_after_its_rank(self):
+        assert CandidateOutcome._fields == ("c0", "R", "Q", "value", "area_factor", "error")

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -167,6 +168,11 @@ class TestAnalyzeJsonl:
           "--rate-q", "24", "--format", "jsonl")),
         # near the Q/R -> 1/4 edge, where the most depths fit: 293 bound_checks cases
         ("verify_q03_seed7.txt", ("verify", "--rate-q", "0.3", "--seed", "7")),
+        # one dense candidate (area_factor 1), one sparse, two failures with nulls
+        ("tradeoff_200_mixed.jsonl",
+         ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
+          "--candidate", "60:1:1", "--candidate", "2:1:1", "--candidate=-1:1:1",
+          "--candidate", "1:1:0.2", "--format", "jsonl")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):
@@ -252,6 +258,27 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[2] == '20,,,,,,,,,"n**nu overflows at n=20, nu=300"'
         assert lines[3] == '100,,,,,,,,,"n**nu overflows at n=100, nu=300"'
+
+    def test_non_finite_metric_fails_only_its_row(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", "4:4611686018427387904:5:log", "--c-mh", "1e300"
+        )
+        assert rc == 0 and err == ""
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        for line in lines[1:5]:
+            cells = line.split(",")
+            assert cells[-1] == ""
+            assert all(math.isfinite(float(cell)) for cell in cells[:-1] if cell)
+        assert lines[5] == (
+            "4611686018427387904,,,,,,,,,"
+            "metric multihop is not finite at n=4611686018427387904"
+        )
+
+    def test_one_point_grid_needs_equal_ends(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--grid", "4:100:1:log", "--c-mh", "1")
+        assert (rc, out) == (2, "")
+        assert err == "config error: grid: a 1-point grid needs n_min == n_max\n"
 
     def test_missing_grid_or_baseline_constant(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--c-mh", "1")
@@ -377,6 +404,14 @@ class TestTradeoff:
         rc, _, err = run_cli(capsys, "tradeoff", "--n", "200")
         assert rc == 2
         assert "--candidate" in err
+
+    def test_an_empty_candidate_list_is_the_missing_candidates_error(self, capsys):
+        rc, out, err = run_cli(capsys, "tradeoff", "--n", "200", "--candidate", ",")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "config error: tradeoff needs candidates; pass --candidate C0:R:Q "
+            "(repeatable) or a [tradeoff] candidates line in the config file\n"
+        )
 
     def test_csv_is_refused(self, capsys):
         rc, _, err = run_cli(capsys, *self.ARGS, "--format", "csv")
@@ -742,6 +777,22 @@ class TestSubprocessSmoke:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+    def test_a_closed_pipe_on_a_short_output_exits_141_quietly(self):
+        # analyze prints less than a pipe buffer holds, so with buffered stdout
+        # nothing is written until main flushes; that flush meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hiercoop", "analyze", "--n", "1024"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 

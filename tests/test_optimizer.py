@@ -59,6 +59,12 @@ class TestClusterSizes:
         with pytest.raises(InfeasibleError):
             optimal_cluster_sizes(3, 1.5, unit_params)
 
+    @pytest.mark.parametrize("M1", [math.nan, math.inf])
+    @pytest.mark.parametrize("sizing", [optimal_cluster_sizes, minimal_delay])
+    def test_non_finite_top_cluster_is_rejected(self, unit_params, sizing, M1):
+        with pytest.raises(InfeasibleError, match=rf"^top cluster must hold >= 2 nodes, got {M1}$"):
+            sizing(3, M1, unit_params)
+
     def test_depth_validation(self, unit_params):
         with pytest.raises(PlanError):
             optimal_cluster_sizes(1, 8.0, unit_params)

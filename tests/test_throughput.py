@@ -156,6 +156,13 @@ class TestModifiedScheme:
             n = round(2.0 ** (2.0 + 60.0 * i / 99.0))
             assert smooth_modified(n, params) == optimal_modified(n, params).smooth
 
+    @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
+    def test_smooth_figure_does_not_read_c(self, unit_params, c):
+        # no depth is searched, so a c at or below one is no error here
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        for n in (131072, 200):
+            assert smooth_modified(n, bad) == smooth_modified(n, unit_params)
+
     def test_smooth_correction_term(self, unit_params):
         c_n = optimal_modified(131072, unit_params).smooth.c_n
         assert c_n == pytest.approx(2.0**0.75, rel=1e-12)
