@@ -17,9 +17,14 @@ compare_schemes assembles one row of named metrics per grid point. Scheme
 columns hold the interference-limited values; the area factor travels in
 its own column so every row keeps ratio == T1_smooth / T_orig regardless of
 regime. Rows that fail carry the message in .error and the sweep continues.
+
+ratio_original_closed_form keeps a one-entry memo, _ratio_closed_form, of
+the last (n, params), by the rule of the memos in throughput: a row checks
+the ratio twice, and the second check reads the entry.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -48,6 +53,11 @@ class SweepRow(NamedTuple):
 
 def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
     """Throughput ratio of the two schemes from the closed-form expression."""
+    return _ratio_closed_form(n, params)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _ratio_closed_form(n: int, params: SchemeParams) -> float:
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
     log_b_b1 = params.log_beta1 / math.log(params.beta)
     front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)

@@ -187,32 +187,35 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     value overflows to inf it ties every other infinite value, and the
     smallest feasible depth that reaches it wins.
 
-    The arguments are checked on every call. The search itself runs once
-    for the last (n, params, h_max) and is reused while they repeat, as
-    they do across the depth-optimized figures of one sweep row; params
-    compare by every field. The reused LayerChoice is the same object each
-    time, and it is an immutable tuple. A search that finds no feasible
-    depth is reused too: each call returns None and builds nothing.
+    Every new set of arguments is checked, and a repeat of the last set,
+    which passed, returns the stored answer: the checks and the search run
+    once for the last (n, params, h_max) and are reused while they repeat,
+    as they do across the depth-optimized figures of one sweep row; n
+    compares by type as well as value, params by every field. The reused
+    LayerChoice is the same object each time, and it is an immutable tuple.
+    A search that finds no feasible depth is reused too: each call returns
+    None and builds nothing. A call that raises stores nothing.
 
     Raises:
         DomainError: n < MIN_NODES, Q/R <= 1/4 (direct construction only), or c <= 1.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
     """
-    h_approx = smooth_depth(n, params)
-    if h_max is not None and not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
-        raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
-    if not params.c > 1.0:
-        raise DomainError(f"depth search needs c > 1, got c={params.c}")
     if h_max is None:
         h_max = MAX_LAYERS
-    return _search_depth(n, params, h_max, h_approx)
+    elif not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
+        smooth_depth(n, params)  # a bad n or Q/R is named before a bad cap
+        raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
+    return _search_depth(n, params, h_max)
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _search_depth(n: int, params: SchemeParams, h_max: int, h_approx: float) -> LayerChoice | None:
-    # layer_choice's search on checked arguments, None when no depth fits. One
-    # entry serves the back-to-back repeats of a sweep row or an analyze report,
-    # infeasible rows too; h_approx follows from (n, params), so the key is no wider.
+def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | None:
+    # layer_choice on a checked cap: the remaining checks, then the search,
+    # None when no depth fits. One entry serves the back-to-back repeats of a
+    # sweep row or an analyze report, infeasible rows too.
+    h_approx = smooth_depth(n, params)
+    if not params.c > 1.0:
+        raise DomainError(f"depth search needs c > 1, got c={params.c}")
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)

@@ -42,13 +42,14 @@ class _Frozen:
     """Base of the records that check or derive a field on construction.
 
     A subclass names its fields in a __slots__ dict of field docstrings. Its
-    __init__ sets each field with _set, then _values, the tuple of all field
-    values in slot order that equality, hash and repr read. The last _derived
-    fields are computed, not passed; copy and pickle rebuild through __init__
-    from the others, so they run its checks again.
+    __init__ sets each field with _set, then calls _seal with _values, the
+    tuple of all field values in slot order that equality and repr read, and
+    whose hash _seal stores once as _hash. The last _derived fields are
+    computed, not passed; copy and pickle rebuild through __init__ from the
+    others, so they run its checks and hash the values again.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_hash")
     _derived = 0
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -63,7 +64,7 @@ class _Frozen:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return self._hash
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values))
@@ -71,6 +72,10 @@ class _Frozen:
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return type(self), self._values[: len(self._values) - self._derived]
+
+    def _seal(self, values: tuple[object, ...]) -> None:
+        _set(self, "_values", values)
+        _set(self, "_hash", hash(values))
 
 
 class SchemeParams(_Frozen):
@@ -113,7 +118,7 @@ class SchemeParams(_Frozen):
         _set(self, "beta", beta)
         _set(self, "c", c)
         _set(self, "log_beta1", log_beta1)
-        _set(self, "_values", (R, Q, beta1, beta, c, log_beta1))
+        self._seal((R, Q, beta1, beta, c, log_beta1))
 
 
 def derive(R: float, Q: float) -> SchemeParams:
@@ -178,7 +183,7 @@ class NetworkConfig(_Frozen):
         _set(self, "area", area)
         _set(self, "alpha", alpha)
         _set(self, "c0", c0)
-        _set(self, "_values", (n, area, alpha, c0))
+        self._seal((n, area, alpha, c0))
 
 
 def check_layer_count(h: int) -> None:

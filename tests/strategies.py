@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 from hypothesis import strategies as st
 
-from hiercoop import derive
+from hiercoop import SchemeParams, derive
 
 
 @st.composite
@@ -23,3 +23,34 @@ def plans(draw, max_h=6):
         sizes.append(sizes[-1] * draw(st.floats(1.5, 8.0)))
     sizes.reverse()
     return tuple(sizes)
+
+
+@st.composite
+def search_params(draw):
+    """Derived params from Q/R = 0.25 + 1e-12 up to 1e200 and R from 1e-300 to
+    1e300; params built directly with c off beta1**2 (c > 1); and params
+    whose c overflows to inf."""
+    kind = draw(st.sampled_from(["derived", "direct", "overflow"]))
+    if kind == "overflow":
+        return derive(1.0, draw(st.floats(4.5e307, 1.7e308)))
+    log_r = draw(st.floats(-300.0, 300.0))
+    log_excess = draw(st.floats(-12.0, min(200.0, 307.0 - log_r)))
+    R = 10.0**log_r
+    params = derive(R, R * (0.25 + 10.0**log_excess))
+    if kind == "derived":
+        return params
+    c = params.c * 10.0 ** draw(st.floats(-3.0, 3.0).filter(lambda x: x != 0.0))
+    c = c if c > 1.0 else 1.0 + draw(st.floats(1e-12, 10.0))
+    return SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
+
+
+@st.composite
+def corrupt_params(draw):
+    """Params built directly from a derived rate pair with beta1, beta and c
+    each scaled by up to ten either way, so some fall outside a function's
+    domain (beta <= 1, c <= 1) and make it raise."""
+    params = draw(rate_params())
+    beta1, beta, c = (
+        x * 10.0 ** draw(st.floats(-1.0, 1.0)) for x in (params.beta1, params.beta, params.c)
+    )
+    return SchemeParams(R=params.R, Q=params.Q, beta1=beta1, beta=beta, c=c)

@@ -1,30 +1,34 @@
 """Cross-scheme ratio behavior, threshold crossings, and sweep assembly."""
+import copy
 import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import (
+    MAX_LAYERS,
     DomainError,
     InfeasibleError,
     NetworkConfig,
+    SchemeParams,
     compare_schemes,
     derive,
+    layer_choice,
     layer_throughput,
     multihop_baseline,
-    optimal_modified,
     original_optimal_layers,
     original_throughput,
     ratio_log_adjusted,
     ratio_original,
     ratio_original_closed_form,
+    smooth_modified,
 )
-from hiercoop import throughput
+from hiercoop import explorer, selfcheck, throughput
 from hiercoop.optimizer import _search_depth
-from strategies import rate_params
+from strategies import corrupt_params, rate_params, search_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
 
@@ -51,10 +55,11 @@ class TestRatioRoutes:
         assert abs(direct - closed) <= 1e-9 * direct
 
     def test_direct_route_is_the_division_it_claims_to_be(self, unit_params):
+        # both figures computed cold, not read from the memos ratio_original fills
         n = 131072
-        expected = optimal_modified(n, unit_params).smooth.value / original_throughput(
+        expected = throughput._smooth_modified.__wrapped__(
             n, unit_params
-        )
+        ).value / throughput._original_throughput.__wrapped__(n, unit_params)
         assert ratio_original(n, unit_params) == expected
 
     def test_underflowed_three_phase_throughput_raises_naming_n(self):
@@ -271,3 +276,97 @@ class TestCompareSchemes:
             20000, 1.0
         )
 
+
+#: The memoized smooth forms, and the one-entry memo behind each.
+FORMS = (smooth_modified, original_throughput, ratio_original_closed_form)
+MEMOS = (throughput._smooth_modified, throughput._original_throughput, explorer._ratio_closed_form)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _bits(x):
+    # floats by float.hex, records field by field
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x
+
+
+def _outcome(f, *args):
+    # (True, the bits of f(*args)) or (False, the type and text of its error)
+    try:
+        return True, _bits(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return False, (type(exc), str(exc))
+
+
+class TestOneEntryMemos:
+    """Each smooth form is computed once per (n, params) that repeats back to
+    back; a new n, an error or an unequal params computes afresh."""
+
+    def test_row_computes_each_form_once(self, unit_params):
+        # a row asks for the smooth report 4 times, T_orig 3 and the closed form 2
+        _clear_memos()
+        (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
+        assert row.error is None and "T1_int" in row.extras
+        assert [m.cache_info().misses for m in MEMOS] == [1, 1, 1]
+        assert [m.cache_info().hits for m in MEMOS] == [3, 2, 1]
+
+    def test_ratio_two_routes_reuses_nothing_across_n(self, unit_params):
+        _clear_memos()
+        assert len(selfcheck.ratio_two_routes(unit_params, 0)) == 18
+        assert [m.cache_info().misses for m in MEMOS] == [18, 18, 18]
+        assert [m.cache_info().hits for m in MEMOS] == [0, 0, 0]
+
+    def test_params_off_by_one_field_are_not_served_the_last_entry(self, unit_params):
+        # corrupt beta1 and beta: every form reads at least one of them
+        n = 131072
+        bad = SchemeParams(
+            R=1.0, Q=1.0, beta1=2.0 * (1.0 + 1e-6), beta=2.0 * math.sqrt(2.0) * (1.0 + 1e-6), c=4.0
+        )
+        for public, memo in zip(FORMS, MEMOS):
+            clean = public(n, unit_params)
+            got = public(n, bad)
+            assert _bits(got) == _bits(memo.__wrapped__(n, bad)) != _bits(clean), public.__name__
+
+    @pytest.mark.parametrize(
+        "f,n,params",
+        [
+            (smooth_modified, 3, derive(1.0, 1.0)),
+            (smooth_modified, 1024, SchemeParams(R=1.0, Q=0.25, beta1=1.0, beta=2.2, c=1.0)),
+            (original_throughput, 1024, SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=1.0, c=4.0)),
+            (ratio_original_closed_form, 3, derive(1.0, 1.0)),
+        ],
+        ids=["smooth-n", "smooth-rates", "original-beta", "closed-form-n"],
+    )
+    def test_a_failing_call_raises_again_and_stores_nothing(self, f, n, params):
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                f(n, params)
+        assert sum(m.cache_info().misses for m in MEMOS) == 2
+        assert sum(m.cache_info().currsize for m in MEMOS) == 0
+
+    @settings(max_examples=300)
+    @given(n=st.integers(4, 2**62), params=search_params() | corrupt_params())
+    @example(n=8, params=derive(1.0, 1.0))  # no depth fits: layer_choice is None
+    @example(
+        n=2**40,
+        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.inf),
+    )
+    def test_warm_results_are_bit_identical_to_cold_ones(self, n, params):
+        # the warm call reads the entry an equal copy of params left
+        twin = copy.copy(params)
+        cases = [(public, memo, memo.__wrapped__) for public, memo in zip(FORMS, MEMOS)]
+        cases.append(
+            (layer_choice, _search_depth, lambda n, p: _search_depth.__wrapped__(n, p, MAX_LAYERS))
+        )
+        for public, memo, cold in cases:
+            stored, _ = _outcome(public, n, twin)
+            hits = memo.cache_info().hits
+            assert _outcome(public, n, params) == _outcome(cold, n, params), public.__name__
+            assert memo.cache_info().hits == hits + stored, public.__name__

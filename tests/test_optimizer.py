@@ -31,7 +31,7 @@ from oracles import (
     golden_max,
     grid_min,
 )
-from strategies import rate_params
+from strategies import rate_params, search_params
 
 
 class TestClusterSizes:
@@ -325,25 +325,6 @@ def _full_scan(n, params, h_max):
     return best
 
 
-@st.composite
-def search_params(draw):
-    """Derived params from Q/R = 0.25 + 1e-12 up to 1e200 and R from 1e-300 to
-    1e300; params built directly with c off beta1**2 (c > 1); and params
-    whose c overflows to inf."""
-    kind = draw(st.sampled_from(["derived", "direct", "overflow"]))
-    if kind == "overflow":
-        return derive(1.0, draw(st.floats(4.5e307, 1.7e308)))
-    log_r = draw(st.floats(-300.0, 300.0))
-    log_excess = draw(st.floats(-12.0, min(200.0, 307.0 - log_r)))
-    R = 10.0**log_r
-    params = derive(R, R * (0.25 + 10.0**log_excess))
-    if kind == "derived":
-        return params
-    c = params.c * 10.0 ** draw(st.floats(-3.0, 3.0).filter(lambda x: x != 0.0))
-    c = c if c > 1.0 else 1.0 + draw(st.floats(1e-12, 10.0))
-    return SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
-
-
 class TestDepthSearch:
     """layer_choice evaluates only the depths next to the stationary point;
     it must land where trying every depth lands, None included."""
@@ -404,11 +385,51 @@ class TestDepthSearch:
         assert (got.h_int, got.M1, got.value) == _full_scan(n, bad, _depth_cap(n, bad, None))
         assert got.value != clean.value
 
-    @pytest.mark.parametrize("h_max", [3.0, True])
+    @pytest.mark.parametrize("h_max", [3.0, True, [3]])
     def test_cap_of_the_wrong_type_is_refused_after_a_valid_one(self, unit_params, h_max):
+        # a list cap is no key for the memo, and must not reach it
         layer_choice(10**6, unit_params, h_max=3)
         with pytest.raises(PlanError, match="h_max"):
             layer_choice(10**6, unit_params, h_max=h_max)
+
+    @pytest.mark.parametrize(
+        "n,params",
+        [
+            (3, derive(1.0, 1.0)),
+            (10**6, SchemeParams(R=1.0, Q=0.25, beta1=1.0, beta=2.2, c=1.0)),
+        ],
+        ids=["n", "rates"],
+    )
+    def test_bad_size_or_rates_are_named_before_a_bad_cap(self, n, params):
+        with pytest.raises(DomainError):
+            layer_choice(n, params, h_max=-5)
+
+    def test_a_failing_search_raises_again_and_stores_nothing(self):
+        params = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=1.0)
+        _search_depth.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="c > 1"):
+                layer_choice(131072, params)
+        info = _search_depth.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_repeat_call_runs_no_check_again(self, monkeypatch, unit_params):
+        # the checks run once per new (n, params, cap); the default cap is MAX_LAYERS
+        calls = []
+        real = optimizer.smooth_depth
+
+        def counted(n, params):
+            calls.append(n)
+            return real(n, params)
+
+        monkeypatch.setattr(optimizer, "smooth_depth", counted)
+        _search_depth.cache_clear()
+        first = layer_choice(131072, unit_params)
+        assert layer_choice(131072, unit_params, h_max=MAX_LAYERS) is first
+        assert layer_choice(131072, unit_params) is first
+        assert calls == [131072]
+        layer_choice(131072, unit_params, h_max=3)
+        assert calls == [131072, 131072]
 
     def test_overflowed_value_keeps_the_smallest_depth(self):
         # at R = 1e300 and n = 2**60 depths 3..8 all overflow to inf and tie;

@@ -275,6 +275,17 @@ class TestRecordContract:
             assert type(clone) is cls
             assert clone == record and hash(clone) == hash(record)
 
+    @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
+    def test_hash_is_the_hash_of_the_values_in_every_copy(self, cls, kwargs, changed):
+        # the hash is taken once, in __init__, which copy and pickle go through
+        record = cls(**kwargs)
+        for clone in (record, copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert hash(clone) == hash(clone._values)
+        with pytest.raises(AttributeError):
+            record._hash = 0
+        assert hash(record) == hash(record._values)
+
     def test_copies_rebuild_through_the_checks(self, monkeypatch):
         cfg = NetworkConfig(n=200)
         monkeypatch.setattr("hiercoop.params.MIN_NODES", 1000)
