@@ -124,14 +124,16 @@ def _parse_grid(key: str, raw: str) -> list[int]:
         return [n_min]
     if spacing == "log" and n_min < 1:
         raise ConfigError(f"{key}: log spacing needs n_min >= 1")
-    grid = []
-    for i in range(points):
-        t = i / (points - 1)
-        if spacing == "log":
-            value = n_min * (n_max / n_min) ** t
-        else:
-            value = n_min + (n_max - n_min) * t
-        grid.append(round(value))
+    # exact ends; lin points in integers, interior log points clamped into range
+    last = points - 1
+    if spacing == "lin":
+        grid = [n_min + (n_max - n_min) * i // last for i in range(points)]
+    else:
+        ratio, grid = n_max / n_min, [n_min]
+        for i in range(1, last):
+            n = round(n_min * ratio ** (i / last))
+            grid.append(n_min if n < n_min else n_max if n > n_max else n)
+        grid.append(n_max)
     for a, b in zip(grid, grid[1:]):
         if b <= a:
             raise ConfigError(

@@ -57,17 +57,14 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
-def _bottom_fits(h: int, M1: float, params: SchemeParams) -> bool:
-    # the equal-term bottom layer, M1 itself at h=2, holds at least MIN_CLUSTER
-    # nodes; for c > 1 the layers above it are then larger and decrease
-    return not _size_at(h - 1, h, M1, params) < MIN_CLUSTER
-
-
 def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
-    if not _bottom_fits(h, M1, params):
+    # the equal-term bottom layer, M1 itself at h=2, must hold at least
+    # MIN_CLUSTER nodes; for c > 1 the layers above it are then larger
+    bottom = _size_at(h - 1, h, M1, params)
+    if bottom < MIN_CLUSTER:
         raise InfeasibleError(
             f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
-            f"{_size_at(h - 1, h, M1, params):.6g} is below {MIN_CLUSTER:g}"
+            f"{bottom:.6g} is below {MIN_CLUSTER:g}"
         )
 
 
@@ -138,7 +135,7 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
         load = math.inf
     e = (h - 1.0) / h
     M1 = 2.0 * load ** (-e) * float(n) ** e
-    if M1 < MIN_CLUSTER or not M1 < n or not _bottom_fits(h, M1, params):
+    if M1 < MIN_CLUSTER or not M1 < n or _size_at(h - 1, h, M1, params) < MIN_CLUSTER:
         return None
     pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e
@@ -166,14 +163,6 @@ class LayerChoice(NamedTuple):
     """Throughput at h_int, as depth_optimum gives it."""
 
 
-def _feasible(depths, n: int, params: SchemeParams):
-    # (h, M1, value) for each depth in order that fits the node budget
-    for h in depths:
-        best = depth_optimum(h, n, params)
-        if best is not None:
-            yield (h, *best)
-
-
 def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> LayerChoice | None:
     """Pick the number of layers for n nodes, or None when no depth fits.
 
@@ -181,17 +170,18 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     MAX_LAYERS), ties broken toward fewer layers. Per-depth throughput rises
     below the stationary point h* of its closed form and falls above it, and
     the depths that fit form a run 2..H (see the module docstring); both
-    take c > 1. So the search evaluates floor(h*), clamped to 2..h_max and
-    walking down only past depths that do not fit, and the depth after it
-    when that is within h_max, and returns the better of the two. When that
-    value overflows to inf it ties every other infinite value, and the
-    smallest feasible depth that reaches it wins.
+    take c > 1. So the search walks down from floor(h*), clamped to 2..h_max,
+    to the first depth that fits, then evaluates the depth after that clamped
+    floor(h*) when it is within h_max, which wins only when strictly greater.
+    When the winning value overflows to inf it ties every other infinite
+    value, and the smallest feasible depth that reaches it wins.
 
     Every new set of arguments is checked, and a repeat of the last set,
     which passed, returns the stored answer: the checks and the search run
     once for the last (n, params, h_max) and are reused while they repeat,
     as they do across the depth-optimized figures of one sweep row; n
-    compares by type as well as value, params by every field. The reused
+    compares by type as well as value, params by every field, a zero of the
+    other sign counting as a changed field. The reused
     LayerChoice is the same object each time, and it is an immutable tuple.
     A search that finds no feasible depth is reused too: each call returns
     None and builds nothing. A call that raises stores nothing.
@@ -222,15 +212,21 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
     a = 0.5 * math.log(params.c)
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
-    split = min(max(math.floor(h_exact), 2), h_max)
-    below = next(_feasible(range(split, 1, -1), n, params), None)
+    split = h = min(max(math.floor(h_exact), 2), h_max)
+    while (best := depth_optimum(h, n, params)) is None and h > 2:
+        h -= 1
     # the depths that fit are a run 2..H: past split + 1, none fits if it does not
-    above = next(_feasible((split + 1,) if split < h_max else (), n, params), None)
-    sides = [side for side in (below, above) if side is not None]
-    if not sides:
+    if split < h_max:
+        above = depth_optimum(split + 1, n, params)
+        if above is not None and (best is None or above[1] > best[1]):
+            h, best = split + 1, above
+    if best is None:
         return None
-    best = max(sides, key=lambda side: side[2])
-    if not math.isfinite(best[2]):
-        best = next(s for s in _feasible(range(2, best[0] + 1), n, params) if s[2] == best[2])
-    return LayerChoice(h_exact, h_approx, *best)
+    if not math.isfinite(best[1]):
+        # inf ties every other inf: the smallest depth that reaches it wins
+        h = 2
+        while (tie := depth_optimum(h, n, params)) is None or tie[1] != best[1]:
+            h += 1
+        best = tie
+    return LayerChoice(h_exact, h_approx, h, *best)
 

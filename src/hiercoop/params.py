@@ -59,8 +59,12 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        # 0.0 == -0.0, but a zero field of the other sign is a changed field
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            return self._values == other._values and all(
+                a != 0 or math.copysign(1.0, a) == math.copysign(1.0, b)
+                for a, b in zip(self._values, other._values)
+            )
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -53,14 +53,16 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     # TIME_SHARING_FACTOR**i, an exact int
     scale = 1
     decomposition = []
-    for top, below in zip(sizes, sizes[1:]):
+    walk = iter(sizes)
+    top = next(walk)
+    for below in walk:
         step = top / below
         decomposition.append(scale * (step * 2.0 * top * (load / R)))
         load = load * inflation * step
         scale *= TIME_SHARING_FACTOR
-    M = sizes[-1]
-    decomposition.append(scale * ((load / R) * (M * M)))
-    return DelaySlots(slots=sum(decomposition), decomposition=tuple(decomposition))
+        top = below
+    decomposition.append(scale * ((load / R) * (top * top)))
+    return DelaySlots(sum(decomposition), tuple(decomposition))
 
 
 def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
@@ -80,4 +82,4 @@ def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySl
     except OverflowError:
         # len(terms) is the index of the term whose power overflowed
         raise OverflowError(f"c**{len(terms)} overflows at c={c:g}") from None
-    return DelaySlots(slots=sum(terms), decomposition=tuple(terms))
+    return DelaySlots(sum(terms), tuple(terms))

@@ -6,7 +6,8 @@ returns one relative error per case, in case order, each the largest of
 that case's comparisons:
 
 * recursion_vs_closed_form: the level-by-level recursion (driven by Q and R)
-  against the unrolled bracket (driven by the stored c), total and per-term.
+  against the unrolled bracket (driven by the stored c), in one pass per
+  case: _rel_err of the totals, then a running max of the term errors.
   The only suite that trips when c is inconsistent with Q/R.
 * am_gm_equal_terms: at the optimizer's layer sizes all bracket terms are
   equal and minimal_delay matches their sum.
@@ -24,10 +25,12 @@ rational in the inputs, 1e-9 where exp/log round-trips enter, and for
 ratio_two_routes the bound ratio_original enforces on the same two routes.
 run_all alone judges: a suite passes when it ran a case and its worst case
 error is within tolerance. _rel_err refuses non-finite operands with
-OverflowError, so no case error is NaN; run_all reports that overflow as a
-DomainError naming the suite and the rate pair. The n grids of phase_balance
-and bound_checks start where depth 2 fits, n >= 8*(1 + Q/R), and stop at
-N_MAX; if none is left the suite raises InfeasibleError (verify: exit 3).
+OverflowError, so no case error is NaN; a finite float sum has finite
+terms, so refusing non-finite totals refuses the terms too. run_all reports
+that overflow as a DomainError naming the suite and the rate pair. The n
+grids of phase_balance and bound_checks start where depth 2 fits, n >=
+8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
+InfeasibleError (verify: exit 3).
 """
 from __future__ import annotations
 
@@ -96,10 +99,12 @@ def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
         sizes.reverse()
         walked = delay_recursive(sizes, params)
         bracket = delay_closed_form(sizes, params)
-        errors.append(max(
-            _rel_err(walked.slots, bracket.slots),
-            *map(_rel_err, walked.decomposition, bracket.decomposition),
-        ))
+        worst = _rel_err(walked.slots, bracket.slots)
+        for value, reference in zip(walked.decomposition, bracket.decomposition):
+            err = abs(value - reference) / reference
+            if err > worst:
+                worst = err
+        errors.append(worst)
     return errors
 
 

@@ -23,10 +23,11 @@ sweeps; multihop_baseline is the flat nearest-neighbor reference.
 
 smooth_modified and original_throughput each keep a one-entry memo
 (_smooth_modified, _original_throughput) of the last (n, params), n compared
-by type and value, params by every field. A sweep row or an analyze report
-asks for each figure several times in a row, and only the first ask
-computes. One entry serves such back-to-back repeats and reuses nothing
-across network sizes; a call that raises stores nothing.
+by type and value, params by every field (a zero of the other sign differs).
+A sweep row or an analyze report asks for each figure several times in a
+row, and only the first ask computes. One entry serves such back-to-back
+repeats and reuses nothing across network sizes; a call that raises stores
+nothing.
 """
 from __future__ import annotations
 
@@ -109,12 +110,7 @@ def _depth_report(
 ) -> ThroughputReport:
     exponent = (h - 1.0) / h
     return ThroughputReport(
-        value=value,
-        h_used=float(h),
-        M1_used=M1,
-        phase_slots=phase_slots,
-        pre_constant=value / (n / 2.0) ** exponent,
-        exponent=exponent,
+        value, float(h), M1, phase_slots, value / (n / 2.0) ** exponent, exponent
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import SuiteResult, cli, selfcheck
-from hiercoop.cli import SWEEP_COLUMNS, main
+from hiercoop.cli import SWEEP_COLUMNS, ConfigError, main
 from hiercoop.optimizer import _search_depth
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -173,6 +173,9 @@ class TestAnalyzeJsonl:
          ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
           "--candidate", "60:1:1", "--candidate", "2:1:1", "--candidate=-1:1:1",
           "--candidate", "1:1:0.2", "--format", "jsonl")),
+        # a lin grid just under 2**62: its rows are n_min, an integer midpoint and n_max
+        ("sweep_lin_top.csv",
+         ("sweep", "--grid", "4611686018427387000:4611686018427387903:3:lin", "--c-mh", "1")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):
@@ -279,6 +282,38 @@ class TestSweep:
         rc, out, err = run_cli(capsys, "sweep", "--grid", "4:100:1:log", "--c-mh", "1")
         assert (rc, out) == (2, "")
         assert err == "config error: grid: a 1-point grid needs n_min == n_max\n"
+
+    @pytest.mark.parametrize(
+        "grid, sizes",
+        [
+            ("4611686018427387000:4611686018427387903:3:lin",
+             [4611686018427387000, 4611686018427387451, 4611686018427387903]),
+            ("3:4611686018427387903:3:log", [3, 3719550787, 4611686018427387903]),
+            ("4286487623419242263:4611686018427387903:3:log",
+             [4286487623419242263, 4446114600534332416, 4611686018427387903]),
+        ],
+    )
+    def test_grid_holds_exactly_the_sizes_asked_for(self, grid, sizes):
+        # floats are 512-1024 apart near 2**62; the ends are taken as given
+        assert cli._parse_grid("grid", grid) == sizes
+
+    @settings(max_examples=300)
+    @given(
+        n_min=st.integers(1, 2**62) | st.integers(2**62 - 2**40, 2**62),
+        span=st.integers(0, 2**62) | st.integers(0, 2**12),
+        points=st.integers(2, 50),
+        spacing=st.sampled_from(["log", "lin"]),
+    )
+    def test_every_grid_runs_from_its_ends_strictly_up(self, n_min, span, points, spacing):
+        n_max = min(n_min + span, 2**62)
+        try:
+            grid = cli._parse_grid("grid", f"{n_min}:{n_max}:{points}:{spacing}")
+        except ConfigError as exc:
+            assert "duplicate points" in str(exc)
+            return
+        assert (grid[0], grid[-1], len(grid)) == (n_min, n_max, points)
+        assert all(type(n) is int for n in grid)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_missing_grid_or_baseline_constant(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--c-mh", "1")

@@ -333,6 +333,25 @@ class TestOneEntryMemos:
             got = public(n, bad)
             assert _bits(got) == _bits(memo.__wrapped__(n, bad)) != _bits(clean), public.__name__
 
+    def test_a_zero_of_the_other_sign_is_not_served_the_last_entry(self):
+        # 0.0 == -0.0, but the smooth figure and the closed-form ratio carry the
+        # sign of a zero beta1; no memo, the depth search's included, may serve
+        # one sign's entry for the other
+        n = 1024
+        plus = SchemeParams(R=1, Q=1, beta1=0.0, beta=2, c=4)
+        minus = SchemeParams(R=1, Q=1, beta1=-0.0, beta=2, c=4)
+        cases = [(public, memo, memo.__wrapped__) for public, memo in zip(FORMS, MEMOS)]
+        cases.append(
+            (layer_choice, _search_depth, lambda n, p: _search_depth.__wrapped__(n, p, MAX_LAYERS))
+        )
+        for public, memo, cold in cases:
+            assert _outcome(public, n, plus)[0], public.__name__
+            misses = memo.cache_info().misses
+            assert _outcome(public, n, minus) == _outcome(cold, n, minus), public.__name__
+            assert memo.cache_info().misses == misses + 1, public.__name__
+        smooth_modified(n, plus)
+        assert smooth_modified(n, minus).value.hex() == "-0x0.0p+0"
+
     @pytest.mark.parametrize(
         "f,n,params",
         [

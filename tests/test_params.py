@@ -286,6 +286,33 @@ class TestRecordContract:
             record._hash = 0
         assert hash(record) == hash(record._values)
 
+    @pytest.mark.parametrize("name", ["beta1", "beta", "c"])
+    def test_a_zero_field_of_the_other_sign_is_a_changed_field(self, name):
+        # 0.0 == -0.0, yet a memo keyed on equal params must not serve one for
+        # the other; the hash may stay equal
+        kwargs = RECORDS[0][1]
+        plus = SchemeParams(**{**kwargs, name: 0.0})
+        minus = SchemeParams(**{**kwargs, name: -0.0})
+        assert plus != minus and not plus == minus
+        assert hash(plus) == hash(minus)
+        assert plus == copy.copy(plus) and minus == pickle.loads(pickle.dumps(minus))
+
+    def test_the_same_record_is_equal_without_comparing_fields(self, monkeypatch):
+        # a memo hit on the very params object short-cuts on identity: the
+        # tuple and dict lookups never call __eq__
+        params = derive(1.0, 1.0)
+        calls = []
+        eq = SchemeParams.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(SchemeParams, "__eq__", counted)
+        assert (1, params) == (1, params) and {(1, params): 0}[(1, params)] == 0
+        assert calls == []
+        assert params == derive(1.0, 1.0) and len(calls) == 1
+
     def test_copies_rebuild_through_the_checks(self, monkeypatch):
         cfg = NetworkConfig(n=200)
         monkeypatch.setattr("hiercoop.params.MIN_NODES", 1000)

@@ -1,17 +1,22 @@
 """Built-in oracle suites: they pass on honest params and catch corruption."""
+import collections
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck
 from hiercoop.explorer import RATIO_ROUTE_TOL
 from hiercoop.optimizer import _search_depth
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
     _rel_err,
     recursion_vs_closed_form,
 )
+from strategies import corrupt_params, search_params
 
 SUITE_ORDER = [
     "recursion_vs_closed_form",
@@ -133,6 +138,54 @@ class TestNonFiniteErrors:
             recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
 
 
+def _per_comparison(params, cases):
+    # the judge by its definition: one _rel_err per total and per term pair
+    errors = []
+    for sizes in cases:
+        w, b = delay_recursive(sizes, params), delay_closed_form(sizes, params)
+        terms = map(_rel_err, w.decomposition, b.decomposition)
+        errors.append(max(_rel_err(w.slots, b.slots), *terms))
+    return errors
+
+
+def _hexed(f, *args):
+    # (True, every case error by float.hex) or (False, the type and text of the error)
+    try:
+        return True, [e.hex() for e in f(*args)]
+    except ArithmeticError as exc:
+        return False, (type(exc), str(exc))
+
+
+@st.composite
+def _judged_params(draw):
+    """search_params or corrupt_params, with c kept, scaled below 1, negated, or both."""
+    params = draw(search_params() | corrupt_params())
+    c = params.c
+    if draw(st.booleans()):
+        c = c / (1.0 + c)
+    if draw(st.booleans()):
+        c = -c
+    return SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
+
+
+class TestOnePassJudge:
+    @settings(max_examples=200, deadline=None)
+    @given(params=_judged_params(), seed=st.integers(0, 2**32))
+    @example(params=derive(1e300, 1e300), seed=0)
+    @example(params=derive(1e-300, 1e-300), seed=0)
+    def test_case_errors_are_the_per_comparison_definition(self, params, seed):
+        # the suite's one pass gives every case error bit for bit, or the same error
+        cases = []
+        with pytest.MonkeyPatch.context() as mp:
+            def recorded(sizes, p):
+                cases.append(sizes)
+                return delay_recursive(sizes, p)
+
+            mp.setattr(selfcheck, "delay_recursive", recorded)
+            got = _hexed(recursion_vs_closed_form, params, seed)
+        assert got == _hexed(_per_comparison, params, cases)
+
+
 class TestResultPlumbing:
     def test_zero_cases_never_passes(self, monkeypatch):
         empty = _judge(monkeypatch, [])
@@ -175,6 +228,28 @@ class TestWork:
         monkeypatch.setattr(selfcheck, "upper_bound", counted)
         assert len(selfcheck.bound_checks(derive(1.0, 1.0), 0)) == 108
         assert len(sizes) == len(set(sizes)) == 30
+
+    def test_each_suite_calls_the_public_routes_once_per_case(self, monkeypatch):
+        # the suites judge the public routes, never a copy of their arithmetic
+        calls = collections.Counter()
+        routes = ("delay_recursive", "delay_closed_form", "layer_throughput",
+                  "throughput_given_M1", "optimal_cluster_sizes", "minimal_delay")
+        for name in routes:
+            def counted(*args, real=getattr(selfcheck, name), name=name):
+                calls[sys._getframe(1).f_code.co_name, name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(selfcheck, name, counted)
+        run_all(derive(1.0, 1.0), 0)
+        assert calls == {
+            ("recursion_vs_closed_form", "delay_recursive"): 200,
+            ("recursion_vs_closed_form", "delay_closed_form"): 200,
+            ("am_gm_equal_terms", "optimal_cluster_sizes"): 20,
+            ("am_gm_equal_terms", "delay_closed_form"): 12,
+            ("am_gm_equal_terms", "minimal_delay"): 12,
+            ("phase_balance", "throughput_given_M1"): 34,
+            ("bound_checks", "layer_throughput"): 330,
+        }
 
     def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
         # it reads only the smooth figure, which needs no depth
