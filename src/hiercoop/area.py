@@ -51,9 +51,9 @@ def classify(cfg: NetworkConfig) -> RegimeReport:
         ) from None
     supply = cfg.c0 * cfg.n
     # divide only on the sparse side: a tiny area underflows demand to 0
-    factor = 1.0 if demand <= supply else supply / demand
-    regime = Regime.DENSE if demand <= supply else Regime.SPARSE
-    return RegimeReport(regime=regime, factor=factor, threshold=supply - demand)
+    if demand <= supply:
+        return RegimeReport(Regime.DENSE, 1.0, supply - demand)
+    return RegimeReport(Regime.SPARSE, supply / demand, supply - demand)
 
 
 def area_from_exponent(n: int, nu: float) -> float:
@@ -99,7 +99,7 @@ def c0_tradeoff(
     for c0, R, Q in candidates:
         try:
             # NetworkConfig checks c0 before derive checks the rates
-            geo = NetworkConfig(n=cfg.n, area=cfg.area, alpha=cfg.alpha, c0=c0)
+            geo = NetworkConfig(cfg.n, cfg.area, cfg.alpha, c0)
             smooth = smooth_modified(cfg.n, derive(R, Q))
             factor = classify(geo).factor
             value = smooth.value * factor

@@ -110,6 +110,7 @@ def compare_schemes(
         raise DomainError("sweep grid is empty")
     rows: list[SweepRow] = []
     prev: int | None = None
+    isfinite = math.isfinite  # read once, not once per metric of every row
     for n in n_grid:
         if prev is not None and n <= prev:
             raise DomainError(f"grid must increase strictly, got {n} after {prev}")
@@ -119,7 +120,7 @@ def compare_schemes(
             # NetworkConfig names a bad n; n**nu is taken only of a valid one
             if nu is not None and isinstance(n, int) and n >= MIN_NODES:
                 area = area_from_exponent(n, nu)
-            geo = NetworkConfig(n=n, area=area, alpha=cfg.alpha, c0=cfg.c0)
+            geo = NetworkConfig(n, area, cfg.alpha, cfg.c0)
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:
@@ -131,11 +132,11 @@ def compare_schemes(
             extras["per_pair"] = per_pair_rate(n, params)
             extras["area_factor"] = classify(geo).factor
             for key, value in extras.items():
-                if not math.isfinite(value):
+                if not isfinite(value):
                     raise DomainError(f"metric {key} is not finite at n={n}")
         except (ValueError, OverflowError) as exc:
-            rows.append(SweepRow(n=n, extras={}, error=str(exc)))
+            rows.append(SweepRow(n, {}, str(exc)))
         else:
-            rows.append(SweepRow(n=n, extras=extras))
+            rows.append(SweepRow(n, extras))
     return rows
 

@@ -57,9 +57,16 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
+def _check_c(params: SchemeParams) -> None:
+    # layer sizes take fractional powers of c, real and finite only for c > 0
+    if not params.c > 0.0:
+        raise DomainError(f"layer sizing needs c > 0, got c={params.c}")
+
+
 def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
     # the equal-term bottom layer, M1 itself at h=2, must hold at least
     # MIN_CLUSTER nodes; for c > 1 the layers above it are then larger
+    _check_c(params)
     bottom = _size_at(h - 1, h, M1, params)
     if bottom < MIN_CLUSTER:
         raise InfeasibleError(
@@ -88,6 +95,7 @@ def optimal_cluster_sizes(h: int, M1: float, params: SchemeParams) -> tuple[floa
         bracket terms are all equal.
 
     Raises:
+        DomainError: c <= 0 or NaN (direct construction only).
         InfeasibleError: the bottom layer would drop below MIN_CLUSTER nodes.
         PlanError: h out of range.
     """
@@ -112,7 +120,7 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
         * params.c ** ((h - 2) / 2.0)
         * (M1 / 2.0) ** (1.0 / (h - 1))
     )
-    return DelaySlots(slots=(h - 1) * term, decomposition=(term,) * (h - 1))
+    return DelaySlots((h - 1) * term, (term,) * (h - 1))
 
 
 def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
@@ -124,10 +132,11 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
 
     Returns None when the depth does not fit n nodes: M1 < MIN_CLUSTER,
     M1 >= n, or a bottom layer under MIN_CLUSTER. Raises PlanError for h
-    out of range and DomainError for n below MIN_NODES.
+    out of range and DomainError for n below MIN_NODES or c not above 0.
     """
     check_layer_count(h)
     check_network_size(n)
+    _check_c(params)
     try:
         load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
     except OverflowError:
@@ -212,7 +221,9 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
     a = 0.5 * math.log(params.c)
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
-    split = h = min(max(math.floor(h_exact), 2), h_max)
+    # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
+    h = math.floor(h_exact)
+    split = h = 2 if h < 2 else h_max if h > h_max else h
     while (best := depth_optimum(h, n, params)) is None and h > 2:
         h -= 1
     # the depths that fit are a run 2..H: past split + 1, none fits if it does not
@@ -228,5 +239,5 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
         while (tie := depth_optimum(h, n, params)) is None or tie[1] != best[1]:
             h += 1
         best = tie
-    return LayerChoice(h_exact, h_approx, h, *best)
+    return LayerChoice(h_exact, h_approx, h, best[0], best[1])
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
-from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
+from .optimizer import _check_c, depth_optimum, minimal_delay, optimal_cluster_sizes
 from .params import N_MAX, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
@@ -90,12 +90,14 @@ def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> 
 def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
     """Random geometric hierarchies, recursion vs bracket, sum and per term."""
     rng = random.Random(seed)
+    # the draws of rng.uniform(a, b), which is a + (b - a) * rng.random(), without its call
+    draw = rng.random
     errors = []
     for _ in range(_RANDOM_CASES):
         h = rng.randint(2, 6)
-        sizes = [rng.uniform(2.0, 64.0)]
+        sizes = [2.0 + (64.0 - 2.0) * draw()]
         for _ in range(h - 2):
-            sizes.append(sizes[-1] * rng.uniform(1.5, 8.0))
+            sizes.append(sizes[-1] * (1.5 + (8.0 - 1.5) * draw()))
         sizes.reverse()
         walked = delay_recursive(sizes, params)
         bracket = delay_closed_form(sizes, params)
@@ -184,8 +186,10 @@ def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:
     """Judge every SUITES row in order; deterministic for a given params and seed.
 
     Raises DomainError naming the suite and the rate pair when a suite
-    overflows a float, InfeasibleError when no n <= N_MAX fits.
+    overflows a float, DomainError naming c when c is not above 0 (the
+    optimizer's rule, checked first), InfeasibleError when no n <= N_MAX fits.
     """
+    _check_c(params)
     results = []
     for suite, tol in SUITES:
         try:

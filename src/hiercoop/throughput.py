@@ -128,15 +128,7 @@ def _smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
-    return ThroughputReport(
-        value=pre * (n / 2.0) ** exponent,
-        h_used=root,
-        M1_used=None,
-        phase_slots=None,
-        pre_constant=pre,
-        exponent=exponent,
-        c_n=c_n,
-    )
+    return ThroughputReport(pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
 
 
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
@@ -145,7 +137,7 @@ def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     The smooth report is smooth_modified's. The integer half is the very
     LayerChoice that layer_choice(n, params) returns, None when no depth fits.
     """
-    return ModifiedThroughput(smooth=smooth_modified(n, params), integer=layer_choice(n, params))
+    return ModifiedThroughput(smooth_modified(n, params), layer_choice(n, params))
 
 
 def upper_bound(n: int, params: SchemeParams) -> float:

@@ -12,13 +12,18 @@ from hiercoop import (
     MAX_LAYERS,
     DomainError,
     InfeasibleError,
+    LayerChoice,
     NetworkConfig,
+    Regime,
     SchemeParams,
+    ThroughputReport,
+    classify,
     compare_schemes,
     derive,
     layer_choice,
     layer_throughput,
     multihop_baseline,
+    optimal_modified,
     original_optimal_layers,
     original_throughput,
     ratio_log_adjusted,
@@ -28,6 +33,8 @@ from hiercoop import (
 )
 from hiercoop import explorer, selfcheck, throughput
 from hiercoop.optimizer import _search_depth
+from hiercoop.params import smooth_depth
+from oracles import balanced_top_by_formula, best_depth_by_scan
 from strategies import corrupt_params, rate_params, search_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
@@ -275,6 +282,68 @@ class TestCompareSchemes:
         assert row.extras["multihop"] < row.extras["T1_int"] < multihop_baseline(
             20000, 1.0
         )
+
+
+class TestRecordsByField:
+    """The records a sweep row builds are built by position; each field,
+    read back by name, holds the figure it names, so a slip in the order
+    of the arguments fails here."""
+
+    def test_smooth_report(self):
+        # cold, so the figures come from this call, not an earlier entry
+        n, p = 131072, derive(1.0, 24.0)
+        report = throughput._smooth_modified.__wrapped__(n, p)
+        root = smooth_depth(n, p)
+        c_n = (1.0 + p.R / p.Q) ** (1.0 - 1.0 / root)
+        pre = p.beta1 * p.R / (c_n * root)
+        assert report.h_used == root
+        assert report.M1_used is None and report.phase_slots is None
+        assert report.c_n == pytest.approx(c_n, rel=1e-15)
+        assert report.exponent == pytest.approx(1.0 - 2.0 / root, rel=1e-15)
+        assert report.pre_constant == pytest.approx(pre, rel=1e-15)
+        assert report.value == pytest.approx(pre * (n / 2.0) ** report.exponent, rel=1e-15)
+
+    def test_layer_choice(self, unit_params):
+        # A = log(n/2) - log(1 + R/Q) = log(32768), a = log(c)/2 = log(2)
+        n = 131072
+        choice = layer_choice(n, unit_params)
+        A, a = math.log(32768.0), math.log(2.0)
+        h = best_depth_by_scan(n, 1.0, 1.0, 4.0, MAX_LAYERS)
+        assert choice.h_exact == pytest.approx(2 * A / (1 + math.sqrt(1 + 4 * a * A)), rel=1e-15)
+        assert choice.h_approx == 4.0  # sqrt(log_2(65536))
+        assert choice.h_int == h == 3 and type(choice.h_int) is int
+        assert choice.M1.hex() == balanced_top_by_formula(h, n, 1.0, 1.0, 4.0).hex()
+        assert choice.value == pytest.approx(256.0 / 3.0, rel=1e-12)
+
+    def test_modified_throughput(self, unit_params):
+        both = optimal_modified(131072, unit_params)
+        assert isinstance(both.smooth, ThroughputReport)
+        assert both.smooth == smooth_modified(131072, unit_params)
+        assert isinstance(both.integer, LayerChoice)
+        assert both.integer == layer_choice(131072, unit_params)
+
+    def test_regime_report(self):
+        # demand area**(alpha/2), supply c0*n
+        sparse = classify(NetworkConfig(200, 100.0, 4.0, 2.0))
+        assert sparse.regime is Regime.SPARSE
+        assert sparse.factor == 400.0 / 10000.0
+        assert sparse.threshold == 400.0 - 10000.0
+        dense = classify(NetworkConfig(200, 10.0, 2.0, 1.0))
+        assert dense.regime is Regime.DENSE
+        assert dense.factor == 1.0
+        assert dense.threshold == 190.0
+
+    def test_sweep_rows_and_their_geometry(self, unit_params):
+        # area, alpha and c0 each move area_factor: 2*200 / 100**(4/2)
+        cfg = NetworkConfig(n=4, area=100.0, alpha=4.0, c0=2.0)
+        failed, good = compare_schemes([3, 200], cfg, unit_params, c_mh=1.0)
+        assert failed.n == 3 and type(failed.n) is int
+        assert failed.extras == {}
+        assert failed.error == "n must be an integer >= 4, got 3"
+        assert good.n == 200 and type(good.n) is int
+        assert good.error is None
+        assert good.extras["T1_smooth"] == smooth_modified(200, unit_params).value
+        assert good.extras["area_factor"] == 400.0 / 10000.0
 
 
 #: The memoized smooth forms, and the one-entry memo behind each.

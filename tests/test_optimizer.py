@@ -494,12 +494,7 @@ class TestDepthOptimum:
     @example(n=2**40, params=_ONE_PLUS)
     @example(n=4, params=_ONE_PLUS)
     @example(n=2**62, params=derive(1.0, 0.25 + 1e-9))
-    @example(
-        n=2**40,
-        params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.nan),
-    )
     def test_none_exactly_where_the_formula_does_not_fit(self, n, params):
-        # a NaN top size (c = NaN, h >= 3) does not fit, as the oracle says
         for h in range(2, MAX_LAYERS + 1):
             got = depth_optimum(h, n, params)
             M1 = balanced_top_by_formula(h, n, params.R, params.Q, params.c)
@@ -514,3 +509,42 @@ class TestDepthOptimum:
         assert depth_optimum(2, 4, unit_params) is None
         with pytest.raises(DomainError):
             depth_optimum(2, 3, unit_params)
+
+
+def _with_c(c):
+    return SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+
+
+class TestNonPositiveC:
+    """Every layer-sizing route refuses c <= 0 or NaN with one DomainError."""
+
+    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
+    @pytest.mark.parametrize("h", [2, 3, 4])
+    def test_each_route_names_c(self, c, h):
+        # c**x is complex, 0**-x divides by zero, and NaN slots pass for a
+        # number: each route raises before any power of c is taken
+        msg = rf"^layer sizing needs c > 0, got c={c}$"
+        params = _with_c(c)
+        routes = [
+            lambda: depth_optimum(h, 2**40, params),
+            lambda: optimal_cluster_sizes(h, 512.0, params),
+            lambda: minimal_delay(h, 512.0, params),
+            lambda: layer_throughput(h, 2**40, params),
+            lambda: throughput_given_M1(h, 512.0, 2**40, params),
+        ]
+        for route in routes:
+            with pytest.raises(DomainError, match=msg):
+                route()
+
+    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
+    def test_depth_search_keeps_its_own_rule(self, c):
+        with pytest.raises(DomainError, match=rf"^depth search needs c > 1, got c={c}$"):
+            layer_choice(2**40, _with_c(c))
+
+    def test_layer_count_and_top_size_are_named_first(self):
+        with pytest.raises(PlanError):
+            depth_optimum(1, 2**40, _with_c(-4.0))
+        with pytest.raises(DomainError, match="need n >= 4"):
+            depth_optimum(2, 3, _with_c(-4.0))
+        with pytest.raises(InfeasibleError, match="top cluster"):
+            minimal_delay(3, 1.5, _with_c(0.0))

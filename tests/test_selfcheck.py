@@ -1,12 +1,15 @@
 """Built-in oracle suites: they pass on honest params and catch corruption."""
 import collections
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hiercoop import InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck
+from hiercoop import (
+    DomainError, InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck,
+)
 from hiercoop.explorer import RATIO_ROUTE_TOL
 from hiercoop.optimizer import _search_depth
 from hiercoop.recurrence import delay_closed_form, delay_recursive
@@ -99,6 +102,19 @@ class TestFaultInjection:
         # and the envelope both see the inconsistent c
         bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
         assert [r.passed for r in run_all(bad, seed=0)] == [False, True, True, False, True]
+
+    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
+    def test_constant_not_above_zero_is_refused(self, c):
+        # the optimizer's rule, before any suite runs: the suites after the
+        # first size layers by powers of c, and at c = 0 the first would
+        # divide by a zero bracket term
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        msg = rf"^layer sizing needs c > 0, got c={c}$"
+        with pytest.raises(DomainError, match=msg):
+            run_all(bad, seed=0)
+        for suite, _ in selfcheck.SUITES[1:4]:
+            with pytest.raises(DomainError, match=msg):
+                suite(bad, 0)
 
     def test_corruption_is_visible_at_low_case_count_too(self):
         bad = SchemeParams(
@@ -250,6 +266,28 @@ class TestWork:
             ("phase_balance", "throughput_given_M1"): 34,
             ("bound_checks", "layer_throughput"): 330,
         }
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
+    def test_random_hierarchies_are_the_uniform_draws(self, monkeypatch, seed):
+        # recursion_vs_closed_form draws rng.uniform's values without its call
+        seen = []
+        walk = selfcheck.delay_recursive
+
+        def recorded(sizes, params):
+            seen.append(list(sizes))
+            return walk(sizes, params)
+
+        monkeypatch.setattr(selfcheck, "delay_recursive", recorded)
+        recursion_vs_closed_form(derive(1.0, 1.0), seed)
+        rng = random.Random(seed)
+        drawn = []
+        for _ in range(200):
+            h = rng.randint(2, 6)
+            sizes = [rng.uniform(2.0, 64.0)]
+            for _ in range(h - 2):
+                sizes.append(sizes[-1] * rng.uniform(1.5, 8.0))
+            drawn.append(sizes[::-1])
+        assert [[m.hex() for m in s] for s in seen] == [[m.hex() for m in s] for s in drawn]
 
     def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
         # it reads only the smooth figure, which needs no depth
