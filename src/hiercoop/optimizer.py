@@ -24,6 +24,11 @@ Three nested choices, each with a closed-form answer:
   h, so the depths that fit are a run 2..H. The nearest feasible depth
   above h* is then floor(h*) + 1 or none at all, and the nearest one below
   is the first that fits walking down from floor(h*).
+* Which of the two wins is a closed-form test in log n: depth h + 1 beats
+  depth h exactly when A > s_h = h*(h+1)*(log1p(1/h) + a). The search
+  evaluates only the side of s_h that A is on, and compares the values of
+  both depths only inside a band around s_h where rounding could decide
+  (_search_depth states the bound).
 
 A depth that does not fit is an answer, not an error: depth_optimum returns
 None for it, and the search skips it. When no depth fits, layer_choice
@@ -137,6 +142,11 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
     check_layer_count(h)
     check_network_size(n)
     _check_c(params)
+    return _depth_optimum(h, n, params)
+
+
+def _depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
+    # depth_optimum past its checks: h in 2..MAX_LAYERS, n >= MIN_NODES, c > 0
     try:
         load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
     except OverflowError:
@@ -161,9 +171,10 @@ class LayerChoice(NamedTuple):
 
     h_int: int
     """Bounded argmax of per-depth throughput over feasible depths in 2..h_max
-    (default MAX_LAYERS). Only floor(h*), walking down past depths that do
-    not fit, and floor(h*) + 1 are evaluated. A LayerChoice always has one:
-    when no depth fits, layer_choice returns None instead."""
+    (default MAX_LAYERS). The switch-point test picks floor(h*) + 1 or the
+    first depth that fits walking down from floor(h*), and only that side
+    is evaluated, both sides only near the switch point. A LayerChoice
+    always has one: when no depth fits, layer_choice returns None instead."""
 
     M1: float
     """Balanced top cluster size at h_int."""
@@ -179,11 +190,14 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     MAX_LAYERS), ties broken toward fewer layers. Per-depth throughput rises
     below the stationary point h* of its closed form and falls above it, and
     the depths that fit form a run 2..H (see the module docstring); both
-    take c > 1. So the search walks down from floor(h*), clamped to 2..h_max,
-    to the first depth that fits, then evaluates the depth after that clamped
-    floor(h*) when it is within h_max, which wins only when strictly greater.
-    When the winning value overflows to inf it ties every other infinite
-    value, and the smallest feasible depth that reaches it wins.
+    take c > 1. With split = floor(h*) clamped to 2..h_max, the winner is
+    split + 1 when it is within h_max, fits, and is greater, else the first
+    depth that fits walking down from split. The switch-point test
+    A > s_split says which side is greater, and the search evaluates that
+    side alone. Inside a band around s_split where rounding could decide,
+    it evaluates both and split + 1 wins only when strictly greater. When
+    the winning value overflows to inf it ties every other infinite value,
+    and the smallest feasible depth that reaches it wins.
 
     Every new set of arguments is checked, and a repeat of the last set,
     which passed, returns the stored answer: the checks and the search run
@@ -207,11 +221,41 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     return _search_depth(n, params, h_max)
 
 
+#: Half-width of the band around a switch point where values decide the depth,
+#: in units of split * (split + 1) in A (see _search_depth)
+_TIE = 1e-9
+
+#: Above this R every compared value is a normal float (see _search_depth)
+_R_FLOOR = 2.0**-900
+
+
 @functools.lru_cache(maxsize=1, typed=True)
 def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | None:
-    # layer_choice on a checked cap: the remaining checks, then the search,
-    # None when no depth fits. One entry serves the back-to-back repeats of a
-    # sweep row or an analyze report, infeasible rows too.
+    """layer_choice on a checked cap: the remaining checks, then the search.
+
+    Returns None when no depth fits. One entry serves the back-to-back
+    repeats of a sweep row or an analyze report, infeasible rows too.
+
+    The log of the depth-h value is const - log h - (h-1)*a + (1 - 1/h)*A,
+    so depth split + 1 beats depth split exactly when
+    A > s_split = split*(split+1)*(log1p(1/split) + a), with split the
+    clamped floor(h*). Away from that switch point the test picks the side
+    and one depth is evaluated: split + 1 first when A is above s_split,
+    taken if it fits (if it does not, no deeper depth fits, and the walk
+    down from split follows); otherwise the walk down from split alone.
+
+    Rounding bound: an evaluated value carries about 1e-14 relative error,
+    its pow being taken at an exponent e*log(n/2) <= 43, and A and s_split
+    about as much. A relative error eps in the values moves the compared
+    gap A - s_split by about eps*split*(split+1), so the test decides only
+    where |A - s_split| > _TIE*split*(split+1), a 1e5 margin over that
+    error. Inside the band, and when split is h_max, the values decide:
+    the walk down from split, then split + 1, which wins only when strictly
+    greater. The bound holds for normal floats only. When split + 1 fits,
+    c**(split/2) <= 2**29.5 by the fit law, so every compared prefactor
+    R/(h*(1 + R/Q)**e*c**((h-1)/2)) exceeds R*2**-38, a normal float for
+    R > _R_FLOOR = 2**-900; at a smaller R the values always decide.
+    """
     h_approx = smooth_depth(n, params)
     if not params.c > 1.0:
         raise DomainError(f"depth search needs c > 1, got c={params.c}")
@@ -224,11 +268,22 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
     h = math.floor(h_exact)
     split = h = 2 if h < 2 else h_max if h > h_max else h
-    while (best := depth_optimum(h, n, params)) is None and h > 2:
-        h -= 1
+    best = None
+    # whether the values of split and split + 1 decide between them
+    weigh = split < h_max
+    if weigh:
+        width = split * (split + 1)
+        gap = A - width * (math.log1p(1.0 / split) + a)
+        band = _TIE * width if params.R > _R_FLOOR else math.inf
+        weigh = -band <= gap <= band
+        if gap > band and (best := _depth_optimum(split + 1, n, params)) is not None:
+            h = split + 1
+    if best is None:
+        while (best := _depth_optimum(h, n, params)) is None and h > 2:
+            h -= 1
     # the depths that fit are a run 2..H: past split + 1, none fits if it does not
-    if split < h_max:
-        above = depth_optimum(split + 1, n, params)
+    if weigh:
+        above = _depth_optimum(split + 1, n, params)
         if above is not None and (best is None or above[1] > best[1]):
             h, best = split + 1, above
     if best is None:
@@ -236,8 +291,7 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     if not math.isfinite(best[1]):
         # inf ties every other inf: the smallest depth that reaches it wins
         h = 2
-        while (tie := depth_optimum(h, n, params)) is None or tie[1] != best[1]:
+        while (tie := _depth_optimum(h, n, params)) is None or tie[1] != best[1]:
             h += 1
         best = tie
     return LayerChoice(h_exact, h_approx, h, best[0], best[1])
-

@@ -53,16 +53,21 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     # TIME_SHARING_FACTOR**i, an exact int
     scale = 1
     decomposition = []
+    # a left fold from 0.0, which sum() of floats is not from Python 3.12 on
+    total = 0.0
     walk = iter(sizes)
     top = next(walk)
     for below in walk:
         step = top / below
-        decomposition.append(scale * (step * 2.0 * top * (load / R)))
+        term = scale * (step * 2.0 * top * (load / R))
+        decomposition.append(term)
+        total += term
         load = load * inflation * step
         scale *= TIME_SHARING_FACTOR
         top = below
-    decomposition.append(scale * ((load / R) * (top * top)))
-    return DelaySlots(sum(decomposition), tuple(decomposition))
+    term = scale * ((load / R) * (top * top))
+    decomposition.append(term)
+    return DelaySlots(total + term, tuple(decomposition))
 
 
 def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
@@ -75,11 +80,16 @@ def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySl
     lead = 2.0 * sizes[0] * (1.0 / params.R)
     last = len(sizes) - 1
     terms = []
+    # a left fold from 0.0, as in delay_recursive
+    total = 0.0
     try:
         for i in range(last):
-            terms.append(lead * c**i * sizes[i] / sizes[i + 1])
-        terms.append(lead * c**last * sizes[-1] / 2.0)
+            term = lead * c**i * sizes[i] / sizes[i + 1]
+            terms.append(term)
+            total += term
+        term = lead * c**last * sizes[-1] / 2.0
     except OverflowError:
         # len(terms) is the index of the term whose power overflowed
         raise OverflowError(f"c**{len(terms)} overflows at c={c:g}") from None
-    return DelaySlots(sum(terms), tuple(terms))
+    terms.append(term)
+    return DelaySlots(total + term, tuple(terms))

@@ -89,12 +89,17 @@ def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> 
 
 def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
     """Random geometric hierarchies, recursion vs bracket, sum and per term."""
+    _check_c(params)  # a zero c makes a zero bracket term, the reference of a relative error
     rng = random.Random(seed)
-    # the draws of rng.uniform(a, b), which is a + (b - a) * rng.random(), without its call
-    draw = rng.random
+    # the draws of rng.uniform(a, b), which is a + (b - a) * rng.random(), and of
+    # rng.randint(2, 6), which is 2 + getrandbits(3) redrawn while >= 5, without their calls
+    draw, bits = rng.random, rng.getrandbits
     errors = []
     for _ in range(_RANDOM_CASES):
-        h = rng.randint(2, 6)
+        k = bits(3)
+        while k >= 5:
+            k = bits(3)
+        h = 2 + k
         sizes = [2.0 + (64.0 - 2.0) * draw()]
         for _ in range(h - 2):
             sizes.append(sizes[-1] * (1.5 + (8.0 - 1.5) * draw()))
@@ -119,13 +124,14 @@ def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
                 sizes = optimal_cluster_sizes(h, M1, params)
             except InfeasibleError:
                 continue
-            terms = delay_closed_form(sizes, params).decomposition
-            mean = sum(terms) / len(terms)
+            bracket = delay_closed_form(sizes, params)
+            terms = bracket.decomposition
+            mean = bracket.slots / len(terms)
             worst = 0.0
             for t in terms:
                 err = _rel_err(t, mean)
                 worst = err if err > worst else worst
-            err = _rel_err(sum(terms), minimal_delay(h, M1, params).slots)
+            err = _rel_err(bracket.slots, minimal_delay(h, M1, params).slots)
             errors.append(err if err > worst else worst)
     return errors
 

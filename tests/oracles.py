@@ -2,12 +2,22 @@
 
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50-digit arithmetic, and nothing imports the
-package under test. Agreement between these and the closed forms is the
-point of the tests that use them.
+package under test, except search_depth_by_walk: an earlier depth search
+kept as it was, over the package's own public depth_optimum. Agreement
+between these and the closed forms is the point of the tests that use them.
 """
 import math
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def left_sum(values):
+    """((0.0 + v0) + v1) + ...: the slot totals' order of addition, which the
+    builtin sum() of floats does not keep from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def base_slots_by_enumeration(M, L_prime, R):
@@ -57,7 +67,7 @@ def delay_by_recursion(sizes, L, R, Q):
         return (relay,) + tuple(4 * x for x in rest)
 
     decomposition = walk(tuple(sizes), L)
-    return sum(decomposition), decomposition
+    return left_sum(decomposition), decomposition
 
 
 def bracket_by_formula(sizes, R, c):
@@ -74,7 +84,7 @@ def bracket_by_formula(sizes, R, c):
     terms = tuple(
         lead * c**i * m / below for i, (m, below) in enumerate(zip(sizes, sizes[1:] + [2.0]))
     )
-    return sum(terms), terms
+    return left_sum(terms), terms
 
 
 def golden_min(f, lo, hi, iters=200):
@@ -166,6 +176,47 @@ def best_depth_by_scan(n, R, Q, c, h_max):
         if value > best_value:
             best_h, best_value = h, value
     return best_h
+
+
+def search_depth_by_walk(n, params, h_max):
+    """The depth search as it was before the switch-point test: the walk down
+    from the clamped floor(h*) to the first depth that fits, then depth
+    floor(h*) + 1, which wins only when strictly greater; an infinite winner
+    gives way to the smallest depth reaching the same value. It returns
+    what optimizer._search_depth returns, and raises what it raises.
+    """
+    from hiercoop import LayerChoice, depth_optimum
+    from hiercoop.errors import DomainError
+    from hiercoop.params import smooth_depth
+
+    h_approx = smooth_depth(n, params)
+    if not params.c > 1.0:
+        raise DomainError(f"depth search needs c > 1, got c={params.c}")
+
+    # h* from the c that depth_optimum uses, in a form that neither cancels
+    # as c -> 1 nor fails when c overflows to inf (h* = 0)
+    A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
+    a = 0.5 * math.log(params.c)
+    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
+    # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
+    h = math.floor(h_exact)
+    split = h = 2 if h < 2 else h_max if h > h_max else h
+    while (best := depth_optimum(h, n, params)) is None and h > 2:
+        h -= 1
+    # the depths that fit are a run 2..H: past split + 1, none fits if it does not
+    if split < h_max:
+        above = depth_optimum(split + 1, n, params)
+        if above is not None and (best is None or above[1] > best[1]):
+            h, best = split + 1, above
+    if best is None:
+        return None
+    if not math.isfinite(best[1]):
+        # inf ties every other inf: the smallest depth that reaches it wins
+        h = 2
+        while (tie := depth_optimum(h, n, params)) is None or tie[1] != best[1]:
+            h += 1
+        best = tie
+    return LayerChoice(h_exact, h_approx, h, best[0], best[1])
 
 
 def depth_constants_50_digits(n, R, Q, c):

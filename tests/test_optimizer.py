@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hiercoop import (
     MAX_LAYERS,
@@ -30,6 +30,7 @@ from oracles import (
     coordinate_descent_min,
     golden_max,
     grid_min,
+    search_depth_by_walk,
 )
 from strategies import rate_params, search_params
 
@@ -325,6 +326,46 @@ def _full_scan(n, params, h_max):
     return best
 
 
+@st.composite
+def switch_point_draws(draw):
+    """(n, params, h_max) with Q/R = 0.25 + 10**U(-12, 3), R = 1 or
+    10**U(-300, 306), and n log-uniform in 4..2**62 or within 3 of a switch
+    point n*_h = 2(1 + R/Q) e**s_h, where depth h + 1 starts to beat depth h."""
+    ratio = 0.25 + 10.0 ** draw(st.floats(-12.0, 3.0))
+    R = draw(st.just(1.0) | st.floats(-300.0, 306.0).map(lambda x: 10.0**x))
+    assume(math.isfinite(R * ratio))
+    params = derive(R, R * ratio)
+    if draw(st.booleans()):
+        # directly built, with c off 4Q/R and at times not above 1
+        c = params.c * 10.0 ** draw(st.floats(-3.0, 3.0))
+        params = SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
+    h_max = draw(st.just(MAX_LAYERS) | st.integers(2, MAX_LAYERS))
+    # the switch points s_h = h(h+1)(log1p(1/h) + a) whose n*_h lies in 4..2**62
+    a = 0.5 * math.log(params.c)
+    room = math.log(2.0**61 / (1.0 + params.R / params.Q))
+    tops = [
+        h for h in range(2, MAX_LAYERS + 1)
+        if math.log(2.0) <= h * (h + 1) * (math.log1p(1.0 / h) + a) <= room
+    ]
+    if tops and draw(st.booleans()):
+        h = draw(st.sampled_from(tops))
+        s_h = h * (h + 1) * (math.log1p(1.0 / h) + a)
+        n = round(2.0 * (1.0 + params.R / params.Q) * math.exp(s_h)) + draw(st.integers(-3, 3))
+        n = min(max(n, 4), 2**62)
+    else:
+        n = min(max(round(2.0 ** draw(st.floats(2.0, 62.0))), 4), 2**62)
+    return n, params, h_max
+
+
+def _outcome(search, n, params, h_max):
+    # a LayerChoice as float.hex fields, None, or the error raised
+    try:
+        got = search(n, params, h_max)
+    except (DomainError, PlanError) as exc:
+        return type(exc).__name__, str(exc)
+    return got if got is None else tuple(x.hex() if isinstance(x, float) else x for x in got)
+
+
 class TestDepthSearch:
     """layer_choice evaluates only the depths next to the stationary point;
     it must land where trying every depth lands, None included."""
@@ -440,19 +481,78 @@ class TestDepthSearch:
         assert depth_optimum(2, 2**60, params)[1] < math.inf
 
     def test_search_stops_at_the_depth_above_floor_h_star(self, monkeypatch):
-        # h* = 1.80 at n = 20000, Q/R = 24: depth 2 fits and depth 3 does not,
-        # so no deeper depth fits and none is evaluated
+        # h* = 1.80 at n = 20000, Q/R = 24: A lies far below the switch point
+        # s_2, so depth 2 wins where it fits and depth 3 is not evaluated
         depths = []
-        real = optimizer.depth_optimum
+        real = optimizer._depth_optimum
 
         def counted(h, n, params):
             depths.append(h)
             return real(h, n, params)
 
-        monkeypatch.setattr(optimizer, "depth_optimum", counted)
+        monkeypatch.setattr(optimizer, "_depth_optimum", counted)
         _search_depth.cache_clear()
         assert layer_choice(20000, derive(1.0, 24.0)).h_int == 2
-        assert depths == [2, 3]
+        assert depths == [2]
+
+    @settings(max_examples=500)
+    @given(draws=switch_point_draws())
+    @example(draws=(476407152774835, derive(1.0, 0.2500000000739399), MAX_LAYERS))
+    @example(draws=(2**60, derive(1e300, 1e300), MAX_LAYERS))
+    @example(draws=(2**40, derive(1.0, 4.49e307), MAX_LAYERS))
+    def test_switch_point_test_picks_what_the_walk_and_compare_picked(self, draws):
+        # the depth whose side the switch-point test decides, bit for bit,
+        # at ties and at inf too, errors included
+        n, params, h_max = draws
+        assert _outcome(_search_depth.__wrapped__, n, params, h_max) == _outcome(
+            search_depth_by_walk, n, params, h_max
+        )
+
+    def test_tie_band_is_load_bearing(self, monkeypatch):
+        # A lies 3.6e-15 above s_31 here, inside rounding; the values decide,
+        # and depth 31 rounds 1.3e-15 relative ahead of depth 32
+        n, params = 476407152774835, derive(1.0, 0.2500000000739399)
+        _search_depth.cache_clear()
+        assert layer_choice(n, params).h_int == 31
+        assert search_depth_by_walk(n, params, MAX_LAYERS).h_int == 31
+        monkeypatch.setattr(optimizer, "_TIE", 0.0)
+        _search_depth.cache_clear()
+        assert layer_choice(n, params).h_int == 32
+        _search_depth.cache_clear()
+
+    def test_values_decide_below_the_rate_floor(self, monkeypatch):
+        # at R = 5 * 2**-1074 every value rounds to 0.0, and the first of the
+        # equal values wins, as the walk and the full scan have it
+        n = 127675758068010176
+        params = derive(5 * 2.0**-1074, 20 * 2.0**-1074)
+        _search_depth.cache_clear()
+        choice = layer_choice(n, params)
+        assert (choice.h_int, choice.value) == (4, 0.0)
+        assert choice == search_depth_by_walk(n, params, MAX_LAYERS)
+        monkeypatch.setattr(optimizer, "_R_FLOOR", 0.0)
+        _search_depth.cache_clear()
+        assert layer_choice(n, params).h_int == 5
+        _search_depth.cache_clear()
+
+    @pytest.mark.parametrize("ratio", [1.0, 24.0])
+    def test_each_search_on_a_log_grid_evaluates_one_depth(self, monkeypatch, ratio):
+        calls = []
+        real = optimizer._depth_optimum
+
+        def counted(h, n, params):
+            calls.append(h)
+            return real(h, n, params)
+
+        monkeypatch.setattr(optimizer, "_depth_optimum", counted)
+        params = derive(1.0, ratio)
+        prev = 3
+        for i in range(1000):
+            n = prev = max(round(4 * (2.0**60) ** (i / 999)), prev + 1)
+            _search_depth.cache_clear()
+            calls.clear()
+            layer_choice(n, params)
+            assert len(calls) == 1, (n, calls)
+        _search_depth.cache_clear()
 
     @settings(max_examples=300)
     @given(n=st.integers(4, 2**62), params=search_params())

@@ -116,6 +116,14 @@ class TestFaultInjection:
             with pytest.raises(DomainError, match=msg):
                 suite(bad, 0)
 
+    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
+    def test_recursion_suite_on_its_own_refuses_c_not_above_zero(self, c):
+        # called without run_all, the first suite names c too; at c = 0 it
+        # would divide by a zero bracket term
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        with pytest.raises(DomainError, match=rf"^layer sizing needs c > 0, got c={c}$"):
+            recursion_vs_closed_form(bad, 0)
+
     def test_corruption_is_visible_at_low_case_count_too(self):
         bad = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.25
@@ -155,7 +163,10 @@ class TestNonFiniteErrors:
 
 
 def _per_comparison(params, cases):
-    # the judge by its definition: one _rel_err per total and per term pair
+    # the judge by its definition: c not above 0 refused, then one _rel_err
+    # per total and per term pair
+    if not params.c > 0.0:
+        raise DomainError(f"layer sizing needs c > 0, got c={params.c}")
     errors = []
     for sizes in cases:
         w, b = delay_recursive(sizes, params), delay_closed_form(sizes, params)
@@ -168,7 +179,7 @@ def _hexed(f, *args):
     # (True, every case error by float.hex) or (False, the type and text of the error)
     try:
         return True, [e.hex() for e in f(*args)]
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         return False, (type(exc), str(exc))
 
 
@@ -269,7 +280,7 @@ class TestWork:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
     def test_random_hierarchies_are_the_uniform_draws(self, monkeypatch, seed):
-        # recursion_vs_closed_form draws rng.uniform's values without its call
+        # recursion_vs_closed_form draws rng.randint's and rng.uniform's values without their calls
         seen = []
         walk = selfcheck.delay_recursive
 
