@@ -56,14 +56,19 @@ def classify(cfg: NetworkConfig) -> RegimeReport:
     return RegimeReport(Regime.SPARSE, supply / demand, supply - demand)
 
 
+def check_area_exponent(nu: float) -> None:
+    """Raise DomainError unless nu, the exponent of area_from_exponent, is >= 0."""
+    if not nu >= 0.0:
+        raise DomainError(f"area exponent must be >= 0, got {nu}")
+
+
 def area_from_exponent(n: int, nu: float) -> float:
     """Area n**nu for sweeps that grow the area with the network.
 
-    Raises DomainError when n < MIN_NODES or n**nu overflows a float.
+    Raises DomainError when n < MIN_NODES, nu is not >= 0 or n**nu overflows a float.
     """
     check_network_size(n)
-    if nu < 0.0:
-        raise DomainError(f"area exponent must be >= 0, got {nu}")
+    check_area_exponent(nu)
     try:
         return float(n) ** nu
     except OverflowError:

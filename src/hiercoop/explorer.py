@@ -28,10 +28,11 @@ import functools
 import math
 from typing import NamedTuple
 
-from .area import area_from_exponent, classify
+from .area import area_from_exponent, check_area_exponent, classify
 from .errors import DomainError
 from .params import MIN_NODES, NetworkConfig, SchemeParams, smooth_depth
 from .throughput import (
+    check_multihop_constant,
     multihop_baseline,
     optimal_modified,
     original_optimal_layers,
@@ -83,10 +84,15 @@ def ratio_original(n: int, params: SchemeParams) -> float:
     return direct
 
 
-def ratio_log_adjusted(n: int, a: float, params: SchemeParams) -> float:
-    """ratio_original divided by log_a(n); still diverges, just slower."""
+def check_log_base(a: float) -> None:
+    """Raise DomainError unless a, ratio_log_adjusted's log base, exceeds 1."""
     if not a > 1.0:
         raise DomainError(f"log base must exceed 1, got {a}")
+
+
+def ratio_log_adjusted(n: int, a: float, params: SchemeParams) -> float:
+    """ratio_original divided by log_a(n); still diverges, just slower."""
+    check_log_base(a)
     return ratio_original(n, params) / (math.log(n) / math.log(a))
 
 
@@ -104,10 +110,16 @@ def compare_schemes(
     multihop, ratio, ratio_log_adj, per_pair, area_factor. The area grows as
     n**nu when nu is given, else stays at cfg.area. A row whose computation
     raises or produces a non-finite value is annotated and the sweep moves
-    on; the grid itself must be strictly increasing.
+    on. The grid itself must be strictly increasing, and a constant that
+    every row reads (nu < 0, c_mh not positive, log_base <= 1) raises
+    DomainError once, before the first row, with its owner's message.
     """
     if not n_grid:
         raise DomainError("sweep grid is empty")
+    if nu is not None:
+        check_area_exponent(nu)
+    check_multihop_constant(c_mh)
+    check_log_base(log_base)
     rows: list[SweepRow] = []
     prev: int | None = None
     isfinite = math.isfinite  # read once, not once per metric of every row

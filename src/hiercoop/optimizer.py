@@ -11,13 +11,12 @@ Three nested choices, each with a closed-form answer:
   n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); depth_optimum
   gives it with the throughput at that size.
 * The depth itself is the bounded argmax of the per-depth throughput over
-  feasible integers, ties broken toward the smaller depth. With
-  a = log(c)/2 and A = log(n/2) - log(1 + R/Q) the log of that throughput
-  is const - log h - a*h - A/h, whose derivative (A - h - a*h**2)/h**2 is
-  positive below the root h* = 2A/(1 + sqrt(1 + 4aA)) and negative above
-  it when c > 1. So the best feasible depth is the nearest feasible one
-  on either side of h*, and no other depth needs evaluating. LayerChoice
-  reports h* as h_exact.
+  feasible integers. With a = log(c)/2 and A = log(n/2) - log(1 + R/Q)
+  the log of that throughput is const - log h - a*h - A/h, whose
+  derivative (A - h - a*h**2)/h**2 is positive below the root
+  h* = 2A/(1 + sqrt(1 + 4aA)) and negative above it when c > 1. So the
+  best feasible depth is the nearest feasible one on either side of h*,
+  and no other depth needs evaluating. LayerChoice reports h* as h_exact.
 * Depth h fits n nodes exactly when the balanced top size puts at least
   MIN_CLUSTER nodes in the equal-term bottom layer, that is when
   n >= 8 * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
@@ -25,10 +24,12 @@ Three nested choices, each with a closed-form answer:
   above h* is then floor(h*) + 1 or none at all, and the nearest one below
   is the first that fits walking down from floor(h*).
 * Which of the two wins is a closed-form test in log n: depth h + 1 beats
-  depth h exactly when A > s_h = h*(h+1)*(log1p(1/h) + a). The search
-  evaluates only the side of s_h that A is on, and compares the values of
-  both depths only inside a band around s_h where rounding could decide
-  (_search_depth states the bound).
+  depth h exactly when A > s_h = h*(h+1)*(log1p(1/h) + a), and a tie
+  A = s_h goes to depth h. That test alone picks the depth: the search
+  evaluates only the side of s_h that A is on, compares no values, and
+  reads no R, so the scale of the rates does not move the depth. Where
+  rounding could decide the test, the depth taken loses under 1e-14 in
+  log throughput (_search_depth states the bound).
 
 A depth that does not fit is an answer, not an error: depth_optimum returns
 None for it, and the search skips it. When no depth fits, layer_choice
@@ -173,8 +174,10 @@ class LayerChoice(NamedTuple):
     """Bounded argmax of per-depth throughput over feasible depths in 2..h_max
     (default MAX_LAYERS). The switch-point test picks floor(h*) + 1 or the
     first depth that fits walking down from floor(h*), and only that side
-    is evaluated, both sides only near the switch point. A LayerChoice
-    always has one: when no depth fits, layer_choice returns None instead."""
+    is evaluated. It reads no R. Within rounding of a switch point it may
+    take the other of the two depths, at a loss under 1e-14 in log
+    throughput. A LayerChoice always has one: when no depth fits,
+    layer_choice returns None instead."""
 
     M1: float
     """Balanced top cluster size at h_int."""
@@ -187,17 +190,18 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     """Pick the number of layers for n nodes, or None when no depth fits.
 
     h_int is the best feasible integer depth in 2..h_max (default
-    MAX_LAYERS), ties broken toward fewer layers. Per-depth throughput rises
-    below the stationary point h* of its closed form and falls above it, and
-    the depths that fit form a run 2..H (see the module docstring); both
-    take c > 1. With split = floor(h*) clamped to 2..h_max, the winner is
-    split + 1 when it is within h_max, fits, and is greater, else the first
-    depth that fits walking down from split. The switch-point test
-    A > s_split says which side is greater, and the search evaluates that
-    side alone. Inside a band around s_split where rounding could decide,
-    it evaluates both and split + 1 wins only when strictly greater. When
-    the winning value overflows to inf it ties every other infinite value,
-    and the smallest feasible depth that reaches it wins.
+    MAX_LAYERS). Per-depth throughput rises below the stationary point h*
+    of its closed form and falls above it, and the depths that fit form a
+    run 2..H (see the module docstring); both take c > 1. With
+    split = floor(h*) clamped to 2..h_max, the winner is split + 1 when it
+    is within h_max, fits, and is greater, else the first depth that fits
+    walking down from split. The switch-point test A > s_split in log n
+    says which is greater, a tie going to split, and the search evaluates
+    that side alone. No values are compared and the test reads no R, so
+    h_int, M1 and h_exact depend on the rates through Q/R alone, even
+    where the value overflows to inf or rounds to 0. Within rounding of
+    s_split the test may take the other depth, at a loss under 1e-14 in
+    log throughput (_search_depth derives the bound).
 
     Every new set of arguments is checked, and a repeat of the last set,
     which passed, returns the stored answer: the checks and the search run
@@ -221,14 +225,6 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     return _search_depth(n, params, h_max)
 
 
-#: Half-width of the band around a switch point where values decide the depth,
-#: in units of split * (split + 1) in A (see _search_depth)
-_TIE = 1e-9
-
-#: Above this R every compared value is a normal float (see _search_depth)
-_R_FLOOR = 2.0**-900
-
-
 @functools.lru_cache(maxsize=1, typed=True)
 def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | None:
     """layer_choice on a checked cap: the remaining checks, then the search.
@@ -237,24 +233,25 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     repeats of a sweep row or an analyze report, infeasible rows too.
 
     The log of the depth-h value is const - log h - (h-1)*a + (1 - 1/h)*A,
-    so depth split + 1 beats depth split exactly when
-    A > s_split = split*(split+1)*(log1p(1/split) + a), with split the
-    clamped floor(h*). Away from that switch point the test picks the side
-    and one depth is evaluated: split + 1 first when A is above s_split,
-    taken if it fits (if it does not, no deeper depth fits, and the walk
-    down from split follows); otherwise the walk down from split alone.
+    so the log value of depth split + 1 less that of depth split is
+    (A - s_split) / (split*(split+1)), with
+    s_split = split*(split+1)*(log1p(1/split) + a) and split the clamped
+    floor(h*). That sign alone picks the depth: split + 1 when split is
+    below h_max, A > s_split and split + 1 fits; otherwise the first depth
+    that fits walking down from split (if split + 1 does not fit, no deeper
+    depth fits). Only the depth taken is evaluated, unless the walk passes
+    depths that do not fit, and no two values are compared. Neither A nor
+    s_split reads R, so neither does the choice: values that overflow to
+    inf or round to 0 leave it where it is.
 
-    Rounding bound: an evaluated value carries about 1e-14 relative error,
-    its pow being taken at an exponent e*log(n/2) <= 43, and A and s_split
-    about as much. A relative error eps in the values moves the compared
-    gap A - s_split by about eps*split*(split+1), so the test decides only
-    where |A - s_split| > _TIE*split*(split+1), a 1e5 margin over that
-    error. Inside the band, and when split is h_max, the values decide:
-    the walk down from split, then split + 1, which wins only when strictly
-    greater. The bound holds for normal floats only. When split + 1 fits,
-    c**(split/2) <= 2**29.5 by the fit law, so every compared prefactor
-    R/(h*(1 + R/Q)**e*c**((h-1)/2)) exceeds R*2**-38, a normal float for
-    R > _R_FLOOR = 2**-900; at a smaller R the values always decide.
+    Tie contract: A = s_split takes split, and near it the float test may
+    take either depth. A < log(2**61) < 43, so the test can err only where
+    s_split < 43 too. There each of A and s_split comes from a few float
+    operations, each within an ulp, on numbers below 43 in size, and is
+    within 4 * 43 * 2**-53 < 2e-14 of its exact value. So a wrong pick
+    needs |A - s_split| < 4e-14, and the depth it takes then trails the
+    better one by |A - s_split| / (split*(split+1)) < 4e-14 / 6, under
+    1e-14 in natural-log throughput.
     """
     h_approx = smooth_depth(n, params)
     if not params.c > 1.0:
@@ -267,31 +264,17 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
     # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
     h = math.floor(h_exact)
-    split = h = 2 if h < 2 else h_max if h > h_max else h
-    best = None
-    # whether the values of split and split + 1 decide between them
-    weigh = split < h_max
-    if weigh:
-        width = split * (split + 1)
-        gap = A - width * (math.log1p(1.0 / split) + a)
-        band = _TIE * width if params.R > _R_FLOOR else math.inf
-        weigh = -band <= gap <= band
-        if gap > band and (best := _depth_optimum(split + 1, n, params)) is not None:
-            h = split + 1
-    if best is None:
-        while (best := _depth_optimum(h, n, params)) is None and h > 2:
-            h -= 1
-    # the depths that fit are a run 2..H: past split + 1, none fits if it does not
-    if weigh:
-        above = _depth_optimum(split + 1, n, params)
-        if above is not None and (best is None or above[1] > best[1]):
-            h, best = split + 1, above
-    if best is None:
-        return None
-    if not math.isfinite(best[1]):
-        # inf ties every other inf: the smallest depth that reaches it wins
-        h = 2
-        while (tie := _depth_optimum(h, n, params)) is None or tie[1] != best[1]:
-            h += 1
-        best = tie
-    return LayerChoice(h_exact, h_approx, h, best[0], best[1])
+    h = 2 if h < 2 else h_max if h > h_max else h
+    # A > s_h: depth h + 1 wins where it fits; the depths that fit are a run
+    # 2..H, so if it does not, the best is the first that fits from h down
+    if (
+        h < h_max
+        and A > h * (h + 1) * (math.log1p(1.0 / h) + a)
+        and (best := _depth_optimum(h + 1, n, params)) is not None
+    ):
+        return LayerChoice(h_exact, h_approx, h + 1, *best)
+    while (best := _depth_optimum(h, n, params)) is None:
+        if h == 2:
+            return None
+        h -= 1
+    return LayerChoice(h_exact, h_approx, h, *best)

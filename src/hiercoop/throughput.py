@@ -175,14 +175,19 @@ def _original_throughput(n: int, params: SchemeParams) -> float:
     return params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
 
 
+def check_multihop_constant(c_mh: float) -> None:
+    """Raise DomainError unless c_mh, multihop_baseline's constant, is positive and finite."""
+    if not (math.isfinite(c_mh) and c_mh > 0):
+        raise DomainError(f"multihop constant must be positive, got {c_mh}")
+
+
 def multihop_baseline(n: int, c_mh: float) -> float:
     """Nearest-neighbor relaying reference c_mh * sqrt(n).
 
     The constant absorbs bandwidth and path-loss details, so callers must
     supply it explicitly.
     """
-    if not (math.isfinite(c_mh) and c_mh > 0):
-        raise DomainError(f"multihop constant must be positive, got {c_mh}")
+    check_multihop_constant(c_mh)
     check_network_size(n)
     return c_mh * math.sqrt(n)
 

@@ -1,10 +1,11 @@
 """Brute-force counterparts of the closed-form machinery.
 
 Everything here is reimplemented from the model description with plain
-loops, bracketing searches or 50-digit arithmetic, and nothing imports the
-package under test, except search_depth_by_walk: an earlier depth search
-kept as it was, over the package's own public depth_optimum. Agreement
-between these and the closed forms is the point of the tests that use them.
+loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
+imports the package under test, except search_depth_by_walk: an earlier
+depth search kept as it was, over the package's own public depth_optimum.
+Agreement between these and the closed forms is the point of the tests
+that use them.
 """
 import math
 
@@ -178,12 +179,40 @@ def best_depth_by_scan(n, R, Q, c, h_max):
     return best_h
 
 
+def depth_log_values(n, R, Q, c, h_max):
+    """{h: log of the depth-h throughput} over the depths in 2..h_max that
+    fit (balanced_top_by_formula), as 60-digit mpmath numbers.
+
+    The log is log R - log h - e*log(1 + R/Q) - (h-1)/2*log c + e*log(n/2)
+    with e = (h-1)/h, taken from the float inputs as exact binary values.
+    Nothing is exponentiated, so no value overflows or underflows at any R;
+    c = inf gives -inf at every depth that fits. The argmax is the depth whose value
+    is max(values.values()).
+    """
+    import mpmath  # test-only, as in depth_constants_50_digits
+
+    with mpmath.workdps(60):
+        log_r = mpmath.log(mpmath.mpf(R))
+        log_b = mpmath.log(1 + mpmath.mpf(R) / mpmath.mpf(Q))
+        log_c = mpmath.log(mpmath.mpf(c))
+        x = mpmath.log(mpmath.mpf(n) / 2)
+        values = {}
+        for h in range(2, h_max + 1):
+            if balanced_top_by_formula(h, n, R, Q, c) is not None:
+                e = mpmath.mpf(h - 1) / h
+                log_pre = log_r - mpmath.log(h) - e * log_b - mpmath.mpf(h - 1) / 2 * log_c
+                values[h] = log_pre + e * x
+        return values
+
+
 def search_depth_by_walk(n, params, h_max):
     """The depth search as it was before the switch-point test: the walk down
     from the clamped floor(h*) to the first depth that fits, then depth
     floor(h*) + 1, which wins only when strictly greater; an infinite winner
-    gives way to the smallest depth reaching the same value. It returns
-    what optimizer._search_depth returns, and raises what it raises.
+    gives way to the smallest depth reaching the same value. It raises what
+    optimizer._search_depth raises, and returns the same LayerChoice
+    wherever the values it compares are finite, normal floats that
+    rounding cannot reorder.
     """
     from hiercoop import LayerChoice, depth_optimum
     from hiercoop.errors import DomainError

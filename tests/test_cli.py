@@ -253,6 +253,24 @@ class TestSweep:
         assert len(lines) == 3  # header plus two annotated rows
         assert "n must be an integer >= 4" in lines[1]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--log-base", "1", "log base must exceed 1, got 1.0"),
+            ("--nu", "-0.5", "area exponent must be >= 0, got -0.5"),
+            ("--c-mh", "0", "multihop constant must be positive, got 0.0"),
+        ],
+        ids=["log-base", "nu", "c-mh"],
+    )
+    def test_constant_no_row_can_use_is_refused_once_before_any_row(
+        self, capsys, flag, value, message
+    ):
+        # the owner's message once on stderr, no rows, exit 3
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", "16:1024:5:log", "--c-mh", "1", flag, value
+        )
+        assert (rc, out, err) == (3, "", f"error: {message}\n")
+
     def test_overflowing_area_names_n_and_nu(self, capsys):
         rc, out, err = run_cli(
             capsys, "sweep", "--grid", "4:100:3:log", "--c-mh", "1", "--nu", "300"

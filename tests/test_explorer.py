@@ -241,6 +241,26 @@ class TestCompareSchemes:
         with pytest.raises(DomainError):
             compare_schemes([], UNIT_CFG, unit_params, c_mh=1.0)
 
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"log_base": 1.0}, "log base must exceed 1"),
+            ({"nu": -0.5}, "area exponent must be >= 0"),
+            ({"nu": math.nan}, "area exponent must be >= 0"),
+            ({"c_mh": 0.0}, "multihop constant must be positive"),
+            ({"c_mh": math.inf}, "multihop constant must be positive"),
+        ],
+        ids=["log_base", "nu", "nu-nan", "c_mh", "c_mh-inf"],
+    )
+    def test_constant_no_row_can_use_raises_before_any_row(
+        self, monkeypatch, unit_params, constants, message
+    ):
+        calls = []
+        monkeypatch.setattr(explorer, "optimal_modified", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match=message):
+            compare_schemes([16, 1024], UNIT_CFG, unit_params, **{"c_mh": 1.0, **constants})
+        assert calls == []
+
     def test_failed_point_is_annotated_not_fatal(self, unit_params):
         rows = compare_schemes([2, 1024], UNIT_CFG, unit_params, c_mh=1.0)
         assert rows[0].error is not None
