@@ -44,7 +44,6 @@ from .recurrence import (
     delay_closed_form,
     delay_recursive,
 )
-from .selfcheck import SuiteResult, run_all
 from .throughput import (
     ModifiedThroughput,
     ThroughputReport,
@@ -60,6 +59,18 @@ from .throughput import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # the verify suites load on first use (PEP 562): importing the package, or
+    # any subcommand but verify, leaves selfcheck unloaded
+    if name in ("SuiteResult", "run_all"):
+        from . import selfcheck
+
+        value = globals()[name] = getattr(selfcheck, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CandidateOutcome",

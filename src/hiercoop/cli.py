@@ -18,8 +18,6 @@ stdout early, as a shell reports a process ended by SIGPIPE.
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import functools
 import math
 import os
@@ -31,7 +29,6 @@ from .errors import DomainError, InfeasibleError, PlanError
 from .explorer import compare_schemes, ratio_original
 from .optimizer import layer_choice
 from .params import MAX_LAYERS, MIN_NODES, N_MAX, NetworkConfig, derive
-from .selfcheck import run_all
 from .throughput import (
     multihop_baseline,
     original_optimal_layers,
@@ -197,6 +194,8 @@ _OPTIONS: dict[str, _Option] = {
 
 
 def _load_config(path: str) -> dict[str, object]:
+    import configparser  # deferred: only --config reads a file
+
     # no interpolation: a value is its literal text, so "1%" fails as a number
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -290,6 +289,8 @@ def _emit(records: list[dict[str, object]], fmt: str) -> None:
             }
             print(json.dumps(rounded, allow_nan=False))
     elif fmt == "csv":
+        import csv  # deferred: keeps the import off every text and jsonl run
+
         # csv writes None as an empty cell
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(records[0])
@@ -381,6 +382,8 @@ def _cmd_sweep(cfg: dict[str, object]) -> int:
 
 
 def _cmd_verify(cfg: dict[str, object]) -> int:
+    from .selfcheck import run_all  # deferred: only verify runs the suites
+
     params = derive(cfg["rate-r"], cfg["rate-q"])
     results = run_all(params, seed=cfg["seed"])
     for r in results:

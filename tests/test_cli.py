@@ -387,7 +387,8 @@ class TestVerify:
             SuiteResult("broken", False, math.nan, 3, 1e-9),
             SuiteResult("high", True, 1e-15, 3, 1e-9),
         ]
-        monkeypatch.setattr(cli, "run_all", lambda params, seed=0: results)
+        # verify imports run_all from selfcheck when it runs, so patch it there
+        monkeypatch.setattr(selfcheck, "run_all", lambda params, seed=0: results)
         rc, out, _ = run_cli(capsys, "verify")
         assert "suite broken: FAIL cases=3 worst_rel_err=nan tol=1e-09" in out.splitlines()
         assert out.endswith("verify: FAIL\n")

@@ -2,6 +2,7 @@
 import ast
 import enum
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -28,15 +29,47 @@ from hiercoop.params import _Frozen
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
 
 
+#: names the package root resolves on first use, not at import
+LAZY = {"SuiteResult", "run_all"}
+
+#: modules that only some subcommands read
+DEFERRED = ("configparser", "csv", "hiercoop.selfcheck")
+
+
+def _fresh_python(code, *args):
+    # a new interpreter, so nothing this test session imported is loaded yet
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_export_list_is_the_public_surface_without_repeats():
-    # a name deleted from a module must leave __all__ and the imports together
-    assert len(hiercoop.__all__) == len(set(hiercoop.__all__))
-    public = {
-        name
-        for name, value in vars(hiercoop).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert set(hiercoop.__all__) == public - {"annotations"}
+    # a name deleted from a module must leave __all__ and the imports together;
+    # the eager names are read before anything resolves a lazy one
+    code = (
+        "import json, types, hiercoop\n"
+        "eager = sorted(n for n, v in vars(hiercoop).items()\n"
+        "               if not n.startswith('_') and not isinstance(v, types.ModuleType))\n"
+        "resolved = sorted(n for n in hiercoop.__all__ if getattr(hiercoop, n, None) is not None)\n"
+        "star = {}\n"
+        "exec('from hiercoop import *', star)\n"
+        "try:\n"
+        "    hiercoop.no_such_name\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([hiercoop.__all__, eager, resolved, sorted(star), missing]))\n"
+    )
+    exported, eager, resolved, star, missing = json.loads(_fresh_python(code))
+    assert len(exported) == len(set(exported))
+    assert LAZY.isdisjoint(eager)
+    assert set(exported) == set(eager) - {"annotations"} | LAZY
+    assert resolved == sorted(exported)
+    assert set(star) - {"__builtins__"} == set(exported)
+    assert missing == "module 'hiercoop' has no attribute 'no_such_name'"
 
 
 def test_every_exported_function_has_a_caller_in_the_package():
@@ -91,12 +124,32 @@ def test_no_module_imports_dataclasses(path):
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     code = "import sys, hiercoop.cli; print('dataclasses' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    assert _fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["analyze", "--n", "131072"], []),
+        (["tradeoff", "--n", "200", "--area", "100", "--alpha", "4", "--candidate", "2:1:1"], []),
+        (["sweep", "--grid", "1024:1048576:5:log", "--c-mh", "1"], ["csv"]),
+        (["verify"], ["hiercoop.selfcheck"]),
+        (["analyze", "--config", "CONFIG"], ["configparser"]),
+    ],
+    ids=["import", "analyze", "tradeoff", "sweep-csv", "verify", "analyze-config"],
+)
+def test_each_subcommand_loads_only_the_deferred_modules_it_reads(tmp_path, argv, loaded):
+    config = tmp_path / "network.ini"
+    config.write_text("[network]\nn = 131072\n", encoding="utf-8")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    code = (
+        "import sys, hiercoop.cli\n"
+        "rc = hiercoop.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n"
+        "sys.exit(rc)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code, *argv).splitlines()[-1] == repr(loaded)
 
 
 def test_a_record_checks_or_derives_in_init_or_is_a_named_tuple():
