@@ -53,8 +53,14 @@ class SweepRow(NamedTuple):
 
 
 def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
-    """Throughput ratio of the two schemes from the closed-form expression."""
-    return _ratio_closed_form(n, params)
+    """Throughput ratio of the two schemes from the closed-form expression.
+
+    Raises DomainError when the expression leaves float range.
+    """
+    ratio = _ratio_closed_form(n, params)
+    if not math.isfinite(ratio):
+        raise DomainError(f"closed-form ratio is not finite at n={n}")
+    return ratio
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -70,8 +76,8 @@ def ratio_original(n: int, params: SchemeParams) -> float:
     """Two-phase over three-phase depth-optimized throughput (smooth depth).
 
     Computed by direct division and checked against the closed-form route
-    to RATIO_ROUTE_TOL; a disagreement raises DomainError, as do a NaN
-    from routes that overflow and a three-phase throughput that underflows
+    to RATIO_ROUTE_TOL; a disagreement raises DomainError, as do a route
+    that leaves float range and a three-phase throughput that underflows
     to 0.
     """
     modified = optimal_modified(n, params).smooth.value
@@ -79,7 +85,8 @@ def ratio_original(n: int, params: SchemeParams) -> float:
     if not original > 0.0:
         raise DomainError(f"three-phase throughput underflows to {original:g} at n={n}")
     direct = modified / original
-    if not abs(direct - ratio_original_closed_form(n, params)) <= RATIO_ROUTE_TOL * direct:
+    closed = ratio_original_closed_form(n, params)
+    if not (math.isfinite(direct) and abs(direct - closed) <= RATIO_ROUTE_TOL * direct):
         raise DomainError(f"ratio routes disagree at n={n}")
     return direct
 

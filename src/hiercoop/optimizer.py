@@ -46,7 +46,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InfeasibleError, PlanError
+from .errors import InfeasibleError, PlanError
 from .params import (
     MAX_LAYERS, MIN_CLUSTER, SchemeParams, check_layer_count, check_network_size, smooth_depth,
     validate_plan,
@@ -63,16 +63,9 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
-def _check_c(params: SchemeParams) -> None:
-    # layer sizes take fractional powers of c, real and finite only for c > 0
-    if not params.c > 0.0:
-        raise DomainError(f"layer sizing needs c > 0, got c={params.c}")
-
-
 def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
     # the equal-term bottom layer, M1 itself at h=2, must hold at least
-    # MIN_CLUSTER nodes; for c > 1 the layers above it are then larger
-    _check_c(params)
+    # MIN_CLUSTER nodes; as c > 1 the layers above it are then larger
     bottom = _size_at(h - 1, h, M1, params)
     if bottom < MIN_CLUSTER:
         raise InfeasibleError(
@@ -101,7 +94,6 @@ def optimal_cluster_sizes(h: int, M1: float, params: SchemeParams) -> tuple[floa
         bracket terms are all equal.
 
     Raises:
-        DomainError: c <= 0 or NaN (direct construction only).
         InfeasibleError: the bottom layer would drop below MIN_CLUSTER nodes.
         PlanError: h out of range.
     """
@@ -136,18 +128,18 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
     M1 solves n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); at this
     size the phase groups stand in the ratio (P1 + P3) : P2 = (h-1) : 1.
 
-    Returns None when the depth does not fit n nodes: M1 < MIN_CLUSTER,
-    M1 >= n, or a bottom layer under MIN_CLUSTER. Raises PlanError for h
-    out of range and DomainError for n below MIN_NODES or c not above 0.
+    Returns None when the depth does not fit n nodes: M1 < MIN_CLUSTER or a
+    bottom layer under MIN_CLUSTER. M1 never reaches n, since Q/R > 1/4 and
+    c > 1 put 8 * (1 + Q/R) * c**((h-2)/2) above 10, so M1 < 0.32 n. Raises
+    PlanError for h out of range and DomainError for n below MIN_NODES.
     """
     check_layer_count(h)
     check_network_size(n)
-    _check_c(params)
     return _depth_optimum(h, n, params)
 
 
 def _depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
-    # depth_optimum past its checks: h in 2..MAX_LAYERS, n >= MIN_NODES, c > 0
+    # depth_optimum past its checks: h in 2..MAX_LAYERS, n >= MIN_NODES
     try:
         load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
     except OverflowError:
@@ -155,7 +147,7 @@ def _depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] 
         load = math.inf
     e = (h - 1.0) / h
     M1 = 2.0 * load ** (-e) * float(n) ** e
-    if M1 < MIN_CLUSTER or not M1 < n or _size_at(h - 1, h, M1, params) < MIN_CLUSTER:
+    if M1 < MIN_CLUSTER or _size_at(h - 1, h, M1, params) < MIN_CLUSTER:
         return None
     pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e
@@ -192,12 +184,12 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     h_int is the best feasible integer depth in 2..h_max (default
     MAX_LAYERS). Per-depth throughput rises below the stationary point h*
     of its closed form and falls above it, and the depths that fit form a
-    run 2..H (see the module docstring); both take c > 1. With
-    split = floor(h*) clamped to 2..h_max, the winner is split + 1 when it
-    is within h_max, fits, and is greater, else the first depth that fits
-    walking down from split. The switch-point test A > s_split in log n
-    says which is greater, a tie going to split, and the search evaluates
-    that side alone. No values are compared and the test reads no R, so
+    run 2..H (see the module docstring); both take c > 1, which every
+    SchemeParams has. With split = floor(h*) clamped to 2..h_max, the
+    winner is split + 1 when it is within h_max, fits, and is greater, else
+    the first depth that fits walking down from split. The switch-point
+    test A > s_split in log n says which is greater, a tie going to split,
+    and the search evaluates that side alone. No values are compared and the test reads no R, so
     h_int, M1 and h_exact depend on the rates through Q/R alone, even
     where the value overflows to inf or rounds to 0. Within rounding of
     s_split the test may take the other depth, at a loss under 1e-14 in
@@ -207,20 +199,19 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
     which passed, returns the stored answer: the checks and the search run
     once for the last (n, params, h_max) and are reused while they repeat,
     as they do across the depth-optimized figures of one sweep row; n
-    compares by type as well as value, params by every field, a zero of the
-    other sign counting as a changed field. The reused
+    compares by type as well as value, params by every field. The reused
     LayerChoice is the same object each time, and it is an immutable tuple.
     A search that finds no feasible depth is reused too: each call returns
     None and builds nothing. A call that raises stores nothing.
 
     Raises:
-        DomainError: n < MIN_NODES, Q/R <= 1/4 (direct construction only), or c <= 1.
+        DomainError: n < MIN_NODES.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
     """
     if h_max is None:
         h_max = MAX_LAYERS
     elif not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
-        smooth_depth(n, params)  # a bad n or Q/R is named before a bad cap
+        check_network_size(n)  # a bad n is named before a bad cap
         raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
     return _search_depth(n, params, h_max)
 
@@ -254,8 +245,6 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     1e-14 in natural-log throughput.
     """
     h_approx = smooth_depth(n, params)
-    if not params.c > 1.0:
-        raise DomainError(f"depth search needs c > 1, got c={params.c}")
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)

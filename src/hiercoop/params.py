@@ -9,8 +9,8 @@ shuffled around inside a cluster. Their ratio fixes the constants
     beta  = 2*sqrt(1 + Q/R)    growth base of the three-phase ancestor
     c     = 4*Q/R = beta1**2   per-layer slot inflation in the delay bracket
 
-Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/4; derive()
-rejects anything else.
+Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/4. SchemeParams
+owns that domain, so no function past its constructor checks a constant.
 """
 from __future__ import annotations
 
@@ -59,12 +59,9 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        # 0.0 == -0.0, but a zero field of the other sign is a changed field
+        # the constructors admit no zero field, so == on the values tells every field apart
         if other.__class__ is self.__class__:
-            return self._values == other._values and all(
-                a != 0 or math.copysign(1.0, a) == math.copysign(1.0, b)
-                for a, b in zip(self._values, other._values)
-            )
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -85,9 +82,12 @@ class _Frozen:
 class SchemeParams(_Frozen):
     """Rate pair plus the constants derived from it.
 
-    Build instances with derive(); constructing directly bypasses the
-    consistency relations between the fields (tests use that to inject
-    deliberately corrupted constants).
+    Build instances with derive(). Constructing directly bypasses the
+    relations between the fields (tests use that to inject deliberately
+    corrupted constants), but not the domain: every instance has positive,
+    finite rates with a finite Q/R above 1/4, 1 <= beta1 < inf,
+    1 < beta < inf and c > 1 (c may be inf, as derive gives for Q/R above
+    about 4.5e307). Anything else raises DomainError.
     """
 
     __slots__ = {
@@ -105,11 +105,14 @@ class SchemeParams(_Frozen):
     _derived = 1
 
     def __init__(self, R: float, Q: float, beta1: float, beta: float, c: float) -> None:
-        if not (math.isfinite(R) and R > 0):
-            raise DomainError(f"R must be positive and finite, got {R}")
-        if not (math.isfinite(Q) and Q > 0):
-            raise DomainError(f"Q must be positive and finite, got {Q}")
-        ratio = Q / R
+        ratio = _rate_ratio(R, Q)
+        # the ranges derive() produces; NaN fails each test
+        if not 1.0 <= beta1 < math.inf:
+            raise DomainError(f"beta1 must be at least 1 and finite, got {beta1}")
+        if not 1.0 < beta < math.inf:
+            raise DomainError(f"beta must exceed 1 and be finite, got {beta}")
+        if not c > 1.0:
+            raise DomainError(f"c must exceed 1, got {c}")
         if 0.125 < ratio < 1.25:
             # R = m * 2**e; scaled, Q - R/4 stays exact where R/4 is subnormal
             m, e = math.frexp(R)
@@ -125,12 +128,8 @@ class SchemeParams(_Frozen):
         self._seal((R, Q, beta1, beta, c, log_beta1))
 
 
-def derive(R: float, Q: float) -> SchemeParams:
-    """Derive the growth constants for the rate pair (R, Q).
-
-    Raises DomainError unless both rates are positive and Q/R > 1/4, the
-    region where beta1 > 1 and depth can help.
-    """
+def _rate_ratio(R: float, Q: float) -> float:
+    # Q/R of a rate pair in the domain, checked before it is divided
     if not (math.isfinite(R) and R > 0 and math.isfinite(Q) and Q > 0):
         raise DomainError(f"rates must be positive and finite, got R={R}, Q={Q}")
     ratio = Q / R
@@ -140,6 +139,16 @@ def derive(R: float, Q: float) -> SchemeParams:
         raise DomainError(
             f"Q/R must exceed {MIN_RATE_RATIO} for layering to gain, got {ratio:g}"
         )
+    return ratio
+
+
+def derive(R: float, Q: float) -> SchemeParams:
+    """Derive the growth constants for the rate pair (R, Q).
+
+    Raises DomainError unless both rates are positive and finite and Q/R is
+    finite and above 1/4, the region where beta1 > 1 and depth can help.
+    """
+    ratio = _rate_ratio(R, Q)
     return SchemeParams(
         R=float(R),
         Q=float(Q),
@@ -158,9 +167,6 @@ def check_network_size(n: int) -> None:
 def smooth_depth(n: int, params: SchemeParams) -> float:
     """Real-valued optimal depth sqrt(log_beta1(n/2)) of the two-phase scheme."""
     check_network_size(n)
-    # n >= MIN_NODES makes log(n/2) positive, so log_beta1(n/2) is positive exactly when this is
-    if not params.log_beta1 > 0.0:
-        raise DomainError(f"smooth depth needs Q/R > 1/4, got log(beta1) = {params.log_beta1:g}")
     return math.sqrt(math.log(n / 2.0) / params.log_beta1)
 
 

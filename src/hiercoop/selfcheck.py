@@ -24,12 +24,15 @@ SUITES declares the run order and each tolerance once: 1e-12 for identities
 rational in the inputs, 1e-9 where exp/log round-trips enter, and for
 ratio_two_routes the bound ratio_original enforces on the same two routes.
 run_all alone judges: a suite passes when it ran a case and its worst case
-error is within tolerance. _rel_err refuses non-finite operands with
-OverflowError, so no case error is NaN; a finite float sum has finite
-terms, so refusing non-finite totals refuses the terms too. run_all reports
-that overflow as a DomainError naming the suite and the rate pair. The n
-grids of phase_balance and bound_checks start where depth 2 fits, n >=
-8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
+error is within tolerance. _rel_err refuses non-finite operands and a zero
+reference with OverflowError, so no case error is NaN or infinite; a finite
+float sum has finite terms, so refusing non-finite totals refuses the terms
+too, and the bracket terms, each at least 2*M1/R, are never 0. run_all
+reports that refusal, and ratio_original_closed_form's DomainError for a
+closed form past float range, as a DomainError naming the suite and the
+rate pair.
+The n grids of phase_balance and bound_checks start where depth 2 fits,
+n >= 8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
 InfeasibleError (verify: exit 3).
 """
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
-from .optimizer import _check_c, depth_optimum, minimal_delay, optimal_cluster_sizes
+from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
 from .params import N_MAX, SchemeParams
 from .recurrence import delay_closed_form, delay_recursive
 from .throughput import (
@@ -68,8 +71,9 @@ class SuiteResult(NamedTuple):
 
 
 def _rel_err(value: float, reference: float) -> float:
-    # |value - reference| / reference of one case, refusing operands past float range
-    if not (math.isfinite(value) and math.isfinite(reference)):
+    # |value - reference| / reference of one case, refusing operands past float
+    # range and a reference that underflowed to 0
+    if not (math.isfinite(value) and math.isfinite(reference) and reference != 0.0):
         raise OverflowError(f"case value {value:g} against reference {reference:g}")
     return abs(value - reference) / reference
 
@@ -89,7 +93,6 @@ def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> 
 
 def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
     """Random geometric hierarchies, recursion vs bracket, sum and per term."""
-    _check_c(params)  # a zero c makes a zero bracket term, the reference of a relative error
     rng = random.Random(seed)
     # the draws of rng.uniform(a, b), which is a + (b - a) * rng.random(), and of
     # rng.randint(2, 6), which is 2 + getrandbits(3) redrawn while >= 5, without their calls
@@ -192,15 +195,13 @@ def run_all(params: SchemeParams, seed: int = 0) -> list[SuiteResult]:
     """Judge every SUITES row in order; deterministic for a given params and seed.
 
     Raises DomainError naming the suite and the rate pair when a suite
-    overflows a float, DomainError naming c when c is not above 0 (the
-    optimizer's rule, checked first), InfeasibleError when no n <= N_MAX fits.
+    leaves float range, InfeasibleError when no n <= N_MAX fits.
     """
-    _check_c(params)
     results = []
     for suite, tol in SUITES:
         try:
             errors = suite(params, seed)
-        except OverflowError as exc:
+        except (OverflowError, DomainError) as exc:
             raise DomainError(
                 f"suite {suite.__name__} overflowed at "
                 f"R={params.R:g}, Q={params.Q:g}: {exc}"

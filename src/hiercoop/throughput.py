@@ -23,11 +23,10 @@ sweeps; multihop_baseline is the flat nearest-neighbor reference.
 
 smooth_modified and original_throughput each keep a one-entry memo
 (_smooth_modified, _original_throughput) of the last (n, params), n compared
-by type and value, params by every field (a zero of the other sign differs).
-A sweep row or an analyze report asks for each figure several times in a
-row, and only the first ask computes. One entry serves such back-to-back
-repeats and reuses nothing across network sizes; a call that raises stores
-nothing.
+by type and value, params by every field. A sweep row or an analyze report
+asks for each figure several times in a row, and only the first ask
+computes. One entry serves such back-to-back repeats and reuses nothing
+across network sizes; a call that raises stores nothing.
 """
 from __future__ import annotations
 
@@ -152,9 +151,6 @@ def upper_bound(n: int, params: SchemeParams) -> float:
 
 def original_optimal_layers(n: int, params: SchemeParams) -> float:
     """Real-valued optimal depth sqrt(log_beta(n/2)) of the three-phase scheme."""
-    # derive() gives beta > 2, but directly built params may carry any beta
-    if params.beta <= 1.0:
-        raise DomainError(f"depth base must exceed 1, got {params.beta}")
     check_network_size(n)
     return math.sqrt(math.log(n / 2.0) / math.log(params.beta))
 

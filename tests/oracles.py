@@ -215,12 +215,9 @@ def search_depth_by_walk(n, params, h_max):
     rounding cannot reorder.
     """
     from hiercoop import LayerChoice, depth_optimum
-    from hiercoop.errors import DomainError
     from hiercoop.params import smooth_depth
 
     h_approx = smooth_depth(n, params)
-    if not params.c > 1.0:
-        raise DomainError(f"depth search needs c > 1, got c={params.c}")
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)

@@ -1,7 +1,12 @@
 """Hypothesis strategies shared by the property tests."""
+import math
+
 from hypothesis import strategies as st
 
 from hiercoop import SchemeParams, derive
+
+#: The smallest beta and c that SchemeParams admits.
+ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 
 @st.composite
@@ -47,10 +52,13 @@ def search_params(draw):
 @st.composite
 def corrupt_params(draw):
     """Params built directly from a derived rate pair with beta1, beta and c
-    each scaled by up to ten either way, so some fall outside a function's
-    domain (beta <= 1, c <= 1) and make it raise."""
+    each scaled by up to ten either way, but kept inside the domain that
+    SchemeParams admits: beta1 >= 1, beta > 1, c > 1."""
     params = draw(rate_params())
-    beta1, beta, c = (
-        x * 10.0 ** draw(st.floats(-1.0, 1.0)) for x in (params.beta1, params.beta, params.c)
-    )
+    scaled = []
+    for x, floor in ((params.beta1, 1.0), (params.beta, ABOVE_ONE), (params.c, ABOVE_ONE)):
+        # no scale-down past the floor; max() absorbs the rounding of the power
+        lo = max(-1.0, math.log10(floor / x))
+        scaled.append(max(floor, x * 10.0 ** draw(st.floats(lo, 1.0))))
+    beta1, beta, c = scaled
     return SchemeParams(R=params.R, Q=params.Q, beta1=beta1, beta=beta, c=c)

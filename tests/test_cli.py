@@ -882,6 +882,52 @@ def _argv(draw, command):
     return argv
 
 
+#: Runs at the two edges of the domain that derive builds, with their stdout:
+#: Q/R = 0.25 + 2**-54, where beta1 is exactly 1 and c = 1 + 2**-52, and
+#: Q/R = 1e308, where c is inf. SchemeParams admits both.
+DOMAIN_EDGE_RUNS = [
+    (
+        ["analyze", "--n", "1024", "--rate-q", "0.25000000000000006"],
+        0,
+        "n = 1024\nR = 1\nQ = 0.25\nbeta1 = 1\nbeta = 2.2360679775\nc = 1\n"
+        "regime = dense\narea_factor = 1\nthreshold = 1023\nh_exact = 4.62888671261\n"
+        "h_approx = 237043947.22\nh_int = 5\nM1_int = 81.146531454\nT1_int = 8.1146531454\n"
+        "P1 = 6553.6\nP2 = 2048\nP3 = 1638.4\nT1_smooth = 4.31987386755e-07\n"
+        "T1_area = 4.31987386755e-07\nper_pair = 4.21862682378e-10\n"
+        "h_orig = 2.78427334242\nT_orig = 4.65499848089\nratio = 9.28007578366e-08\n",
+    ),
+    (
+        ["sweep", "--grid", "4:1000000:4:log", "--c-mh", "1", "--rate-q", "1e308"],
+        0,
+        "n,T1_smooth,T1_int,T_orig,multihop,ratio,ratio_log_adj,per_pair,area_factor,error\n"
+        "4,2.1193559184e+142,,2.1193559184e+142,2,1,1.66096404744,5.29838979599e+141,1,\n"
+        "252,2.13537466944e+121,,2.13537466944e+121,15.8745078664,1,0.416423659035,"
+        "8.4737090057e+118,1,\n"
+        "15874,8.69668420275e+109,,8.69668420275e+109,125.992063242,1,0.238056334251,"
+        "5.47857137631e+105,1,\n"
+        "1000000,2.56082432608e+101,,2.56082432608e+101,1000,1,0.166666666667,"
+        "2.56082432608e+95,1,\n",
+    ),
+    (
+        ["tradeoff", "--n", "1000", "--candidate", "1:1:1e308", "--candidate", "1:1:1"],
+        0,
+        "1. c0=1 R=1 Q=1e+308 value=1.15926689887e+117 area_factor=1\n"
+        "2. c0=1 R=1 Q=1 value=3.31487451833 area_factor=1\n",
+    ),
+    (["analyze", "--n", "1000", "--rate-q", "1e308"], 3, ""),
+]
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize(
+        "argv,rc,out", DOMAIN_EDGE_RUNS, ids=["beta1-one", "c-inf-sweep", "c-inf-tradeoff", "c-inf"]
+    )
+    def test_edge_of_the_domain_keeps_its_output(self, capsys, argv, rc, out):
+        got_rc, got_out, err = run_cli(capsys, *argv)
+        assert (got_rc, got_out) == (rc, out)
+        assert err == ("error: c is not finite: inf\n" if rc else "")
+
+
 class TestTotality:
     @settings(max_examples=400)
     @given(argv=st.sampled_from(["analyze", "sweep", "verify", "tradeoff"]).flatmap(_argv))

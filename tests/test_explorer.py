@@ -75,6 +75,30 @@ class TestRatioRoutes:
         with pytest.raises(DomainError, match=rf"^three-phase throughput underflows to 0 at n={n}$"):
             ratio_original(n, params)
 
+    def test_a_direct_route_past_float_range_is_refused(self):
+        # the quotient overflows while the closed form is finite; inf - closed
+        # is within RATIO_ROUTE_TOL * inf, so only a finiteness test refuses it
+        params = SchemeParams(
+            R=1.6037442061809694e230,
+            Q=4.2700736609091617e259,
+            beta1=3.0043375588907268e259,
+            beta=math.nextafter(1.0, 2.0),
+            c=4.38204948306542e261,
+        )
+        assert math.isfinite(ratio_original_closed_form(1024, params))
+        with pytest.raises(DomainError, match=r"^ratio routes disagree at n=1024$"):
+            ratio_original(1024, params)
+
+    def test_a_closed_form_past_float_range_is_refused(self):
+        # beta1 * sqrt(log_beta(beta1)) overflows; the direct quotient is finite
+        params = SchemeParams(
+            R=2.9415223893011777e-237, Q=2.4579357922530005e-70, beta1=1e308,
+            beta=1.0000000001, c=math.inf,
+        )
+        for f in (ratio_original_closed_form, ratio_original):
+            with pytest.raises(DomainError, match=r"^closed-form ratio is not finite at n=1024$"):
+                f(1024, params)
+
     def test_disagreeing_routes_raise_even_under_optimize(self):
         # both routes overflow at these rates; the check must not be an assert
         code = (
@@ -422,40 +446,21 @@ class TestOneEntryMemos:
             got = public(n, bad)
             assert _bits(got) == _bits(memo.__wrapped__(n, bad)) != _bits(clean), public.__name__
 
-    def test_a_zero_of_the_other_sign_is_not_served_the_last_entry(self):
-        # 0.0 == -0.0, but the smooth figure and the closed-form ratio carry the
-        # sign of a zero beta1; no memo, the depth search's included, may serve
-        # one sign's entry for the other
-        n = 1024
-        plus = SchemeParams(R=1, Q=1, beta1=0.0, beta=2, c=4)
-        minus = SchemeParams(R=1, Q=1, beta1=-0.0, beta=2, c=4)
-        cases = [(public, memo, memo.__wrapped__) for public, memo in zip(FORMS, MEMOS)]
-        cases.append(
-            (layer_choice, _search_depth, lambda n, p: _search_depth.__wrapped__(n, p, MAX_LAYERS))
-        )
-        for public, memo, cold in cases:
-            assert _outcome(public, n, plus)[0], public.__name__
-            misses = memo.cache_info().misses
-            assert _outcome(public, n, minus) == _outcome(cold, n, minus), public.__name__
-            assert memo.cache_info().misses == misses + 1, public.__name__
-        smooth_modified(n, plus)
-        assert smooth_modified(n, minus).value.hex() == "-0x0.0p+0"
+    def test_a_zero_field_never_reaches_a_memo(self):
+        # 0.0 == -0.0, so memos keyed on params would serve one sign's entry
+        # for the other; SchemeParams refuses a zero of either sign instead
+        for zero in (0.0, -0.0):
+            with pytest.raises(DomainError, match=r"^beta1 must be at least 1"):
+                SchemeParams(R=1, Q=1, beta1=zero, beta=2, c=4)
 
-    @pytest.mark.parametrize(
-        "f,n,params",
-        [
-            (smooth_modified, 3, derive(1.0, 1.0)),
-            (smooth_modified, 1024, SchemeParams(R=1.0, Q=0.25, beta1=1.0, beta=2.2, c=1.0)),
-            (original_throughput, 1024, SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=1.0, c=4.0)),
-            (ratio_original_closed_form, 3, derive(1.0, 1.0)),
-        ],
-        ids=["smooth-n", "smooth-rates", "original-beta", "closed-form-n"],
-    )
-    def test_a_failing_call_raises_again_and_stores_nothing(self, f, n, params):
+    @pytest.mark.parametrize("f", FORMS, ids=["smooth-n", "original-n", "closed-form-n"])
+    def test_a_failing_call_raises_again_and_stores_nothing(self, f, unit_params):
+        # n = 3 raises inside each memo; bad constants and rates never reach
+        # one, since SchemeParams refuses them (tests/test_domain.py)
         _clear_memos()
         for _ in range(2):
             with pytest.raises(DomainError):
-                f(n, params)
+                f(3, unit_params)
         assert sum(m.cache_info().misses for m in MEMOS) == 2
         assert sum(m.cache_info().currsize for m in MEMOS) == 0
 

@@ -34,7 +34,7 @@ from oracles import (
     grid_min,
     search_depth_by_walk,
 )
-from strategies import rate_params, search_params
+from strategies import ABOVE_ONE, rate_params, search_params
 
 
 class TestClusterSizes:
@@ -228,11 +228,21 @@ class TestBalancedTopSize:
         assert depth_optimum(2, 4, unit_params) is None
 
     def test_balanced_size_cannot_swallow_the_network(self):
-        # an injected tiny c drives the balanced size past n; the guard fires
-        corrupted = SchemeParams(
-            R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=1e-4
-        )
-        assert depth_optimum(3, 4, corrupted) is None
+        # the tiny c that once drove the balanced size past n is refused, and
+        # at c > 1, Q/R > 1/4 the load tops 10, so M1 = 2 (n/load)**((h-1)/h)
+        # stays below n/3 at the edge of the domain
+        with pytest.raises(DomainError, match="c must exceed 1"):
+            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=1e-4)
+        edge = derive(1.0, math.nextafter(0.25, 1.0))
+        edge = SchemeParams(R=1.0, Q=edge.Q, beta1=edge.beta1, beta=edge.beta, c=ABOVE_ONE)
+        fits = 0
+        for h in range(2, MAX_LAYERS + 1):
+            for n in (*range(4, 65), 2**20, 2**40, 2**62):
+                best = depth_optimum(h, n, edge)
+                if best is not None:
+                    assert best[0] < n / 3.0, (h, n)
+                    fits += 1
+        assert fits > 100
 
     def test_load_past_float_range_is_infeasible_not_an_overflow(self):
         # c**((h-2)/2) overflows; the balanced size it implies is below a cluster
@@ -299,10 +309,9 @@ class TestLayerChoice:
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
     def test_constant_at_or_below_one_is_a_domain_error(self, c):
-        # the throughput is not unimodal in depth there; only direct construction gets here
-        params = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
-        with pytest.raises(DomainError, match="c > 1"):
-            layer_choice(131072, params)
+        # the throughput is not unimodal in depth there; SchemeParams refuses it
+        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
+            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
 
     def test_network_too_small(self, unit_params):
         with pytest.raises(DomainError):
@@ -338,8 +347,9 @@ def switch_point_draws(draw):
     assume(math.isfinite(R * ratio))
     params = derive(R, R * ratio)
     if draw(st.booleans()):
-        # directly built, with c off 4Q/R and at times not above 1
+        # directly built, with c off 4Q/R but above 1, as SchemeParams requires
         c = params.c * 10.0 ** draw(st.floats(-3.0, 3.0))
+        c = c if c > 1.0 else 1.0 + draw(st.floats(1e-12, 10.0))
         params = SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
     h_max = draw(st.just(MAX_LAYERS) | st.integers(2, MAX_LAYERS))
     # the switch points s_h = h(h+1)(log1p(1/h) + a) whose n*_h lies in 4..2**62
@@ -474,24 +484,18 @@ class TestDepthSearch:
         with pytest.raises(PlanError, match="h_max"):
             layer_choice(10**6, unit_params, h_max=h_max)
 
-    @pytest.mark.parametrize(
-        "n,params",
-        [
-            (3, derive(1.0, 1.0)),
-            (10**6, SchemeParams(R=1.0, Q=0.25, beta1=1.0, beta=2.2, c=1.0)),
-        ],
-        ids=["n", "rates"],
-    )
+    # bad rates never reach the search: SchemeParams refuses them
+    # (tests/test_domain.py::TestConstructorOwnsTheDomain)
+    @pytest.mark.parametrize("n,params", [(3, derive(1.0, 1.0))], ids=["n"])
     def test_bad_size_or_rates_are_named_before_a_bad_cap(self, n, params):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need n >= 4"):
             layer_choice(n, params, h_max=-5)
 
-    def test_a_failing_search_raises_again_and_stores_nothing(self):
-        params = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=1.0)
+    def test_a_failing_search_raises_again_and_stores_nothing(self, unit_params):
         _search_depth.cache_clear()
         for _ in range(2):
-            with pytest.raises(DomainError, match="c > 1"):
-                layer_choice(131072, params)
+            with pytest.raises(DomainError, match="need n >= 4"):
+                layer_choice(3, unit_params)
         info = _search_depth.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
 
@@ -663,9 +667,7 @@ class TestDepthSearch:
                 assert (h <= H) == (room >= need), h
 
 
-_ONE_PLUS = SchemeParams(
-    R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.nextafter(1.0, 2.0)
-)
+_ONE_PLUS = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=ABOVE_ONE)
 
 
 class TestDepthOptimum:
@@ -702,35 +704,45 @@ def _with_c(c):
 
 
 class TestNonPositiveC:
-    """Every layer-sizing route refuses c <= 0 or NaN with one DomainError."""
+    """SchemeParams refuses c <= 1 or NaN with one DomainError naming c, so no
+    layer-sizing route takes a power of such a c; from the smallest c it
+    admits up to inf, each route answers."""
 
     @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
     @pytest.mark.parametrize("h", [2, 3, 4])
     def test_each_route_names_c(self, c, h):
         # c**x is complex, 0**-x divides by zero, and NaN slots pass for a
-        # number: each route raises before any power of c is taken
-        msg = rf"^layer sizing needs c > 0, got c={c}$"
-        params = _with_c(c)
-        routes = [
-            lambda: depth_optimum(h, 2**40, params),
-            lambda: optimal_cluster_sizes(h, 512.0, params),
-            lambda: minimal_delay(h, 512.0, params),
-            lambda: layer_throughput(h, 2**40, params),
-            lambda: throughput_given_M1(h, 512.0, 2**40, params),
-        ]
-        for route in routes:
-            with pytest.raises(DomainError, match=msg):
-                route()
+        # number: the constructor refuses each before any route runs
+        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
+            _with_c(c)
+        for params in (_with_c(ABOVE_ONE), _with_c(math.inf)):
+            routes = [
+                lambda: (depth_optimum(h, 2**40, params) or (None, None))[1],
+                lambda: optimal_cluster_sizes(h, 512.0, params)[-1],
+                lambda: minimal_delay(h, 512.0, params).slots,
+                lambda: getattr(layer_throughput(h, 2**40, params), "value", None),
+                lambda: throughput_given_M1(h, 512.0, 2**40, params).value,
+            ]
+            for route in routes:
+                try:
+                    value = route()
+                except InfeasibleError:
+                    continue  # at c = inf no layer below the top fits
+                # at c = inf a depth-2 value of order 1/sqrt(c) rounds to 0
+                assert value is None or 0.0 <= value < math.inf, (params.c, h)
 
     @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
     def test_depth_search_keeps_its_own_rule(self, c):
-        with pytest.raises(DomainError, match=rf"^depth search needs c > 1, got c={c}$"):
-            layer_choice(2**40, _with_c(c))
+        # the search's rule, c > 1, is now the domain's, checked once
+        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
+            _with_c(c)
+        assert layer_choice(2**40, _with_c(ABOVE_ONE)).h_int >= 2
 
     def test_layer_count_and_top_size_are_named_first(self):
+        params = _with_c(ABOVE_ONE)
         with pytest.raises(PlanError):
-            depth_optimum(1, 2**40, _with_c(-4.0))
+            depth_optimum(1, 2**40, params)
         with pytest.raises(DomainError, match="need n >= 4"):
-            depth_optimum(2, 3, _with_c(-4.0))
+            depth_optimum(2, 3, params)
         with pytest.raises(InfeasibleError, match="top cluster"):
-            minimal_delay(3, 1.5, _with_c(0.0))
+            minimal_delay(3, 1.5, params)

@@ -19,7 +19,13 @@ from hiercoop.selfcheck import (
     _rel_err,
     recursion_vs_closed_form,
 )
-from strategies import corrupt_params, search_params
+from strategies import ABOVE_ONE, corrupt_params, search_params
+
+
+def _with_c(c):
+    # beta1 and beta consistent with R = Q = 1, c as given
+    return SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+
 
 SUITE_ORDER = [
     "recursion_vs_closed_form",
@@ -96,33 +102,31 @@ class TestFaultInjection:
         for name in SUITE_ORDER[1:]:
             assert by_name[name].passed, f"{name} should not depend on c alone"
 
-    @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
-    def test_constant_at_or_just_below_one_is_judged_not_refused(self, c):
-        # no suite searches depths, so c <= 1 reaches the judge; the slot routes
-        # and the envelope both see the inconsistent c
-        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
-        assert [r.passed for r in run_all(bad, seed=0)] == [False, True, True, False, True]
+    @pytest.mark.parametrize("c", [ABOVE_ONE, 1.0 + 1e-9], ids=["ulp", "1e-9"])
+    def test_constant_just_above_one_is_judged_not_refused(self, c):
+        # c at or below 1 is refused by SchemeParams; just above it, the slot
+        # routes and the envelope both see the inconsistent c, and the judge says so
+        for refused in (1.0, 1.0 - 1e-9):
+            with pytest.raises(DomainError, match=rf"^c must exceed 1, got {refused}$"):
+                _with_c(refused)
+        assert [r.passed for r in run_all(_with_c(c), seed=0)] == [False, True, True, False, True]
 
     @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
     def test_constant_not_above_zero_is_refused(self, c):
-        # the optimizer's rule, before any suite runs: the suites after the
-        # first size layers by powers of c, and at c = 0 the first would
-        # divide by a zero bracket term
-        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
-        msg = rf"^layer sizing needs c > 0, got c={c}$"
-        with pytest.raises(DomainError, match=msg):
-            run_all(bad, seed=0)
-        for suite, _ in selfcheck.SUITES[1:4]:
-            with pytest.raises(DomainError, match=msg):
-                suite(bad, 0)
+        # by SchemeParams, before run_all or any suite can take it: the suites
+        # after the first size layers by powers of c, and at c = 0 the first
+        # would divide by a zero bracket term
+        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
+            _with_c(c)
 
     @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
     def test_recursion_suite_on_its_own_refuses_c_not_above_zero(self, c):
-        # called without run_all, the first suite names c too; at c = 0 it
-        # would divide by a zero bracket term
-        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
-        with pytest.raises(DomainError, match=rf"^layer sizing needs c > 0, got c={c}$"):
-            recursion_vs_closed_form(bad, 0)
+        # called without run_all, the first suite meets only the c that
+        # SchemeParams admits; from the smallest of them no bracket term is 0
+        with pytest.raises(DomainError, match="c must exceed 1"):
+            _with_c(c)
+        errors = recursion_vs_closed_form(_with_c(ABOVE_ONE), 0)
+        assert len(errors) == 200 and all(math.isfinite(e) for e in errors)
 
     def test_corruption_is_visible_at_low_case_count_too(self):
         bad = SchemeParams(
@@ -156,6 +160,42 @@ class TestNonFiniteErrors:
         with pytest.raises(OverflowError):
             _rel_err(value, reference)
 
+    @pytest.mark.parametrize("value", [1.0, 0.0])
+    def test_zero_reference_is_refused_as_a_non_finite_operand_is(self, value):
+        with pytest.raises(OverflowError, match="against reference 0$"):
+            _rel_err(value, 0.0)
+
+    def test_reference_that_underflows_names_the_suite_and_the_rate_pair(self):
+        # in the domain, yet the direct ratio of ratio_two_routes rounds to 0:
+        # a DomainError from run_all, not a ZeroDivisionError
+        params = SchemeParams(
+            R=7.482914677239627e208,
+            Q=2.717171250004728e209,
+            beta1=6.985335229520463e73,
+            beta=1.1301318133243202e163,
+            c=4.974135289277334e50,
+        )
+        msg = r"^suite ratio_two_routes overflowed at R=7\.48291e\+208, Q=2\.71717e\+209: "
+        with pytest.raises(DomainError, match=msg):
+            run_all(params)
+
+    def test_closed_form_ratio_past_float_range_names_the_suite_and_the_rate_pair(self):
+        # ratio_original_closed_form refuses its own overflow with a DomainError;
+        # run_all reports it as it reports an overflowing case
+        params = SchemeParams(
+            R=5.266335238035451e-134,
+            Q=6.517655930761541e-117,
+            beta1=1e308,
+            beta=math.nextafter(1.0, 2.0),
+            c=1.9278344623919566e20,
+        )
+        msg = (
+            r"^suite ratio_two_routes overflowed at R=5\.26634e-134, Q=6\.51766e-117: "
+            r"closed-form ratio is not finite at n=1024$"
+        )
+        with pytest.raises(DomainError, match=msg):
+            run_all(params)
+
     def test_slot_routes_past_float_range_overflow(self):
         # at Q/R = 1.7e308 both slot routes reach inf, and inf - inf is NaN
         with pytest.raises(OverflowError):
@@ -163,10 +203,7 @@ class TestNonFiniteErrors:
 
 
 def _per_comparison(params, cases):
-    # the judge by its definition: c not above 0 refused, then one _rel_err
-    # per total and per term pair
-    if not params.c > 0.0:
-        raise DomainError(f"layer sizing needs c > 0, got c={params.c}")
+    # the judge by its definition: one _rel_err per total and per term pair
     errors = []
     for sizes in cases:
         w, b = delay_recursive(sizes, params), delay_closed_form(sizes, params)
@@ -183,21 +220,9 @@ def _hexed(f, *args):
         return False, (type(exc), str(exc))
 
 
-@st.composite
-def _judged_params(draw):
-    """search_params or corrupt_params, with c kept, scaled below 1, negated, or both."""
-    params = draw(search_params() | corrupt_params())
-    c = params.c
-    if draw(st.booleans()):
-        c = c / (1.0 + c)
-    if draw(st.booleans()):
-        c = -c
-    return SchemeParams(R=params.R, Q=params.Q, beta1=params.beta1, beta=params.beta, c=c)
-
-
 class TestOnePassJudge:
     @settings(max_examples=200, deadline=None)
-    @given(params=_judged_params(), seed=st.integers(0, 2**32))
+    @given(params=search_params() | corrupt_params(), seed=st.integers(0, 2**32))
     @example(params=derive(1e300, 1e300), seed=0)
     @example(params=derive(1e-300, 1e-300), seed=0)
     def test_case_errors_are_the_per_comparison_definition(self, params, seed):

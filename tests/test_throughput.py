@@ -161,8 +161,11 @@ class TestModifiedScheme:
 
     @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
     def test_smooth_figure_does_not_read_c(self, unit_params, c):
-        # no depth is searched, so a c at or below one is no error here
-        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        # SchemeParams refuses a c at or below one; one above it, off 4Q/R,
+        # leaves the smooth figure, which searches no depth, where it was
+        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
+            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c + 1.0)
         for n in (131072, 200):
             assert smooth_modified(n, bad) == smooth_modified(n, unit_params)
 
@@ -243,11 +246,11 @@ class TestOriginalScheme:
         assert got == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
     def test_depth_guards(self):
-        # only directly built params can carry a depth base of 1 or below
+        # SchemeParams refuses a depth base of 1 or below; the depth checks n
         for beta in (1.0, 0.5):
-            corrupt = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=beta, c=4.0)
-            with pytest.raises(DomainError, match="depth base must exceed 1"):
-                original_optimal_layers(1024, corrupt)
+            msg = rf"^beta must exceed 1 and be finite, got {beta}$"
+            with pytest.raises(DomainError, match=msg):
+                SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=beta, c=4.0)
         with pytest.raises(DomainError):
             original_optimal_layers(3, derive(1.0, 1.0))
 
