@@ -215,7 +215,6 @@ def validate_plan(sizes: tuple[float, ...]) -> tuple[float, ...]:
     first index where the sizes stop strictly decreasing.
     """
     sizes = tuple(map(float, sizes))
-    check_layer_count(len(sizes) + 1)
     above = math.inf
     for m in sizes:
         # one pass accepts a valid plan; NaN and inf fail it
@@ -223,7 +222,10 @@ def validate_plan(sizes: tuple[float, ...]) -> tuple[float, ...]:
             break
         above = m
     else:
-        return sizes
+        if 0 < len(sizes) < MAX_LAYERS:
+            return sizes
+    # a plan that fails: the count is named first
+    check_layer_count(len(sizes) + 1)
     for i, m in enumerate(sizes):
         if not (math.isfinite(m) and m >= MIN_CLUSTER):
             raise PlanError(

@@ -34,6 +34,18 @@ rate pair.
 The n grids of phase_balance and bound_checks start where depth 2 fits,
 n >= 8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
 InfeasibleError (verify: exit 3).
+
+am_gm_equal_terms, phase_balance and bound_checks walk depths upward, h
+outer, and a size (a top size M1 for am_gm_equal_terms) that depth h does
+not fit leaves the walk for every deeper depth. That skips only depths that
+do not fit, so the case list, its order and the first error raised are
+those of a scan over every pair. For n it is the run property: the depths
+that fit n are a run 2..H, proved in the optimizer module docstring for
+c > 1, which every SchemeParams has, and pinned by test_optimizer's
+test_depths_that_fit_are_a_run_from_two_set_by_the_law. For M1 the
+equal-term bottom layer 2 * c**(-(h-2)/2) * (M1/2)**(1/(h-1)) shrinks as h
+grows, so optimal_cluster_sizes refuses every depth above the first it
+refuses; test_depths_a_top_size_fits_are_a_run_from_two pins that.
 """
 from __future__ import annotations
 
@@ -121,12 +133,15 @@ def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
 def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
     """Equal-term sizes really equalize the bracket, and minimal_delay agrees."""
     errors = []
+    tops = (32.0, 512.0, 4096.0, 131072.0)
     for h in range(2, 7):
-        for M1 in (32.0, 512.0, 4096.0, 131072.0):
+        fits = []
+        for M1 in tops:
             try:
                 sizes = optimal_cluster_sizes(h, M1, params)
             except InfeasibleError:
                 continue
+            fits.append(M1)
             bracket = delay_closed_form(sizes, params)
             terms = bracket.decomposition
             mean = bracket.slots / len(terms)
@@ -136,6 +151,7 @@ def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
                 worst = err if err > worst else worst
             err = _rel_err(bracket.slots, minimal_delay(h, M1, params).slots)
             errors.append(err if err > worst else worst)
+        tops = fits
     return errors
 
 
@@ -144,31 +160,38 @@ def phase_balance(params: SchemeParams, seed: int) -> list[float]:
     errors = []
     sizes = _sizes("phase_balance", params, range(12, 31, 2))
     for h in range(2, 7):
+        fits = []
         for n in sizes:
             best = depth_optimum(h, n, params)
             if best is None:
                 continue
+            fits.append(n)
             p1, p2, p3 = throughput_given_M1(h, best[0], n, params).phase_slots
             errors.append(_rel_err(p1 + p3, (h - 1) * p2))
+        sizes = fits
     return errors
 
 
 def bound_checks(params: SchemeParams, seed: int) -> list[float]:
     """Integer-depth throughput never exceeds the envelope (one-sided).
 
-    The envelope is evaluated once per size. Every case's error goes through
-    _rel_err, so an infinite value overflows even under the bound.
+    The envelope is evaluated once per size, and a size leaves the depth
+    walk at the first depth that does not fit it. Every case's error goes
+    through _rel_err, so an infinite value overflows even under the bound.
     """
     errors = []
     sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
-    caps = [upper_bound(n, params) for n in sizes]
+    walk = [(n, upper_bound(n, params)) for n in sizes]
     for h in range(2, 13):
-        for n, cap in zip(sizes, caps):
+        fits = []
+        for n, cap in walk:
             report = layer_throughput(h, n, params)
             if report is None:
                 continue
+            fits.append((n, cap))
             err = _rel_err(report.value, cap)
             errors.append(err if report.value > cap else 0.0)
+        walk = fits
     return errors
 
 

@@ -2,10 +2,10 @@
 
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
-imports the package under test, except search_depth_by_walk: an earlier
-depth search kept as it was, over the package's own public depth_optimum.
-Agreement between these and the closed forms is the point of the tests
-that use them.
+imports the package under test, except search_depth_by_walk and the
+*_by_full_scan suites: earlier code kept as it was, over the package's own
+public routes. Agreement between these and the closed forms, or the code
+that replaced them, is the point of the tests that use them.
 """
 import math
 
@@ -243,6 +243,71 @@ def search_depth_by_walk(n, params, h_max):
             h += 1
         best = tie
     return LayerChoice(h_exact, h_approx, h, best[0], best[1])
+
+
+def am_gm_equal_terms_by_full_scan(params, seed):
+    """selfcheck.am_gm_equal_terms as it was before the depth walk: every
+    (h, M1) pair, a depth that does not fit M1 skipped with continue."""
+    from hiercoop import InfeasibleError
+    from hiercoop.optimizer import minimal_delay, optimal_cluster_sizes
+    from hiercoop.recurrence import delay_closed_form
+    from hiercoop.selfcheck import _rel_err
+
+    errors = []
+    for h in range(2, 7):
+        for M1 in (32.0, 512.0, 4096.0, 131072.0):
+            try:
+                sizes = optimal_cluster_sizes(h, M1, params)
+            except InfeasibleError:
+                continue
+            bracket = delay_closed_form(sizes, params)
+            terms = bracket.decomposition
+            mean = bracket.slots / len(terms)
+            worst = 0.0
+            for t in terms:
+                err = _rel_err(t, mean)
+                worst = err if err > worst else worst
+            err = _rel_err(bracket.slots, minimal_delay(h, M1, params).slots)
+            errors.append(err if err > worst else worst)
+    return errors
+
+
+def phase_balance_by_full_scan(params, seed):
+    """selfcheck.phase_balance as it was before the depth walk: every (h, n)
+    pair, a depth that does not fit n skipped with continue."""
+    from hiercoop.optimizer import depth_optimum
+    from hiercoop.selfcheck import _rel_err, _sizes
+    from hiercoop.throughput import throughput_given_M1
+
+    errors = []
+    sizes = _sizes("phase_balance", params, range(12, 31, 2))
+    for h in range(2, 7):
+        for n in sizes:
+            best = depth_optimum(h, n, params)
+            if best is None:
+                continue
+            p1, p2, p3 = throughput_given_M1(h, best[0], n, params).phase_slots
+            errors.append(_rel_err(p1 + p3, (h - 1) * p2))
+    return errors
+
+
+def bound_checks_by_full_scan(params, seed):
+    """selfcheck.bound_checks as it was before the depth walk: every (h, n)
+    pair, a depth that does not fit n skipped with continue."""
+    from hiercoop.selfcheck import _rel_err, _sizes
+    from hiercoop.throughput import layer_throughput, upper_bound
+
+    errors = []
+    sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
+    caps = [upper_bound(n, params) for n in sizes]
+    for h in range(2, 13):
+        for n, cap in zip(sizes, caps):
+            report = layer_throughput(h, n, params)
+            if report is None:
+                continue
+            err = _rel_err(report.value, cap)
+            errors.append(err if report.value > cap else 0.0)
+    return errors
 
 
 def depth_constants_50_digits(n, R, Q, c):

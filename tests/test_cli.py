@@ -168,6 +168,10 @@ class TestAnalyzeJsonl:
           "--rate-q", "24", "--format", "jsonl")),
         # near the Q/R -> 1/4 edge, where the most depths fit: 293 bound_checks cases
         ("verify_q03_seed7.txt", ("verify", "--rate-q", "0.3", "--seed", "7")),
+        # every depth of the suites' walks fits every size, so none leaves: 20/50/330 cases
+        ("verify_q0p250000001.txt", ("verify", "--rate-q", "0.250000001")),
+        # depth 2 alone fits, so every size leaves the walks at depth 3: 4/10/30 cases
+        ("verify_q1e6.txt", ("verify", "--rate-q", "1e6")),
         # one dense candidate (area_factor 1), one sparse, two failures with nulls
         ("tradeoff_200_mixed.jsonl",
          ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",

@@ -58,6 +58,25 @@ class TestClusterSizes:
         with pytest.raises(InfeasibleError, match=msg):
             minimal_delay(6, 32.0, unit_params)
 
+    @settings(max_examples=300)
+    @given(
+        M1=st.sampled_from([32.0, 512.0, 4096.0, 131072.0]) | st.floats(2.0, 2.0**62),
+        params=search_params(),
+    )
+    @example(M1=32.0, params=derive(1.0, 0.25 + 2**-54))  # c = 1 + 2**-52
+    @example(M1=131072.0, params=derive(1.0, 1.0))
+    def test_depths_a_top_size_fits_are_a_run_from_two(self, M1, params):
+        # the equal-term bottom layer shrinks as h grows: once a depth does
+        # not fit M1, no deeper one does, and each refusal is an InfeasibleError
+        fits = []
+        for h in range(2, MAX_LAYERS + 1):
+            try:
+                optimal_cluster_sizes(h, M1, params)
+            except InfeasibleError:
+                continue
+            fits.append(h)
+        assert fits == list(range(2, len(fits) + 2))
+
     def test_tiny_top_cluster_is_rejected(self, unit_params):
         with pytest.raises(InfeasibleError):
             optimal_cluster_sizes(3, 1.5, unit_params)

@@ -207,6 +207,16 @@ class TestValidatePlan:
         assert err.value.field == "h"
         assert err.value.reason.endswith(f"got {h}")
 
+    def test_valid_sizes_at_one_layer_too_many_are_refused_by_count(self):
+        # strictly decreasing sizes, each >= MIN_CLUSTER: only the count is wrong
+        sizes = tuple(2.0 * 2.0 ** (MAX_LAYERS - i) for i in range(MAX_LAYERS))
+        with pytest.raises(PlanError) as err:
+            validate_plan(sizes)
+        assert (err.value.field, err.value.reason) == (
+            "h", f"layer count capped at {MAX_LAYERS}, got {MAX_LAYERS + 1}"
+        )
+        assert validate_plan(sizes[1:]) == sizes[1:]
+
     def test_non_integer_depth_is_rejected(self):
         # the layer-count rule validate_plan applies to len(sizes) + 1
         with pytest.raises(PlanError) as err:

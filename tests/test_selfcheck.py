@@ -19,6 +19,9 @@ from hiercoop.selfcheck import (
     _rel_err,
     recursion_vs_closed_form,
 )
+from oracles import (
+    am_gm_equal_terms_by_full_scan, bound_checks_by_full_scan, phase_balance_by_full_scan,
+)
 from strategies import ABOVE_ONE, corrupt_params, search_params
 
 
@@ -216,7 +219,7 @@ def _hexed(f, *args):
     # (True, every case error by float.hex) or (False, the type and text of the error)
     try:
         return True, [e.hex() for e in f(*args)]
-    except (ArithmeticError, DomainError) as exc:
+    except (ArithmeticError, DomainError, InfeasibleError) as exc:
         return False, (type(exc), str(exc))
 
 
@@ -238,6 +241,24 @@ class TestOnePassJudge:
         assert got == _hexed(_per_comparison, params, cases)
 
 
+class TestDepthWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(params=search_params() | corrupt_params())
+    @example(params=derive(1.0, 0.25 + 2**-54))  # c = 1 + 2**-52
+    @example(params=derive(1.0, 1.0))
+    @example(params=derive(1.0, 1e20))
+    @example(params=derive(1e300, 1e300))
+    def test_each_walk_gives_the_full_scan_cases(self, params):
+        # dropping a size at the first depth that does not fit it skips only
+        # depths that do not fit: the same case errors bit for bit, or the same error
+        for suite, scan in (
+            (selfcheck.am_gm_equal_terms, am_gm_equal_terms_by_full_scan),
+            (selfcheck.phase_balance, phase_balance_by_full_scan),
+            (selfcheck.bound_checks, bound_checks_by_full_scan),
+        ):
+            assert _hexed(suite, params, 0) == _hexed(scan, params, 0), suite.__name__
+
+
 class TestResultPlumbing:
     def test_zero_cases_never_passes(self, monkeypatch):
         empty = _judge(monkeypatch, [])
@@ -255,8 +276,8 @@ class TestResultPlumbing:
 class TestWork:
     def test_verify_builds_few_infeasible_errors(self, monkeypatch):
         # a depth that does not fit is None, not an error: the errors left come
-        # from optimal_cluster_sizes in am_gm_equal_terms; the depth checks of
-        # bound_checks built 222 more, and those of phase_balance 16
+        # from optimal_cluster_sizes in am_gm_equal_terms, one per top size at
+        # the first depth it does not fit, after which that size leaves the walk
         built = []
         init = InfeasibleError.__init__
 
@@ -266,7 +287,7 @@ class TestWork:
 
         monkeypatch.setattr(InfeasibleError, "__init__", counted)
         run_all(derive(1.0, 1.0), 0)
-        assert len(built) <= 8
+        assert len(built) == 4
 
     def test_bound_checks_evaluates_the_envelope_once_per_size(self, monkeypatch):
         # 30 sizes, 108 cases at unit rates: one envelope per size, not per case
@@ -296,11 +317,11 @@ class TestWork:
         assert calls == {
             ("recursion_vs_closed_form", "delay_recursive"): 200,
             ("recursion_vs_closed_form", "delay_closed_form"): 200,
-            ("am_gm_equal_terms", "optimal_cluster_sizes"): 20,
+            ("am_gm_equal_terms", "optimal_cluster_sizes"): 16,
             ("am_gm_equal_terms", "delay_closed_form"): 12,
             ("am_gm_equal_terms", "minimal_delay"): 12,
             ("phase_balance", "throughput_given_M1"): 34,
-            ("bound_checks", "layer_throughput"): 330,
+            ("bound_checks", "layer_throughput"): 138,
         }
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
