@@ -154,8 +154,8 @@ def compare_schemes(
                 if not isfinite(value):
                     raise DomainError(f"metric {key} is not finite at n={n}")
         except (ValueError, OverflowError) as exc:
-            rows.append(SweepRow(n, {}, str(exc)))
+            rows.append(tuple.__new__(SweepRow, (n, {}, str(exc))))
         else:
-            rows.append(SweepRow(n, extras))
+            rows.append(tuple.__new__(SweepRow, (n, extras, None)))
     return rows
 

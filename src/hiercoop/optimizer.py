@@ -118,7 +118,7 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
         * params.c ** ((h - 2) / 2.0)
         * (M1 / 2.0) ** (1.0 / (h - 1))
     )
-    return DelaySlots((h - 1) * term, (term,) * (h - 1))
+    return tuple.__new__(DelaySlots, ((h - 1) * term, (term,) * (h - 1)))
 
 
 def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
@@ -261,9 +261,9 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
         and A > h * (h + 1) * (math.log1p(1.0 / h) + a)
         and (best := _depth_optimum(h + 1, n, params)) is not None
     ):
-        return LayerChoice(h_exact, h_approx, h + 1, *best)
+        return tuple.__new__(LayerChoice, (h_exact, h_approx, h + 1, *best))
     while (best := _depth_optimum(h, n, params)) is None:
         if h == 2:
             return None
         h -= 1
-    return LayerChoice(h_exact, h_approx, h, *best)
+    return tuple.__new__(LayerChoice, (h_exact, h_approx, h, *best))

@@ -21,9 +21,17 @@ Unrolling the recursion gives, with c from SchemeParams,
 delay_recursive walks the recursion using Q and R directly;
 delay_closed_form evaluates the bracket using the stored c. The two routes
 share no arithmetic, so their agreement is a real consistency check.
+delay_closed_form is validate_plan, then the kernel _bracket(sizes, c, R),
+then the DelaySlots record; the verify suite runs _bracket on a plan that
+delay_recursive has just checked, so each of its cases checks the plan once.
+
+Both routes share one overflow contract: a slot count that leaves float
+range raises OverflowError naming the layer at which the running count
+does; delay_closed_form names the power of c instead when that overflows.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .params import SchemeParams, validate_plan
@@ -33,10 +41,28 @@ TIME_SHARING_FACTOR = 4
 
 
 class DelaySlots(NamedTuple):
-    """Total slot count plus its per-layer additive decomposition."""
+    """Total slot count plus its per-layer additive decomposition.
+
+    The records built once per sweep row or verify case (this one,
+    LayerChoice, ThroughputReport, ModifiedThroughput, SweepRow) are built
+    with tuple.__new__(cls, values), which skips the Python-level __new__
+    that NamedTuple generates and costs half as much. Such a call passes
+    every field, defaults included, and checks no arity itself:
+    test_package's test_positionally_built_records_hold_every_field pins it.
+    """
 
     slots: float
     decomposition: tuple[float, ...]
+
+
+def _overflow(terms: list[float]) -> OverflowError:
+    # names the first layer at which the running slot count leaves float range
+    total = 0.0
+    for layer, term in enumerate(terms, 1):
+        total += term
+        if not math.isfinite(total):
+            break
+    return OverflowError(f"slot count leaves float range at layer {layer} of {len(terms) + 1}")
 
 
 def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
@@ -45,6 +71,9 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     The decomposition entry at index i is the slot share contributed by
     layer i+1 of the hierarchy, including the time-sharing multiplier
     accumulated on the way down.
+
+    Raises OverflowError naming the layer at which the slot count leaves
+    float range.
     """
     sizes = validate_plan(sizes)
     R, inflation = params.R, params.Q / params.R
@@ -67,17 +96,24 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
         top = below
     term = scale * ((load / R) * (top * top))
     decomposition.append(term)
-    return DelaySlots(total + term, tuple(decomposition))
+    total += term
+    if not math.isfinite(total):
+        raise _overflow(decomposition)
+    return tuple.__new__(DelaySlots, (total, tuple(decomposition)))
 
 
 def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
     """Evaluate the closed-form bracket; one decomposition entry per layer.
 
-    Raises OverflowError naming the power of c that leaves float range.
+    Raises OverflowError naming the power of c that leaves float range, or
+    else the layer at which the slot count does.
     """
-    sizes = validate_plan(sizes)
-    c = params.c
-    lead = 2.0 * sizes[0] * (1.0 / params.R)
+    return tuple.__new__(DelaySlots, _bracket(validate_plan(sizes), params.c, params.R))
+
+
+def _bracket(sizes: tuple[float, ...], c: float, R: float) -> tuple[float, tuple[float, ...]]:
+    # delay_closed_form's (slots, decomposition) for a plan validate_plan accepted
+    lead = 2.0 * sizes[0] * (1.0 / R)
     last = len(sizes) - 1
     terms = []
     # a left fold from 0.0, as in delay_recursive
@@ -92,4 +128,7 @@ def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySl
         # len(terms) is the index of the term whose power overflowed
         raise OverflowError(f"c**{len(terms)} overflows at c={c:g}") from None
     terms.append(term)
-    return DelaySlots(total + term, tuple(terms))
+    total += term
+    if not math.isfinite(total):
+        raise _overflow(terms)
+    return total, tuple(terms)

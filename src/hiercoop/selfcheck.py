@@ -8,6 +8,9 @@ that case's comparisons:
 * recursion_vs_closed_form: the level-by-level recursion (driven by Q and R)
   against the unrolled bracket (driven by the stored c), in one pass per
   case: _rel_err of the totals, then a running max of the term errors.
+  The public delay_recursive checks each drawn plan, as a user's call
+  would, and the bracket kernel recurrence._bracket reads that same plan,
+  so a case checks its plan once and builds one record.
   The only suite that trips when c is inconsistent with Q/R.
 * am_gm_equal_terms: at the optimizer's layer sizes all bracket terms are
   equal and minimal_delay matches their sum.
@@ -25,12 +28,12 @@ rational in the inputs, 1e-9 where exp/log round-trips enter, and for
 ratio_two_routes the bound ratio_original enforces on the same two routes.
 run_all alone judges: a suite passes when it ran a case and its worst case
 error is within tolerance. _rel_err refuses non-finite operands and a zero
-reference with OverflowError, so no case error is NaN or infinite; a finite
-float sum has finite terms, so refusing non-finite totals refuses the terms
-too, and the bracket terms, each at least 2*M1/R, are never 0. run_all
-reports that refusal, and ratio_original_closed_form's DomainError for a
-closed form past float range, as a DomainError naming the suite and the
-rate pair.
+reference with OverflowError, so no case error is NaN or infinite. Both slot
+routes raise OverflowError themselves when a slot count leaves float range,
+so the terms of the totals they return are finite too, and the bracket
+terms, each at least 2*M1/R, are never 0. run_all reports those
+OverflowErrors, and ratio_original_closed_form's DomainError for a closed
+form past float range, as a DomainError naming the suite and the rate pair.
 The n grids of phase_balance and bound_checks start where depth 2 fits,
 n >= 8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
 InfeasibleError (verify: exit 3).
@@ -57,7 +60,7 @@ from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
 from .params import N_MAX, SchemeParams
-from .recurrence import delay_closed_form, delay_recursive
+from .recurrence import _bracket, delay_closed_form, delay_recursive
 from .throughput import (
     layer_throughput,
     original_throughput,
@@ -120,9 +123,10 @@ def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
             sizes.append(sizes[-1] * (1.5 + (8.0 - 1.5) * draw()))
         sizes.reverse()
         walked = delay_recursive(sizes, params)
-        bracket = delay_closed_form(sizes, params)
-        worst = _rel_err(walked.slots, bracket.slots)
-        for value, reference in zip(walked.decomposition, bracket.decomposition):
+        # the plan delay_recursive has just checked; the same floats it holds
+        total, terms = _bracket(sizes, params.c, params.R)
+        worst = _rel_err(walked.slots, total)
+        for value, reference in zip(walked.decomposition, terms):
             err = abs(value - reference) / reference
             if err > worst:
                 worst = err

@@ -108,8 +108,9 @@ def _depth_report(
     h: int, n: int, M1: float, value: float, phase_slots: tuple[float, float, float] | None = None
 ) -> ThroughputReport:
     exponent = (h - 1.0) / h
-    return ThroughputReport(
-        value, float(h), M1, phase_slots, value / (n / 2.0) ** exponent, exponent
+    return tuple.__new__(
+        ThroughputReport,
+        (value, float(h), M1, phase_slots, value / (n / 2.0) ** exponent, exponent, None),
     )
 
 
@@ -127,7 +128,9 @@ def _smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
-    return ThroughputReport(pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
+    return tuple.__new__(
+        ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
+    )
 
 
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
@@ -136,7 +139,9 @@ def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     The smooth report is smooth_modified's. The integer half is the very
     LayerChoice that layer_choice(n, params) returns, None when no depth fits.
     """
-    return ModifiedThroughput(smooth_modified(n, params), layer_choice(n, params))
+    return tuple.__new__(
+        ModifiedThroughput, (smooth_modified(n, params), layer_choice(n, params))
+    )
 
 
 def upper_bound(n: int, params: SchemeParams) -> float:

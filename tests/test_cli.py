@@ -665,7 +665,7 @@ class TestExitCodes:
         assert rc == 3 and out == ""
         assert err == (
             "error: suite recursion_vs_closed_form overflowed at R=1, Q=1e+100: "
-            "c**4 overflows at c=4e+100\n"
+            "slot count leaves float range at layer 5 of 6\n"
         )
 
     @pytest.mark.parametrize(

@@ -446,13 +446,6 @@ class TestOneEntryMemos:
             got = public(n, bad)
             assert _bits(got) == _bits(memo.__wrapped__(n, bad)) != _bits(clean), public.__name__
 
-    def test_a_zero_field_never_reaches_a_memo(self):
-        # 0.0 == -0.0, so memos keyed on params would serve one sign's entry
-        # for the other; SchemeParams refuses a zero of either sign instead
-        for zero in (0.0, -0.0):
-            with pytest.raises(DomainError, match=r"^beta1 must be at least 1"):
-                SchemeParams(R=1, Q=1, beta1=zero, beta=2, c=4)
-
     @pytest.mark.parametrize("f", FORMS, ids=["smooth-n", "original-n", "closed-form-n"])
     def test_a_failing_call_raises_again_and_stores_nothing(self, f, unit_params):
         # n = 3 raises inside each memo; bad constants and rates never reach

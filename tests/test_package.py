@@ -18,10 +18,14 @@ from hiercoop import (
     c0_tradeoff,
     classify,
     compare_schemes,
+    delay_closed_form,
     delay_recursive,
     derive,
     layer_choice,
+    layer_throughput,
+    minimal_delay,
     optimal_modified,
+    smooth_modified,
 )
 from hiercoop.cli import _OPTIONS
 from hiercoop.params import _Frozen
@@ -177,27 +181,46 @@ def test_a_record_checks_or_derives_in_init_or_is_a_named_tuple():
 
 
 def _records():
-    # one instance of each result record, from the call that returns it
+    # one instance of each result record, from the call that returns it, by
+    # test id; a record built by position also comes from each further site
     params = derive(1.0, 1.0)
     sparse = NetworkConfig(n=200, area=100.0, alpha=4.0)
     both = optimal_modified(131072, params)
-    return [
-        both,
-        both.smooth,
-        layer_choice(131072, params),
-        delay_recursive((512.0, 16.0), params),
-        compare_schemes([131072], NetworkConfig(n=131072), params, c_mh=1.0)[0],
-        classify(sparse),
-        c0_tradeoff(sparse, [(1.0, 1.0, 1.0)])[0],
-        SuiteResult("suite", True, 0.0, 1, 1e-9),
-        _OPTIONS["n"],
-    ]
+    return {
+        "ModifiedThroughput": both,
+        "ThroughputReport": both.smooth,
+        "LayerChoice": layer_choice(131072, params),
+        "DelaySlots": delay_recursive((512.0, 16.0), params),
+        "SweepRow": compare_schemes([131072], NetworkConfig(n=131072), params, c_mh=1.0)[0],
+        "RegimeReport": classify(sparse),
+        "CandidateOutcome": c0_tradeoff(sparse, [(1.0, 1.0, 1.0)])[0],
+        "SuiteResult": SuiteResult("suite", True, 0.0, 1, 1e-9),
+        "_Option": _OPTIONS["n"],
+        "SweepRow-error": compare_schemes([3], NetworkConfig(n=131072), params, c_mh=1.0)[0],
+        "ThroughputReport-layer_throughput": layer_throughput(3, 131072, params),
+        "ThroughputReport-smooth_modified": smooth_modified(200, params),
+        "DelaySlots-minimal_delay": minimal_delay(3, 512.0, params),
+        "DelaySlots-delay_closed_form": delay_closed_form((512.0, 16.0), params),
+    }
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
 def test_result_records_are_immutable(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.note = "added"
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
+def test_positionally_built_records_hold_every_field(record):
+    # tuple.__new__(cls, values) checks no arity, so a record built that way
+    # must hold one value per field, defaults included, and be the record,
+    # and print as the record, that the generated constructor builds
+    assert len(record) == len(record._fields)
+    rebuilt = type(record)(*record)
+    assert rebuilt == record and repr(rebuilt) == repr(record)

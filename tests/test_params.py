@@ -296,15 +296,6 @@ class TestRecordContract:
             record._hash = 0
         assert hash(record) == hash(record._values)
 
-    @pytest.mark.parametrize("name", ["beta1", "beta", "c"])
-    def test_a_zero_field_of_either_sign_is_refused(self, name):
-        # 0.0 == -0.0 and their hashes agree, so equality on the values could
-        # not tell the signs apart; no record holds a zero field to tell apart
-        kwargs = RECORDS[0][1]
-        for zero in (0.0, -0.0):
-            with pytest.raises(DomainError, match=rf"^{name} must "):
-                SchemeParams(**{**kwargs, name: zero})
-
     def test_the_same_record_is_equal_without_comparing_fields(self, monkeypatch):
         # a memo hit on the very params object short-cuts on identity: the
         # tuple and dict lookups never call __eq__

@@ -12,7 +12,8 @@ from hiercoop import (
 )
 from hiercoop.explorer import RATIO_ROUTE_TOL
 from hiercoop.optimizer import _search_depth
-from hiercoop.recurrence import delay_closed_form, delay_recursive
+from hiercoop.params import MAX_LAYERS, validate_plan
+from hiercoop.recurrence import DelaySlots, _bracket, delay_closed_form, delay_recursive
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
@@ -22,7 +23,7 @@ from hiercoop.selfcheck import (
 from oracles import (
     am_gm_equal_terms_by_full_scan, bound_checks_by_full_scan, phase_balance_by_full_scan,
 )
-from strategies import ABOVE_ONE, corrupt_params, search_params
+from strategies import ABOVE_ONE, corrupt_params, plans, rate_params, search_params
 
 
 def _with_c(c):
@@ -107,27 +108,15 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("c", [ABOVE_ONE, 1.0 + 1e-9], ids=["ulp", "1e-9"])
     def test_constant_just_above_one_is_judged_not_refused(self, c):
-        # c at or below 1 is refused by SchemeParams; just above it, the slot
-        # routes and the envelope both see the inconsistent c, and the judge says so
-        for refused in (1.0, 1.0 - 1e-9):
-            with pytest.raises(DomainError, match=rf"^c must exceed 1, got {refused}$"):
-                _with_c(refused)
+        # c at or below 1 is refused by SchemeParams (tests/test_domain.py); just
+        # above it, the slot routes and the envelope both see the inconsistent
+        # c, and the judge says so
         assert [r.passed for r in run_all(_with_c(c), seed=0)] == [False, True, True, False, True]
 
-    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
-    def test_constant_not_above_zero_is_refused(self, c):
-        # by SchemeParams, before run_all or any suite can take it: the suites
-        # after the first size layers by powers of c, and at c = 0 the first
-        # would divide by a zero bracket term
-        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
-            _with_c(c)
-
-    @pytest.mark.parametrize("c", [-4.0, 0.0, math.nan])
-    def test_recursion_suite_on_its_own_refuses_c_not_above_zero(self, c):
+    def test_recursion_suite_on_its_own_answers_at_the_smallest_c(self):
         # called without run_all, the first suite meets only the c that
-        # SchemeParams admits; from the smallest of them no bracket term is 0
-        with pytest.raises(DomainError, match="c must exceed 1"):
-            _with_c(c)
+        # SchemeParams admits (at c = 0 it would divide by a zero bracket
+        # term); from the smallest of them no bracket term is 0
         errors = recursion_vs_closed_form(_with_c(ABOVE_ONE), 0)
         assert len(errors) == 200 and all(math.isfinite(e) for e in errors)
 
@@ -200,8 +189,9 @@ class TestNonFiniteErrors:
             run_all(params)
 
     def test_slot_routes_past_float_range_overflow(self):
-        # at Q/R = 1.7e308 both slot routes reach inf, and inf - inf is NaN
-        with pytest.raises(OverflowError):
+        # at Q/R = 1.7e308 the slot count of a deep plan leaves float range,
+        # and the route that meets it first names the layer
+        with pytest.raises(OverflowError, match=r"^slot count leaves float range at layer \d+ of "):
             recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
 
 
@@ -305,7 +295,9 @@ class TestWork:
     def test_each_suite_calls_the_public_routes_once_per_case(self, monkeypatch):
         # the suites judge the public routes, never a copy of their arithmetic
         calls = collections.Counter()
-        routes = ("delay_recursive", "delay_closed_form", "layer_throughput",
+        # the first suite checks each plan through the public walk, and the
+        # bracket kernel, _bracket, reads that same plan
+        routes = ("delay_recursive", "delay_closed_form", "_bracket", "layer_throughput",
                   "throughput_given_M1", "optimal_cluster_sizes", "minimal_delay")
         for name in routes:
             def counted(*args, real=getattr(selfcheck, name), name=name):
@@ -316,13 +308,30 @@ class TestWork:
         run_all(derive(1.0, 1.0), 0)
         assert calls == {
             ("recursion_vs_closed_form", "delay_recursive"): 200,
-            ("recursion_vs_closed_form", "delay_closed_form"): 200,
+            ("recursion_vs_closed_form", "_bracket"): 200,
             ("am_gm_equal_terms", "optimal_cluster_sizes"): 16,
             ("am_gm_equal_terms", "delay_closed_form"): 12,
             ("am_gm_equal_terms", "minimal_delay"): 12,
             ("phase_balance", "throughput_given_M1"): 34,
             ("bound_checks", "layer_throughput"): 138,
         }
+
+    @settings(max_examples=300)
+    @given(sizes=plans(max_h=MAX_LAYERS), params=rate_params() | search_params())
+    @example(sizes=(512.0, 16.0), params=derive(1.0, 1.7e308))  # c = inf: a term overflows
+    @example(sizes=(2.0**60, 2.0**40, 2.0**20, 4.0, 2.0), params=derive(1.0, 1e100))  # c**4
+    def test_the_bracket_kernel_is_the_public_closed_form(self, sizes, params):
+        # what lets the first suite read _bracket: it is delay_closed_form past
+        # validate_plan, bit for bit, overflow errors included
+        def hexed(route):
+            try:
+                out = route()
+            except OverflowError as exc:
+                return str(exc)
+            return type(out), out.slots.hex(), [t.hex() for t in out.decomposition]
+
+        kernel = hexed(lambda: DelaySlots(*_bracket(validate_plan(sizes), params.c, params.R)))
+        assert hexed(lambda: delay_closed_form(sizes, params)) == kernel
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
     def test_random_hierarchies_are_the_uniform_draws(self, monkeypatch, seed):

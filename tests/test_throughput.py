@@ -161,10 +161,9 @@ class TestModifiedScheme:
 
     @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
     def test_smooth_figure_does_not_read_c(self, unit_params, c):
-        # SchemeParams refuses a c at or below one; one above it, off 4Q/R,
-        # leaves the smooth figure, which searches no depth, where it was
-        with pytest.raises(DomainError, match=rf"^c must exceed 1, got {c}$"):
-            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c)
+        # SchemeParams refuses a c at or below one (tests/test_domain.py); one
+        # above it, off 4Q/R, leaves the smooth figure, which searches no
+        # depth, where it was
         bad = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=c + 1.0)
         for n in (131072, 200):
             assert smooth_modified(n, bad) == smooth_modified(n, unit_params)
@@ -246,11 +245,8 @@ class TestOriginalScheme:
         assert got == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
     def test_depth_guards(self):
-        # SchemeParams refuses a depth base of 1 or below; the depth checks n
-        for beta in (1.0, 0.5):
-            msg = rf"^beta must exceed 1 and be finite, got {beta}$"
-            with pytest.raises(DomainError, match=msg):
-                SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=beta, c=4.0)
+        # SchemeParams refuses a depth base of 1 or below (tests/test_domain.py);
+        # the depth checks n
         with pytest.raises(DomainError):
             original_optimal_layers(3, derive(1.0, 1.0))
 
@@ -373,13 +369,19 @@ class TestSlotModelTotality:
             lambda: minimal_delay(h, M1, params),
             lambda: throughput_given_M1(h, M1, n, params),
             lambda: optimal_cluster_sizes(h, M1, params),
+        )
+        slot_routes = (
             lambda: delay_recursive(sizes, params),
             lambda: delay_closed_form(sizes, params),
         )
-        for call in calls:
+        for call in (*calls, *slot_routes):
             try:
                 out = call()
             except ValueError:
+                continue
+            except OverflowError:
+                # documented for the slot routes: a slot count past float range
+                assert call in slot_routes
                 continue
             # an infinite value is allowed: at huge R a throughput overflows
             # because R is folded in before the dimensionless form is complete
