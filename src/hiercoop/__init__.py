@@ -41,7 +41,6 @@ from .params import (
 from .recurrence import (
     TIME_SHARING_FACTOR,
     DelaySlots,
-    delay_closed_form,
     delay_recursive,
 )
 from .throughput import (
@@ -94,7 +93,6 @@ __all__ = [
     "c0_tradeoff",
     "classify",
     "compare_schemes",
-    "delay_closed_form",
     "delay_recursive",
     "depth_optimum",
     "derive",

@@ -17,25 +17,20 @@ compare_schemes assembles one row of named metrics per grid point. Scheme
 columns hold the interference-limited values; the area factor travels in
 its own column so every row keeps ratio == T1_smooth / T_orig regardless of
 regime. Rows that fail carry the message in .error and the sweep continues.
-
-ratio_original_closed_form keeps a one-entry memo, _ratio_closed_form, of
-the last (n, params), by the rule of the memos in throughput: a row checks
-the ratio twice, and the second check reads the entry.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 from .area import area_from_exponent, check_area_exponent, classify
 from .errors import DomainError
-from .params import MIN_NODES, NetworkConfig, SchemeParams, smooth_depth
+from .params import MIN_NODES, NetworkConfig, SchemeParams
 from .throughput import (
+    _smooth_forms,
     check_multihop_constant,
     multihop_baseline,
     optimal_modified,
-    original_optimal_layers,
     original_throughput,
     per_pair_rate,
 )
@@ -57,19 +52,10 @@ def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
 
     Raises DomainError when the expression leaves float range.
     """
-    ratio = _ratio_closed_form(n, params)
+    ratio = _smooth_forms(n, params)[2]
     if not math.isfinite(ratio):
         raise DomainError(f"closed-form ratio is not finite at n={n}")
     return ratio
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _ratio_closed_form(n: int, params: SchemeParams) -> float:
-    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
-    log_b_b1 = params.log_beta1 / math.log(params.beta)
-    front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
-    h_orig = original_optimal_layers(n, params)
-    return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
 
 
 def ratio_original(n: int, params: SchemeParams) -> float:
@@ -78,7 +64,8 @@ def ratio_original(n: int, params: SchemeParams) -> float:
     Computed by direct division and checked against the closed-form route
     to RATIO_ROUTE_TOL; a disagreement raises DomainError, as do a route
     that leaves float range and a three-phase throughput that underflows
-    to 0.
+    to 0. The routes share c_n and both depths, but no power of n/2 or of
+    beta, so a slip in any power shows as a disagreement.
     """
     modified = optimal_modified(n, params).smooth.value
     original = original_throughput(n, params)

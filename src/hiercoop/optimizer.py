@@ -235,6 +235,11 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     s_split reads R, so neither does the choice: values that overflow to
     inf or round to 0 leave it where it is.
 
+    Fit margin: for derive()d params (c = 4*Q/R) depth h fits exactly when
+    A >= a*h*(h-1). As A = h* + a*(h*)**2, floor(h*) fits by h + a*h >= 2
+    nats, and depth h + 1, taken when A > s_h, by h*(h+1)*log1p(1/h) > 2.4.
+    The walk down is kept for directly built params; on derived ones it never moves.
+
     Tie contract: A = s_split takes split, and near it the float test may
     take either depth. A < log(2**61) < 43, so the test can err only where
     s_split < 43 too. There each of A and s_split comes from a few float

@@ -22,8 +22,8 @@ delay_recursive walks the recursion using Q and R directly;
 delay_closed_form evaluates the bracket using the stored c. The two routes
 share no arithmetic, so their agreement is a real consistency check.
 delay_closed_form is validate_plan, then the kernel _bracket(sizes, c, R),
-then the DelaySlots record; the verify suite runs _bracket on a plan that
-delay_recursive has just checked, so each of its cases checks the plan once.
+then the DelaySlots record; the verify suites run _bracket on a plan that
+delay_recursive or optimal_cluster_sizes has just checked, once per case.
 
 Both routes share one overflow contract: a slot count that leaves float
 range raises OverflowError naming the layer at which the running count

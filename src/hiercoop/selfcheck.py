@@ -60,7 +60,7 @@ from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
 from .params import N_MAX, SchemeParams
-from .recurrence import _bracket, delay_closed_form, delay_recursive
+from .recurrence import _bracket, delay_recursive
 from .throughput import (
     layer_throughput,
     original_throughput,
@@ -146,14 +146,13 @@ def am_gm_equal_terms(params: SchemeParams, seed: int) -> list[float]:
             except InfeasibleError:
                 continue
             fits.append(M1)
-            bracket = delay_closed_form(sizes, params)
-            terms = bracket.decomposition
-            mean = bracket.slots / len(terms)
+            total, terms = _bracket(sizes, params.c, params.R)
+            mean = total / len(terms)
             worst = 0.0
             for t in terms:
                 err = _rel_err(t, mean)
                 worst = err if err > worst else worst
-            err = _rel_err(bracket.slots, minimal_delay(h, M1, params).slots)
+            err = _rel_err(total, minimal_delay(h, M1, params).slots)
             errors.append(err if err > worst else worst)
         tops = fits
     return errors

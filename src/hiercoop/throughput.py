@@ -21,12 +21,11 @@ Two conventions coexist and are reported side by side:
 original_throughput is the three-phase counterpart kept for head-to-head
 sweeps; multihop_baseline is the flat nearest-neighbor reference.
 
-smooth_modified and original_throughput each keep a one-entry memo
-(_smooth_modified, _original_throughput) of the last (n, params), n compared
-by type and value, params by every field. A sweep row or an analyze report
-asks for each figure several times in a row, and only the first ask
-computes. One entry serves such back-to-back repeats and reuses nothing
-across network sizes; a call that raises stores nothing.
+smooth_modified, original_throughput and explorer.ratio_original_closed_form
+read one one-entry memo, _smooth_forms, of the last (n, params), n compared
+by type and value, params by every field: the back-to-back repeats of a
+sweep row or an analyze report compute once, nothing is reused across
+network sizes, and a call that raises stores nothing.
 """
 from __future__ import annotations
 
@@ -119,18 +118,35 @@ def smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
 
     Uses h = sqrt(log_beta1(n/2)) as a real number; no depth is searched.
     """
-    return _smooth_modified(n, params)
+    return _smooth_forms(n, params)[0]
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _smooth_modified(n: int, params: SchemeParams) -> ThroughputReport:
+def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float, float]:
+    """(smooth_modified, original_throughput, closed-form ratio) at (n, params).
+
+    smooth_depth, c_n, log(beta), the three-phase depth and log_beta(beta1)
+    are each evaluated once, and no depth is searched. Each public form calls
+    this kernel alone, so the public calls per sweep row stay as they were.
+    The two ratio routes share c_n and both depths but no power of n/2 or of
+    beta. It raises only smooth_depth's errors; no power overflows: beta's is
+    at most exp(2*sqrt(log(2**61)*log(beta))) < exp(347), c_n's base is below
+    5, and the exponents on n/2 are below 1.
+    """
     root = smooth_depth(n, params)
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
-    return tuple.__new__(
+    smooth = tuple.__new__(
         ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
     )
+    log_beta = math.log(params.beta)
+    h = math.sqrt(math.log(n / 2.0) / log_beta)
+    original = params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
+    log_b_b1 = params.log_beta1 / log_beta
+    front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
+    closed = front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h)
+    return smooth, original, closed
 
 
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
@@ -167,13 +183,7 @@ def original_throughput(n: int, params: SchemeParams) -> float:
     beta = 2*sqrt(1 + Q/R); the extra delivery phase is what moves beta1 to
     beta and drops the c_n correction.
     """
-    return _original_throughput(n, params)
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _original_throughput(n: int, params: SchemeParams) -> float:
-    h = original_optimal_layers(n, params)
-    return params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
+    return _smooth_forms(n, params)[1]
 
 
 def check_multihop_constant(c_mh: float) -> None:

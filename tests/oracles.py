@@ -2,9 +2,9 @@
 
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
-imports the package under test, except search_depth_by_walk and the
-*_by_full_scan suites: earlier code kept as it was, over the package's own
-public routes. Agreement between these and the closed forms, or the code
+imports the package under test, except search_depth_by_walk, the
+*_by_full_scan suites and the *_by_own_depths smooth forms: earlier code
+kept as it was, over the package's own public routes. Agreement between these and the closed forms, or the code
 that replaced them, is the point of the tests that use them.
 """
 import math
@@ -243,6 +243,44 @@ def search_depth_by_walk(n, params, h_max):
             h += 1
         best = tie
     return LayerChoice(h_exact, h_approx, h, best[0], best[1])
+
+
+def smooth_modified_by_own_depths(n, params):
+    """throughput.smooth_modified's body as it was when each smooth form kept
+    its own memo: it computes its own smooth depth and c_n."""
+    from hiercoop import ThroughputReport
+    from hiercoop.params import smooth_depth
+
+    root = smooth_depth(n, params)
+    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
+    exponent = 1.0 - 2.0 / root
+    pre = params.beta1 * params.R / (c_n * root)
+    return tuple.__new__(
+        ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
+    )
+
+
+def original_throughput_by_own_depths(n, params):
+    """throughput.original_throughput's body as it was when each smooth form
+    kept its own memo: it computes its own three-phase depth."""
+    from hiercoop import original_optimal_layers
+
+    h = original_optimal_layers(n, params)
+    return params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
+
+
+def ratio_closed_form_by_own_depths(n, params):
+    """explorer's closed-form ratio as it was when each smooth form kept its
+    own memo, before ratio_original_closed_form's finiteness check: it
+    computes its own smooth depth, c_n and three-phase depth."""
+    from hiercoop import original_optimal_layers
+    from hiercoop.params import smooth_depth
+
+    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
+    log_b_b1 = params.log_beta1 / math.log(params.beta)
+    front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
+    h_orig = original_optimal_layers(n, params)
+    return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
 
 
 def am_gm_equal_terms_by_full_scan(params, seed):

@@ -17,7 +17,6 @@ from hiercoop import (
     NetworkConfig,
     c0_tradeoff,
     classify,
-    delay_closed_form,
     delay_recursive,
     depth_optimum,
     derive,
@@ -35,6 +34,7 @@ from hiercoop import (
     upper_bound,
 )
 from hiercoop.cli import main as cli_main
+from hiercoop.recurrence import delay_closed_form
 from oracles import coordinate_descent_min, golden_max, grid_min
 
 GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_21pt.csv"

@@ -166,6 +166,11 @@ class TestAnalyzeJsonl:
         ("sweep_q24.jsonl",
          ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
           "--rate-q", "24", "--format", "jsonl")),
+        # at the Q/R -> 1/4 edge, where the smooth depth is largest; pins the
+        # ratio column as it stands, below 1 at the top sizes
+        ("sweep_q0p250000001.jsonl",
+         ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
+          "--rate-q", "0.250000001", "--format", "jsonl")),
         # near the Q/R -> 1/4 edge, where the most depths fit: 293 bound_checks cases
         ("verify_q03_seed7.txt", ("verify", "--rate-q", "0.3", "--seed", "7")),
         # every depth of the suites' walks fits every size, so none leaves: 20/50/330 cases

@@ -15,7 +15,6 @@ from hiercoop import (
     PlanError,
     SchemeParams,
     compare_schemes,
-    delay_closed_form,
     delay_recursive,
     depth_optimum,
     derive,
@@ -36,6 +35,7 @@ from hiercoop import (
     upper_bound,
 )
 from hiercoop.params import smooth_depth
+from hiercoop.recurrence import delay_closed_form
 from strategies import plans
 
 #: Field values at the edges of float range and of the domain.

@@ -31,10 +31,17 @@ from hiercoop import (
     ratio_original_closed_form,
     smooth_modified,
 )
-from hiercoop import explorer, selfcheck, throughput
+from hiercoop import cli, explorer, selfcheck, throughput
 from hiercoop.optimizer import _search_depth
 from hiercoop.params import smooth_depth
-from oracles import balanced_top_by_formula, best_depth_by_scan
+from hiercoop.throughput import _smooth_forms
+from oracles import (
+    balanced_top_by_formula,
+    best_depth_by_scan,
+    original_throughput_by_own_depths,
+    ratio_closed_form_by_own_depths,
+    smooth_modified_by_own_depths,
+)
 from strategies import corrupt_params, rate_params, search_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
@@ -62,11 +69,12 @@ class TestRatioRoutes:
         assert abs(direct - closed) <= 1e-9 * direct
 
     def test_direct_route_is_the_division_it_claims_to_be(self, unit_params):
-        # both figures computed cold, not read from the memos ratio_original fills
+        # both figures from the bodies that computed them before the smooth
+        # kernel, not read from the memo ratio_original fills
         n = 131072
-        expected = throughput._smooth_modified.__wrapped__(
+        expected = smooth_modified_by_own_depths(
             n, unit_params
-        ).value / throughput._original_throughput.__wrapped__(n, unit_params)
+        ).value / original_throughput_by_own_depths(n, unit_params)
         assert ratio_original(n, unit_params) == expected
 
     def test_underflowed_three_phase_throughput_raises_naming_n(self):
@@ -336,7 +344,7 @@ class TestRecordsByField:
     def test_smooth_report(self):
         # cold, so the figures come from this call, not an earlier entry
         n, p = 131072, derive(1.0, 24.0)
-        report = throughput._smooth_modified.__wrapped__(n, p)
+        report = _smooth_forms.__wrapped__(n, p)[0]
         root = smooth_depth(n, p)
         c_n = (1.0 + p.R / p.Q) ** (1.0 - 1.0 / root)
         pre = p.beta1 * p.R / (c_n * root)
@@ -390,14 +398,21 @@ class TestRecordsByField:
         assert good.extras["area_factor"] == 400.0 / 10000.0
 
 
-#: The memoized smooth forms, and the one-entry memo behind each.
+#: The public smooth forms, each a field of the one smooth kernel's answer.
 FORMS = (smooth_modified, original_throughput, ratio_original_closed_form)
-MEMOS = (throughput._smooth_modified, throughput._original_throughput, explorer._ratio_closed_form)
 
+#: Their bodies as they were when each form kept its own memo.
+OWN_DEPTHS = (
+    smooth_modified_by_own_depths,
+    original_throughput_by_own_depths,
+    ratio_closed_form_by_own_depths,
+)
 
-def _clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+#: Directly built params whose closed-form ratio overflows: beta1 * sqrt(log_beta(beta1))
+CLOSED_FORM_PAST_RANGE = SchemeParams(
+    R=2.9415223893011777e-237, Q=2.4579357922530005e-70, beta1=1e308,
+    beta=1.0000000001, c=math.inf,
+)
 
 
 def _bits(x):
@@ -417,23 +432,35 @@ def _outcome(f, *args):
         return False, (type(exc), str(exc))
 
 
+def _traffic():
+    info = _smooth_forms.cache_info()
+    return info.misses, info.hits
+
+
 class TestOneEntryMemos:
-    """Each smooth form is computed once per (n, params) that repeats back to
-    back; a new n, an error or an unequal params computes afresh."""
+    """The smooth forms are computed once per (n, params) that repeats back to
+    back, all three by one kernel; a new n, an error or an unequal params
+    computes afresh."""
 
     def test_row_computes_each_form_once(self, unit_params):
         # a row asks for the smooth report 4 times, T_orig 3 and the closed form 2
-        _clear_memos()
+        _smooth_forms.cache_clear()
         (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
         assert row.error is None and "T1_int" in row.extras
-        assert [m.cache_info().misses for m in MEMOS] == [1, 1, 1]
-        assert [m.cache_info().hits for m in MEMOS] == [3, 2, 1]
+        assert _traffic() == (1, 8)
 
     def test_ratio_two_routes_reuses_nothing_across_n(self, unit_params):
-        _clear_memos()
+        # 18 sizes, three forms at each
+        _smooth_forms.cache_clear()
         assert len(selfcheck.ratio_two_routes(unit_params, 0)) == 18
-        assert [m.cache_info().misses for m in MEMOS] == [18, 18, 18]
-        assert [m.cache_info().hits for m in MEMOS] == [0, 0, 0]
+        assert _traffic() == (18, 36)
+
+    def test_analyze_computes_the_forms_once(self, capsys):
+        # T1_smooth, T_orig, and ratio_original's three forms
+        _smooth_forms.cache_clear()
+        assert cli.main(["analyze", "--n", "131072"]) == 0
+        capsys.readouterr()
+        assert _traffic() == (1, 4)
 
     def test_params_off_by_one_field_are_not_served_the_last_entry(self, unit_params):
         # corrupt beta1 and beta: every form reads at least one of them
@@ -441,38 +468,64 @@ class TestOneEntryMemos:
         bad = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0 * (1.0 + 1e-6), beta=2.0 * math.sqrt(2.0) * (1.0 + 1e-6), c=4.0
         )
-        for public, memo in zip(FORMS, MEMOS):
+        cold = _smooth_forms.__wrapped__(n, bad)
+        for public, field in zip(FORMS, cold):
             clean = public(n, unit_params)
             got = public(n, bad)
-            assert _bits(got) == _bits(memo.__wrapped__(n, bad)) != _bits(clean), public.__name__
+            assert _bits(got) == _bits(field) != _bits(clean), public.__name__
 
     @pytest.mark.parametrize("f", FORMS, ids=["smooth-n", "original-n", "closed-form-n"])
     def test_a_failing_call_raises_again_and_stores_nothing(self, f, unit_params):
-        # n = 3 raises inside each memo; bad constants and rates never reach
-        # one, since SchemeParams refuses them (tests/test_domain.py)
-        _clear_memos()
+        # n = 3 raises inside the kernel; bad constants and rates never reach
+        # it, since SchemeParams refuses them (tests/test_domain.py)
+        _smooth_forms.cache_clear()
         for _ in range(2):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
                 f(3, unit_params)
-        assert sum(m.cache_info().misses for m in MEMOS) == 2
-        assert sum(m.cache_info().currsize for m in MEMOS) == 0
+        assert _traffic() == (2, 0)
+        assert _smooth_forms.cache_info().currsize == 0
 
     @settings(max_examples=300)
-    @given(n=st.integers(4, 2**62), params=search_params() | corrupt_params())
+    @given(n=st.integers(1, 2**62), params=search_params() | corrupt_params())
     @example(n=8, params=derive(1.0, 1.0))  # no depth fits: layer_choice is None
     @example(
         n=2**40,
         params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.inf),
     )
+    @example(n=1024, params=CLOSED_FORM_PAST_RANGE)  # stored, yet the public form raises
     def test_warm_results_are_bit_identical_to_cold_ones(self, n, params):
-        # the warm call reads the entry an equal copy of params left
+        # the warm call reads the entry an equal copy of params left; the cold
+        # one computes afresh on an emptied memo
         twin = copy.copy(params)
-        cases = [(public, memo, memo.__wrapped__) for public, memo in zip(FORMS, MEMOS)]
-        cases.append(
-            (layer_choice, _search_depth, lambda n, p: _search_depth.__wrapped__(n, p, MAX_LAYERS))
-        )
-        for public, memo, cold in cases:
-            stored, _ = _outcome(public, n, twin)
+        cases = [(public, _smooth_forms) for public in FORMS]
+        cases.append((layer_choice, _search_depth))
+        for public, memo in cases:
+            memo.cache_clear()
+            _outcome(public, n, twin)
+            stored = memo.cache_info().currsize
             hits = memo.cache_info().hits
-            assert _outcome(public, n, params) == _outcome(cold, n, params), public.__name__
+            warm = _outcome(public, n, params)
             assert memo.cache_info().hits == hits + stored, public.__name__
+            memo.cache_clear()
+            assert warm == _outcome(public, n, params), public.__name__
+
+
+class TestSmoothKernelIsTheOldCode:
+    """The one smooth kernel gives, field by field, what each form's own body
+    gave when it computed its own depths and c_n."""
+
+    @settings(max_examples=500)
+    @given(n=st.integers(1, 2**62), params=search_params() | corrupt_params())
+    @example(n=4, params=derive(1.0, 1.0))
+    @example(n=2**62, params=derive(1.0, 1.0))
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-12))
+    @example(n=2**40, params=derive(1.0, 1.7e308))  # c = inf
+    @example(n=1024, params=CLOSED_FORM_PAST_RANGE)
+    @example(n=3, params=derive(1.0, 1.0))
+    def test_each_form_is_bit_identical_to_its_own_body(self, n, params):
+        # n from 1, so the error below MIN_NODES is compared too
+        kernel = _outcome(_smooth_forms.__wrapped__, n, params)
+        for i, body in enumerate(OWN_DEPTHS):
+            want = _outcome(body, n, params)
+            got = (True, kernel[1][i]) if kernel[0] else kernel
+            assert got == want, body.__name__

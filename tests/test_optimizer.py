@@ -1,5 +1,6 @@
 """Layer sizing, top-size balancing, and depth selection."""
 import math
+import random
 import sys
 
 import pytest
@@ -11,7 +12,6 @@ from hiercoop import (
     InfeasibleError,
     PlanError,
     SchemeParams,
-    delay_closed_form,
     depth_optimum,
     derive,
     layer_choice,
@@ -25,6 +25,7 @@ from hiercoop import (
 from hiercoop import optimizer
 from hiercoop.optimizer import _search_depth
 from hiercoop.params import check_layer_count
+from hiercoop.recurrence import delay_closed_form
 from oracles import (
     balanced_top_by_formula,
     best_depth_by_scan,
@@ -556,6 +557,31 @@ class TestDepthSearch:
         _search_depth.cache_clear()
         assert layer_choice(20000, derive(1.0, 24.0)).h_int == 2
         assert depths == [2]
+
+    def test_on_derived_params_no_depth_above_two_is_found_short(self, monkeypatch):
+        # the fit margin in _search_depth's docstring: on derive()d params
+        # floor(h*) and the depth the test switches to both fit, so the walk
+        # down never moves and only depth 2 can fail to fit
+        short = []
+        real = optimizer._depth_optimum
+
+        def recorded(h, n, params):
+            best = real(h, n, params)
+            if best is None and h > 2:
+                short.append((h, n, params))
+            return best
+
+        monkeypatch.setattr(optimizer, "_depth_optimum", recorded)
+        rng = random.Random(15)
+        for _ in range(20000):
+            # search_params' derived range: R from 1e-300 to 1e300, Q/R from
+            # 0.25 + 1e-12 up to 1e200
+            log_r = rng.uniform(-300.0, 300.0)
+            R = 10.0**log_r
+            params = derive(R, R * (0.25 + 10.0 ** rng.uniform(-12.0, min(200.0, 307.0 - log_r))))
+            n = round(2.0 ** rng.uniform(2.0, 62.0))
+            _search_depth.__wrapped__(n, params, rng.randint(2, MAX_LAYERS))
+        assert short == []
 
     @settings(max_examples=500)
     @given(draws=switch_point_draws())

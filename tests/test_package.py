@@ -18,7 +18,6 @@ from hiercoop import (
     c0_tradeoff,
     classify,
     compare_schemes,
-    delay_closed_form,
     delay_recursive,
     derive,
     layer_choice,
@@ -29,6 +28,7 @@ from hiercoop import (
 )
 from hiercoop.cli import _OPTIONS
 from hiercoop.params import _Frozen
+from hiercoop.recurrence import delay_closed_form
 
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
 

@@ -6,9 +6,9 @@ from hiercoop import (
     MAX_LAYERS,
     TIME_SHARING_FACTOR,
     PlanError,
-    delay_closed_form,
     delay_recursive,
 )
+from hiercoop.recurrence import delay_closed_form
 from oracles import (
     base_slots_by_enumeration,
     bracket_by_formula,

@@ -295,9 +295,10 @@ class TestWork:
     def test_each_suite_calls_the_public_routes_once_per_case(self, monkeypatch):
         # the suites judge the public routes, never a copy of their arithmetic
         calls = collections.Counter()
-        # the first suite checks each plan through the public walk, and the
-        # bracket kernel, _bracket, reads that same plan
-        routes = ("delay_recursive", "delay_closed_form", "_bracket", "layer_throughput",
+        # the first two suites check each plan through a public route, the
+        # walk or the equal-term sizing, and the bracket kernel, _bracket,
+        # reads that same plan
+        routes = ("delay_recursive", "_bracket", "layer_throughput",
                   "throughput_given_M1", "optimal_cluster_sizes", "minimal_delay")
         for name in routes:
             def counted(*args, real=getattr(selfcheck, name), name=name):
@@ -310,7 +311,7 @@ class TestWork:
             ("recursion_vs_closed_form", "delay_recursive"): 200,
             ("recursion_vs_closed_form", "_bracket"): 200,
             ("am_gm_equal_terms", "optimal_cluster_sizes"): 16,
-            ("am_gm_equal_terms", "delay_closed_form"): 12,
+            ("am_gm_equal_terms", "_bracket"): 12,
             ("am_gm_equal_terms", "minimal_delay"): 12,
             ("phase_balance", "throughput_given_M1"): 34,
             ("bound_checks", "layer_throughput"): 138,
@@ -321,7 +322,7 @@ class TestWork:
     @example(sizes=(512.0, 16.0), params=derive(1.0, 1.7e308))  # c = inf: a term overflows
     @example(sizes=(2.0**60, 2.0**40, 2.0**20, 4.0, 2.0), params=derive(1.0, 1e100))  # c**4
     def test_the_bracket_kernel_is_the_public_closed_form(self, sizes, params):
-        # what lets the first suite read _bracket: it is delay_closed_form past
+        # what lets the first two suites read _bracket: it is delay_closed_form past
         # validate_plan, bit for bit, overflow errors included
         def hexed(route):
             try:

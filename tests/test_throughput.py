@@ -9,7 +9,6 @@ from hiercoop import (
     InfeasibleError,
     PlanError,
     SchemeParams,
-    delay_closed_form,
     delay_recursive,
     depth_optimum,
     derive,
@@ -28,6 +27,7 @@ from hiercoop import (
     upper_bound,
 )
 from hiercoop import throughput
+from hiercoop.recurrence import delay_closed_form
 from oracles import depth_constants_50_digits, slots_by_tree_walk
 from strategies import plans
 
@@ -152,12 +152,13 @@ class TestModifiedScheme:
 
     @pytest.mark.parametrize("ratio", [0.25 + 1e-9, 1.0, 24.0])
     def test_smooth_half_is_smooth_modified(self, ratio):
-        # against a cold smooth_modified, not the memo entry optimal_modified read
+        # against the smooth kernel computed cold, not the memo entry
+        # optimal_modified read
         params = derive(1.0, ratio)
         for i in range(100):
             n = round(2.0 ** (2.0 + 60.0 * i / 99.0))
             smooth = optimal_modified(n, params).smooth
-            assert smooth == throughput._smooth_modified.__wrapped__(n, params)
+            assert smooth == throughput._smooth_forms.__wrapped__(n, params)[0]
 
     @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-9])
     def test_smooth_figure_does_not_read_c(self, unit_params, c):
