@@ -27,7 +27,7 @@ from .area import area_from_exponent, check_area_exponent, classify
 from .errors import DomainError
 from .params import MIN_NODES, NetworkConfig, SchemeParams
 from .throughput import (
-    _smooth_forms,
+    _smooth_memo,
     check_multihop_constant,
     multihop_baseline,
     optimal_modified,
@@ -52,7 +52,7 @@ def ratio_original_closed_form(n: int, params: SchemeParams) -> float:
 
     Raises DomainError when the expression leaves float range.
     """
-    ratio = _smooth_forms(n, params)[2]
+    ratio = _smooth_memo(n, params)[2]
     if not math.isfinite(ratio):
         raise DomainError(f"closed-form ratio is not finite at n={n}")
     return ratio

@@ -30,6 +30,11 @@ Three nested choices, each with a closed-form answer:
   reads no R, so the scale of the rates does not move the depth. Where
   rounding could decide the test, the depth taken loses under 1e-14 in
   log throughput (_search_depth states the bound).
+* For derive()d params, c = 4*Q/R, the fit law reads A >= a*h*(h-1), so
+  the largest depth that fits is H = floor((1 + sqrt(1 + 4A/a))/2). The
+  depth the test picks fits with at least 2 nats to spare in log n
+  (_search_depth gives the margin), unless it is depth 2 at n near
+  8 * (1 + Q/R), where no depth fits; so H never binds the choice.
 
 A depth that does not fit is an answer, not an error: depth_optimum returns
 None for it, and the search skips it. When no depth fits, layer_choice
@@ -42,7 +47,6 @@ answers.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -197,31 +201,43 @@ def layer_choice(n: int, params: SchemeParams, h_max: int | None = None) -> Laye
 
     Every new set of arguments is checked, and a repeat of the last set,
     which passed, returns the stored answer: the checks and the search run
-    once for the last (n, params, h_max) and are reused while they repeat,
-    as they do across the depth-optimized figures of one sweep row; n
-    compares by type as well as value, params by every field. The reused
-    LayerChoice is the same object each time, and it is an immutable tuple.
-    A search that finds no feasible depth is reused too: each call returns
-    None and builds nothing. A call that raises stores nothing.
+    once for the last (n, params, h_max) and are reused while the same n,
+    params and h_max objects repeat, as they do across the depth-optimized
+    figures of one sweep row. An equal but distinct n or params is searched
+    afresh. The reused LayerChoice is the same object each time, and it is
+    an immutable tuple. A search that finds no feasible depth is reused
+    too: each call returns None and builds nothing. A call that raises
+    stores nothing. The entry is read once and replaced whole, so threads
+    that race on it cost a search, never a key paired with another's answer.
 
     Raises:
         DomainError: n < MIN_NODES.
         PlanError: an explicit h_max outside 2..MAX_LAYERS.
     """
+    global _search_last
     if h_max is None:
         h_max = MAX_LAYERS
     elif not (isinstance(h_max, int) and 2 <= h_max <= MAX_LAYERS):
         check_network_size(n)  # a bad n is named before a bad cap
         raise PlanError("h_max", f"depth cap must be an integer in 2..{MAX_LAYERS}, got {h_max!r}")
-    return _search_depth(n, params, h_max)
+    last_n, last_params, last_h_max, choice = _search_last
+    if n is last_n and params is last_params and h_max is last_h_max:
+        return choice
+    choice = _search_depth(n, params, h_max)
+    _search_last = (n, params, h_max, choice)
+    return choice
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+#: (n, params, h_max, choice) of the last search that returned. It holds the
+#: key objects themselves, so none can be freed and its id reused; the fresh
+#: object() in the empty entry is an n that no caller can pass.
+_search_last: tuple[object, object, object, object] = (object(), None, None, None)
+
+
 def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | None:
-    """layer_choice on a checked cap: the remaining checks, then the search.
-
-    Returns None when no depth fits. One entry serves the back-to-back
-    repeats of a sweep row or an analyze report, infeasible rows too.
+    """layer_choice on a checked cap, unmemoized: the remaining checks, then
+    the search. Returns None when no depth fits. Tests call it as the cold
+    reference.
 
     The log of the depth-h value is const - log h - (h-1)*a + (1 - 1/h)*A,
     so the log value of depth split + 1 less that of depth split is

@@ -43,13 +43,13 @@ class _Frozen:
 
     A subclass names its fields in a __slots__ dict of field docstrings. Its
     __init__ sets each field with _set, then calls _seal with _values, the
-    tuple of all field values in slot order that equality and repr read, and
-    whose hash _seal stores once as _hash. The last _derived fields are
-    computed, not passed; copy and pickle rebuild through __init__ from the
-    others, so they run its checks and hash the values again.
+    tuple of all field values in slot order that equality, hash and repr
+    read; the hash is taken anew on each call, as no hot path hashes a
+    record. The last _derived fields are computed, not passed; copy and
+    pickle rebuild through __init__ from the others, so they run its checks.
     """
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("_values",)
     _derived = 0
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -65,7 +65,7 @@ class _Frozen:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values))
@@ -76,7 +76,6 @@ class _Frozen:
 
     def _seal(self, values: tuple[object, ...]) -> None:
         _set(self, "_values", values)
-        _set(self, "_hash", hash(values))
 
 
 class SchemeParams(_Frozen):

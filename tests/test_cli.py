@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import SuiteResult, cli, selfcheck
 from hiercoop.cli import SWEEP_COLUMNS, ConfigError, main
-from hiercoop.optimizer import _search_depth
+import memos
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SWEEP = GOLDEN / "sweep_21pt.csv"
@@ -86,10 +86,10 @@ class TestAnalyzeText:
 
     def test_report_runs_one_depth_search(self, capsys):
         # layer_choice, optimal_modified and ratio_original share one search
-        _search_depth.cache_clear()
-        rc, out, _ = run_cli(capsys, "analyze", "--n", "131072")
+        with memos.counted() as traffic:
+            rc, out, _ = run_cli(capsys, "analyze", "--n", "131072")
         assert rc == 0 and as_dict(out)["h_int"] == "3"
-        assert _search_depth.cache_info().misses == 1
+        assert traffic.searches == 1
 
     def test_sparse_network_attenuates_the_smooth_figure(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "100000", "--area", "1e6", "--alpha", "4")

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,10 +33,10 @@ from hiercoop import (
     ratio_original_closed_form,
     smooth_modified,
 )
-from hiercoop import cli, explorer, selfcheck, throughput
-from hiercoop.optimizer import _search_depth
-from hiercoop.params import smooth_depth
+from hiercoop import cli, explorer, optimizer, selfcheck, throughput
+from hiercoop.params import _Frozen, smooth_depth
 from hiercoop.throughput import _smooth_forms
+import memos
 from oracles import (
     balanced_top_by_formula,
     best_depth_by_scan,
@@ -203,17 +205,17 @@ class TestCompareSchemes:
 
     def test_row_runs_one_depth_search(self, unit_params):
         # the row's four depth-optimized figures share one search
-        _search_depth.cache_clear()
-        (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
+        with memos.counted() as traffic:
+            (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
         assert row.error is None and "T1_int" in row.extras
-        assert _search_depth.cache_info().misses == 1
+        assert traffic.searches == 1
 
     def test_row_without_a_fitting_depth_runs_one_depth_search(self):
         # no depth fits n = 8 at R = Q = 1; that outcome is reused, not re-searched
-        _search_depth.cache_clear()
-        (row,) = compare_schemes([8], NetworkConfig(n=8), derive(1, 1), 1.0)
+        with memos.counted() as traffic:
+            (row,) = compare_schemes([8], NetworkConfig(n=8), derive(1, 1), 1.0)
         assert row.error is None and "T1_int" not in row.extras
-        assert _search_depth.cache_info().misses == 1
+        assert traffic.searches == 1
 
     def test_real_sweep_crossover_indices(self, unit_params):
         grid = [round(1024 * (2**20) ** (i / 20)) for i in range(21)]
@@ -344,7 +346,7 @@ class TestRecordsByField:
     def test_smooth_report(self):
         # cold, so the figures come from this call, not an earlier entry
         n, p = 131072, derive(1.0, 24.0)
-        report = _smooth_forms.__wrapped__(n, p)[0]
+        report = _smooth_forms(n, p)[0]
         root = smooth_depth(n, p)
         c_n = (1.0 + p.R / p.Q) ** (1.0 - 1.0 / root)
         pre = p.beta1 * p.R / (c_n * root)
@@ -432,35 +434,30 @@ def _outcome(f, *args):
         return False, (type(exc), str(exc))
 
 
-def _traffic():
-    info = _smooth_forms.cache_info()
-    return info.misses, info.hits
-
-
 class TestOneEntryMemos:
     """The smooth forms are computed once per (n, params) that repeats back to
-    back, all three by one kernel; a new n, an error or an unequal params
-    computes afresh."""
+    back as the same objects, all three by one kernel; a new n, an error or
+    an equal but distinct n or params computes afresh."""
 
     def test_row_computes_each_form_once(self, unit_params):
         # a row asks for the smooth report 4 times, T_orig 3 and the closed form 2
-        _smooth_forms.cache_clear()
-        (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
+        with memos.counted() as traffic:
+            (row,) = compare_schemes([131072], UNIT_CFG, unit_params, c_mh=1.0)
         assert row.error is None and "T1_int" in row.extras
-        assert _traffic() == (1, 8)
+        assert traffic.smooth == (1, 8)
 
     def test_ratio_two_routes_reuses_nothing_across_n(self, unit_params):
         # 18 sizes, three forms at each
-        _smooth_forms.cache_clear()
-        assert len(selfcheck.ratio_two_routes(unit_params, 0)) == 18
-        assert _traffic() == (18, 36)
+        with memos.counted() as traffic:
+            assert len(selfcheck.ratio_two_routes(unit_params, 0)) == 18
+        assert traffic.smooth == (18, 36)
 
     def test_analyze_computes_the_forms_once(self, capsys):
         # T1_smooth, T_orig, and ratio_original's three forms
-        _smooth_forms.cache_clear()
-        assert cli.main(["analyze", "--n", "131072"]) == 0
+        with memos.counted() as traffic:
+            assert cli.main(["analyze", "--n", "131072"]) == 0
         capsys.readouterr()
-        assert _traffic() == (1, 4)
+        assert traffic.smooth == (1, 4)
 
     def test_params_off_by_one_field_are_not_served_the_last_entry(self, unit_params):
         # corrupt beta1 and beta: every form reads at least one of them
@@ -468,7 +465,7 @@ class TestOneEntryMemos:
         bad = SchemeParams(
             R=1.0, Q=1.0, beta1=2.0 * (1.0 + 1e-6), beta=2.0 * math.sqrt(2.0) * (1.0 + 1e-6), c=4.0
         )
-        cold = _smooth_forms.__wrapped__(n, bad)
+        cold = _smooth_forms(n, bad)
         for public, field in zip(FORMS, cold):
             clean = public(n, unit_params)
             got = public(n, bad)
@@ -478,12 +475,30 @@ class TestOneEntryMemos:
     def test_a_failing_call_raises_again_and_stores_nothing(self, f, unit_params):
         # n = 3 raises inside the kernel; bad constants and rates never reach
         # it, since SchemeParams refuses them (tests/test_domain.py)
-        _smooth_forms.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
-                f(3, unit_params)
-        assert _traffic() == (2, 0)
-        assert _smooth_forms.cache_info().currsize == 0
+        with memos.counted() as traffic:
+            before = throughput._smooth_last
+            for _ in range(2):
+                with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
+                    f(3, unit_params)
+        assert traffic.smooth == (2, 0)
+        assert throughput._smooth_last is before
+
+    @pytest.mark.parametrize("twin", [float, lambda n: int(str(n))], ids=["float", "int"])
+    def test_an_equal_n_of_another_object_computes_afresh(self, unit_params, twin):
+        # 131072.0 == 131072, and int("131072") is 131072 in another object; a
+        # hit takes the very n object, so each twin computes afresh, and the
+        # int twin gives the bits the entry for 131072 held
+        n = 131072
+        other = twin(n)
+        assert other == n and other is not n
+        with memos.counted() as traffic:
+            for public in FORMS:
+                stored = _outcome(public, n, unit_params)
+                misses = traffic.smooth_misses
+                got = _outcome(public, other, unit_params)
+                assert traffic.smooth_misses == misses + 1, public.__name__
+                if type(other) is int:
+                    assert got == stored, public.__name__
 
     @settings(max_examples=300)
     @given(n=st.integers(1, 2**62), params=search_params() | corrupt_params())
@@ -493,21 +508,84 @@ class TestOneEntryMemos:
         params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=math.inf),
     )
     @example(n=1024, params=CLOSED_FORM_PAST_RANGE)  # stored, yet the public form raises
-    def test_warm_results_are_bit_identical_to_cold_ones(self, n, params):
-        # the warm call reads the entry an equal copy of params left; the cold
-        # one computes afresh on an emptied memo
+    def test_an_equal_copy_computes_afresh_and_matches_bit_for_bit(self, n, params):
+        # the entry an equal but distinct copy of params left is not read: the
+        # call on params computes afresh, and matches the cold body bit for bit
         twin = copy.copy(params)
-        cases = [(public, _smooth_forms) for public in FORMS]
-        cases.append((layer_choice, _search_depth))
-        for public, memo in cases:
-            memo.cache_clear()
-            _outcome(public, n, twin)
-            stored = memo.cache_info().currsize
-            hits = memo.cache_info().hits
-            warm = _outcome(public, n, params)
-            assert memo.cache_info().hits == hits + stored, public.__name__
-            memo.cache_clear()
+        assert twin == params and twin is not params
+        for public in (*FORMS, layer_choice):
+            with memos.counted() as traffic:
+                _outcome(public, n, twin)
+                misses = traffic.smooth_misses + traffic.searches
+                warm = _outcome(public, n, params)
+                assert traffic.smooth_misses + traffic.searches == misses + 1, public.__name__
+            memos.empty()
             assert warm == _outcome(public, n, params), public.__name__
+
+
+    def test_a_sweep_hashes_no_record(self, monkeypatch):
+        # memo hits test identity, so sweeps at sweep_grid's two rate pairs
+        # hash no SchemeParams and no NetworkConfig
+        calls = []
+        real = _Frozen.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(_Frozen, "__hash__", counted)
+        hash(UNIT_CFG)
+        assert calls == [UNIT_CFG]  # the patch counts
+        calls.clear()
+        grid = [round(4 * (2.0**60) ** (i / 99)) for i in range(100)]
+        for p in (derive(1.0, 1.0), derive(1.0, 24.0)):
+            compare_schemes(grid, UNIT_CFG, p, c_mh=1.0)
+        assert calls == []
+
+    def test_threads_sharing_the_memos_get_the_single_threaded_rows(self, monkeypatch):
+        # four threads sweep the same slices of a log grid, each starting on
+        # another of the two rate pairs and alternating them, with a thread
+        # switch asked for every microsecond; each cold body also yields the
+        # GIL first, so other threads run between a miss's read of the entry
+        # and its write. A race may cost a recomputation, never a row built
+        # from another key's entry
+        def yielding(body):
+            def cold(*args):
+                time.sleep(0)  # releases the GIL
+                return body(*args)
+            return cold
+
+        monkeypatch.setattr(throughput, "_smooth_forms", yielding(throughput._smooth_forms))
+        monkeypatch.setattr(optimizer, "_search_depth", yielding(optimizer._search_depth))
+        grid = [round(4 * (2.0**60) ** (i / 199)) for i in range(200)]
+        slices = [grid[i : i + 10] for i in range(0, len(grid), 10)]
+        pairs = (derive(1.0, 1.0), derive(1.0, 24.0))
+        want = [[compare_schemes(s, UNIT_CFG, p, c_mh=1.0) for s in slices] for p in pairs]
+        got = [[] for _ in range(4)]
+        start = threading.Barrier(4, timeout=60)
+
+        def sweep(k):
+            start.wait()
+            for i in range(2 * len(slices)):
+                which = (k + i) % 2
+                rows = compare_schemes(slices[i // 2], UNIT_CFG, pairs[which], c_mh=1.0)
+                got[k].append((which, i // 2, rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for runs in got:
+            assert len(runs) == 2 * len(slices)
+            for which, j, rows in runs:
+                assert rows == want[which][j], (which, j)
 
 
 class TestSmoothKernelIsTheOldCode:
@@ -524,7 +602,7 @@ class TestSmoothKernelIsTheOldCode:
     @example(n=3, params=derive(1.0, 1.0))
     def test_each_form_is_bit_identical_to_its_own_body(self, n, params):
         # n from 1, so the error below MIN_NODES is compared too
-        kernel = _outcome(_smooth_forms.__wrapped__, n, params)
+        kernel = _outcome(_smooth_forms, n, params)
         for i, body in enumerate(OWN_DEPTHS):
             want = _outcome(body, n, params)
             got = (True, kernel[1][i]) if kernel[0] else kernel

@@ -24,6 +24,7 @@ from hiercoop import (
 )
 from hiercoop import optimizer
 from hiercoop.optimizer import _search_depth
+import memos
 from hiercoop.params import check_layer_count
 from hiercoop.recurrence import delay_closed_form
 from oracles import (
@@ -307,12 +308,16 @@ class TestLayerChoice:
         assert layer_choice(2**40, unit_params, h_max=2).h_int == 2
 
     def test_repeated_calls_share_one_immutable_choice(self):
-        # params compare by value, so an equal rate pair reuses the last search
-        first = layer_choice(131072, derive(1.0, 1.0))
-        assert layer_choice(131072, derive(1.0, 1.0)) is first
+        # the same n and params objects reuse the last search; an equal rate
+        # pair in another object searches afresh and finds an equal choice
+        params = derive(1.0, 1.0)
+        first = layer_choice(131072, params)
+        assert layer_choice(131072, params) is first
         with pytest.raises(AttributeError):
             first.h_int = 4
-        assert layer_choice(131072, derive(1.0, 1.0)).h_int == 3
+        again = layer_choice(131072, derive(1.0, 1.0))
+        assert again == first and again is not first
+        assert layer_choice(131072, params).h_int == 3
 
     @pytest.mark.parametrize("h_max", [-5, 0, 1, MAX_LAYERS + 1])
     def test_explicit_depth_cap_out_of_range_is_refused(self, unit_params, h_max):
@@ -504,12 +509,13 @@ class TestDepthSearch:
             layer_choice(n, params, h_max=-5)
 
     def test_a_failing_search_raises_again_and_stores_nothing(self, unit_params):
-        _search_depth.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DomainError, match="need n >= 4"):
-                layer_choice(3, unit_params)
-        info = _search_depth.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+        with memos.counted() as traffic:
+            before = optimizer._search_last
+            for _ in range(2):
+                with pytest.raises(DomainError, match="need n >= 4"):
+                    layer_choice(3, unit_params)
+        assert traffic.searches == 2
+        assert optimizer._search_last is before
 
     def test_repeat_call_runs_no_check_again(self, monkeypatch, unit_params):
         # the checks run once per new (n, params, cap); the default cap is MAX_LAYERS
@@ -521,7 +527,7 @@ class TestDepthSearch:
             return real(n, params)
 
         monkeypatch.setattr(optimizer, "smooth_depth", counted)
-        _search_depth.cache_clear()
+        memos.empty()
         first = layer_choice(131072, unit_params)
         assert layer_choice(131072, unit_params, h_max=MAX_LAYERS) is first
         assert layer_choice(131072, unit_params) is first
@@ -554,7 +560,6 @@ class TestDepthSearch:
             return real(h, n, params)
 
         monkeypatch.setattr(optimizer, "_depth_optimum", counted)
-        _search_depth.cache_clear()
         assert layer_choice(20000, derive(1.0, 24.0)).h_int == 2
         assert depths == [2]
 
@@ -580,7 +585,7 @@ class TestDepthSearch:
             R = 10.0**log_r
             params = derive(R, R * (0.25 + 10.0 ** rng.uniform(-12.0, min(200.0, 307.0 - log_r))))
             n = round(2.0 ** rng.uniform(2.0, 62.0))
-            _search_depth.__wrapped__(n, params, rng.randint(2, MAX_LAYERS))
+            _search_depth(n, params, rng.randint(2, MAX_LAYERS))
         assert short == []
 
     @settings(max_examples=500)
@@ -597,12 +602,12 @@ class TestDepthSearch:
         n, params, h_max = draws
         want = _outcome(search_depth_by_walk, n, params, h_max)
         if want is None or len(want) == 2:
-            assert _outcome(_search_depth.__wrapped__, n, params, h_max) == want
+            assert _outcome(_search_depth, n, params, h_max) == want
             return
-        got = _search_depth.__wrapped__(n, params, h_max)
+        got = _search_depth(n, params, h_max)
         _check_near_the_argmax(got, n, params, h_max)
         if _walk_is_clear(n, params, h_max, got.h_exact):
-            assert _outcome(_search_depth.__wrapped__, n, params, h_max) == want
+            assert _outcome(_search_depth, n, params, h_max) == want
 
     def test_a_rounding_tie_may_take_the_deeper_depth(self):
         # A lies 3.6e-15 above s_31 in floats, within rounding: the test takes
@@ -675,11 +680,9 @@ class TestDepthSearch:
         prev = 3
         for i in range(1000):
             n = prev = max(round(4 * (2.0**60) ** (i / 999)), prev + 1)
-            _search_depth.cache_clear()
             calls.clear()
             layer_choice(n, params)
             assert len(calls) == 1, (n, calls)
-        _search_depth.cache_clear()
 
     @settings(max_examples=300)
     @given(n=st.integers(4, 2**62), params=search_params())

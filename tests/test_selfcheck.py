@@ -11,7 +11,6 @@ from hiercoop import (
     DomainError, InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck,
 )
 from hiercoop.explorer import RATIO_ROUTE_TOL
-from hiercoop.optimizer import _search_depth
 from hiercoop.params import MAX_LAYERS, validate_plan
 from hiercoop.recurrence import DelaySlots, _bracket, delay_closed_form, delay_recursive
 from hiercoop.selfcheck import (
@@ -20,6 +19,7 @@ from hiercoop.selfcheck import (
     _rel_err,
     recursion_vs_closed_form,
 )
+import memos
 from oracles import (
     am_gm_equal_terms_by_full_scan, bound_checks_by_full_scan, phase_balance_by_full_scan,
 )
@@ -358,7 +358,6 @@ class TestWork:
 
     def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
         # it reads only the smooth figure, which needs no depth
-        before = _search_depth.cache_info()
-        selfcheck.ratio_two_routes(unit_params, 0)
-        after = _search_depth.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        with memos.counted() as traffic:
+            selfcheck.ratio_two_routes(unit_params, 0)
+        assert traffic.searches == 0
