@@ -2,10 +2,8 @@
 
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
-imports the package under test, except search_depth_by_walk, the
-*_by_full_scan suites and the *_by_own_depths smooth forms: earlier code
-kept as it was, over the package's own public routes. Agreement between these and the closed forms, or the code
-that replaced them, is the point of the tests that use them.
+imports the package under test. Agreement between these and the closed
+forms is the point of the tests that use them.
 """
 import math
 
@@ -205,151 +203,9 @@ def depth_log_values(n, R, Q, c, h_max):
         return values
 
 
-def search_depth_by_walk(n, params, h_max):
-    """The depth search as it was before the switch-point test: the walk down
-    from the clamped floor(h*) to the first depth that fits, then depth
-    floor(h*) + 1, which wins only when strictly greater; an infinite winner
-    gives way to the smallest depth reaching the same value. It raises what
-    optimizer._search_depth raises, and returns the same LayerChoice
-    wherever the values it compares are finite, normal floats that
-    rounding cannot reorder.
-    """
-    from hiercoop import LayerChoice, depth_optimum
-    from hiercoop.params import smooth_depth
-
-    h_approx = smooth_depth(n, params)
-
-    # h* from the c that depth_optimum uses, in a form that neither cancels
-    # as c -> 1 nor fails when c overflows to inf (h* = 0)
-    A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
-    a = 0.5 * math.log(params.c)
-    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
-    # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
-    h = math.floor(h_exact)
-    split = h = 2 if h < 2 else h_max if h > h_max else h
-    while (best := depth_optimum(h, n, params)) is None and h > 2:
-        h -= 1
-    # the depths that fit are a run 2..H: past split + 1, none fits if it does not
-    if split < h_max:
-        above = depth_optimum(split + 1, n, params)
-        if above is not None and (best is None or above[1] > best[1]):
-            h, best = split + 1, above
-    if best is None:
-        return None
-    if not math.isfinite(best[1]):
-        # inf ties every other inf: the smallest depth that reaches it wins
-        h = 2
-        while (tie := depth_optimum(h, n, params)) is None or tie[1] != best[1]:
-            h += 1
-        best = tie
-    return LayerChoice(h_exact, h_approx, h, best[0], best[1])
-
-
-def smooth_modified_by_own_depths(n, params):
-    """throughput.smooth_modified's body as it was when each smooth form kept
-    its own memo: it computes its own smooth depth and c_n."""
-    from hiercoop import ThroughputReport
-    from hiercoop.params import smooth_depth
-
-    root = smooth_depth(n, params)
-    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
-    exponent = 1.0 - 2.0 / root
-    pre = params.beta1 * params.R / (c_n * root)
-    return tuple.__new__(
-        ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
-    )
-
-
-def original_throughput_by_own_depths(n, params):
-    """throughput.original_throughput's body as it was when each smooth form
-    kept its own memo: it computes its own three-phase depth."""
-    from hiercoop import original_optimal_layers
-
-    h = original_optimal_layers(n, params)
-    return params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
-
-
-def ratio_closed_form_by_own_depths(n, params):
-    """explorer's closed-form ratio as it was when each smooth form kept its
-    own memo, before ratio_original_closed_form's finiteness check: it
-    computes its own smooth depth, c_n and three-phase depth."""
-    from hiercoop import original_optimal_layers
-    from hiercoop.params import smooth_depth
-
-    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / smooth_depth(n, params))
-    log_b_b1 = params.log_beta1 / math.log(params.beta)
-    front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
-    h_orig = original_optimal_layers(n, params)
-    return front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
-
-
-def am_gm_equal_terms_by_full_scan(params, seed):
-    """selfcheck.am_gm_equal_terms as it was before the depth walk: every
-    (h, M1) pair, a depth that does not fit M1 skipped with continue."""
-    from hiercoop import InfeasibleError
-    from hiercoop.optimizer import minimal_delay, optimal_cluster_sizes
-    from hiercoop.recurrence import delay_closed_form
-    from hiercoop.selfcheck import _rel_err
-
-    errors = []
-    for h in range(2, 7):
-        for M1 in (32.0, 512.0, 4096.0, 131072.0):
-            try:
-                sizes = optimal_cluster_sizes(h, M1, params)
-            except InfeasibleError:
-                continue
-            bracket = delay_closed_form(sizes, params)
-            terms = bracket.decomposition
-            mean = bracket.slots / len(terms)
-            worst = 0.0
-            for t in terms:
-                err = _rel_err(t, mean)
-                worst = err if err > worst else worst
-            err = _rel_err(bracket.slots, minimal_delay(h, M1, params).slots)
-            errors.append(err if err > worst else worst)
-    return errors
-
-
-def phase_balance_by_full_scan(params, seed):
-    """selfcheck.phase_balance as it was before the depth walk: every (h, n)
-    pair, a depth that does not fit n skipped with continue."""
-    from hiercoop.optimizer import depth_optimum
-    from hiercoop.selfcheck import _rel_err, _sizes
-    from hiercoop.throughput import throughput_given_M1
-
-    errors = []
-    sizes = _sizes("phase_balance", params, range(12, 31, 2))
-    for h in range(2, 7):
-        for n in sizes:
-            best = depth_optimum(h, n, params)
-            if best is None:
-                continue
-            p1, p2, p3 = throughput_given_M1(h, best[0], n, params).phase_slots
-            errors.append(_rel_err(p1 + p3, (h - 1) * p2))
-    return errors
-
-
-def bound_checks_by_full_scan(params, seed):
-    """selfcheck.bound_checks as it was before the depth walk: every (h, n)
-    pair, a depth that does not fit n skipped with continue."""
-    from hiercoop.selfcheck import _rel_err, _sizes
-    from hiercoop.throughput import layer_throughput, upper_bound
-
-    errors = []
-    sizes = _sizes("bound_checks", params, [8.0 + 32.0 * i / 29.0 for i in range(30)])
-    caps = [upper_bound(n, params) for n in sizes]
-    for h in range(2, 13):
-        for n, cap in zip(sizes, caps):
-            report = layer_throughput(h, n, params)
-            if report is None:
-                continue
-            err = _rel_err(report.value, cap)
-            errors.append(err if report.value > cap else 0.0)
-    return errors
-
-
 def depth_constants_50_digits(n, R, Q, c):
-    """T1_smooth, ratio, h_approx and h_exact at (n, R, Q), to 50 digits.
+    """T1_smooth, ratio, h_approx, h_exact and upper_bound at (n, R, Q), to
+    50 digits.
 
     The float inputs are taken as exact binary values. With
     beta1 = 2*sqrt(Q/R), beta = 2*sqrt(1 + Q/R) and h1 = sqrt(log_beta1(n/2)):
@@ -357,6 +213,7 @@ def depth_constants_50_digits(n, R, Q, c):
         h_approx  = h1
         T1_smooth = beta1*R/(c_n*h1) * (n/2)**(1 - 2/h1),
                     c_n = (1 + R/Q)**(1 - 1/h1)
+        upper_bound = beta1*R * (n/2)**(1 - 2/h1)
         ratio     = T1_smooth / (beta*R/h * (n/2)**(1 - 2/h)),
                     h = sqrt(log_beta(n/2))
 
@@ -387,4 +244,5 @@ def depth_constants_50_digits(n, R, Q, c):
             "ratio": float(t1 / t_orig),
             "h_approx": float(h1),
             "h_exact": float(h_exact),
+            "upper_bound": float(beta1 * R * half ** (1 - 2 / h1)),
         }

@@ -210,7 +210,7 @@ class TestConstructorOwnsTheDomain:
     @pytest.mark.parametrize(
         "R,Q",
         [(0.0, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf), (1e-308, 1e308),
-         (2.0, 0.4), (1.0, 0.25), (1e300, 1e-300)],
+         (2.0, 0.4), (1.0, 0.25), (1e300, 1e-300), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)],
     )
     def test_derive_and_the_constructor_refuse_a_rate_pair_alike(self, R, Q):
         with pytest.raises(DomainError) as derived:

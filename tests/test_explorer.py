@@ -37,13 +37,7 @@ from hiercoop import cli, explorer, optimizer, selfcheck, throughput
 from hiercoop.params import _Frozen, smooth_depth
 from hiercoop.throughput import _smooth_forms
 import memos
-from oracles import (
-    balanced_top_by_formula,
-    best_depth_by_scan,
-    original_throughput_by_own_depths,
-    ratio_closed_form_by_own_depths,
-    smooth_modified_by_own_depths,
-)
+from oracles import balanced_top_by_formula, best_depth_by_scan
 from strategies import corrupt_params, rate_params, search_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
@@ -71,13 +65,11 @@ class TestRatioRoutes:
         assert abs(direct - closed) <= 1e-9 * direct
 
     def test_direct_route_is_the_division_it_claims_to_be(self, unit_params):
-        # both figures from the bodies that computed them before the smooth
-        # kernel, not read from the memo ratio_original fills
+        # both figures from the smooth kernel computed cold, not read from
+        # the memo ratio_original fills
         n = 131072
-        expected = smooth_modified_by_own_depths(
-            n, unit_params
-        ).value / original_throughput_by_own_depths(n, unit_params)
-        assert ratio_original(n, unit_params) == expected
+        smooth, original, _ = _smooth_forms(n, unit_params)
+        assert ratio_original(n, unit_params) == smooth.value / original
 
     def test_underflowed_three_phase_throughput_raises_naming_n(self):
         n, params = 2**62, derive(5e-324, 5e-324)
@@ -403,13 +395,6 @@ class TestRecordsByField:
 #: The public smooth forms, each a field of the one smooth kernel's answer.
 FORMS = (smooth_modified, original_throughput, ratio_original_closed_form)
 
-#: Their bodies as they were when each form kept its own memo.
-OWN_DEPTHS = (
-    smooth_modified_by_own_depths,
-    original_throughput_by_own_depths,
-    ratio_closed_form_by_own_depths,
-)
-
 #: Directly built params whose closed-form ratio overflows: beta1 * sqrt(log_beta(beta1))
 CLOSED_FORM_PAST_RANGE = SchemeParams(
     R=2.9415223893011777e-237, Q=2.4579357922530005e-70, beta1=1e308,
@@ -586,24 +571,3 @@ class TestOneEntryMemos:
             assert len(runs) == 2 * len(slices)
             for which, j, rows in runs:
                 assert rows == want[which][j], (which, j)
-
-
-class TestSmoothKernelIsTheOldCode:
-    """The one smooth kernel gives, field by field, what each form's own body
-    gave when it computed its own depths and c_n."""
-
-    @settings(max_examples=500)
-    @given(n=st.integers(1, 2**62), params=search_params() | corrupt_params())
-    @example(n=4, params=derive(1.0, 1.0))
-    @example(n=2**62, params=derive(1.0, 1.0))
-    @example(n=2**62, params=derive(1.0, 0.25 + 1e-12))
-    @example(n=2**40, params=derive(1.0, 1.7e308))  # c = inf
-    @example(n=1024, params=CLOSED_FORM_PAST_RANGE)
-    @example(n=3, params=derive(1.0, 1.0))
-    def test_each_form_is_bit_identical_to_its_own_body(self, n, params):
-        # n from 1, so the error below MIN_NODES is compared too
-        kernel = _outcome(_smooth_forms, n, params)
-        for i, body in enumerate(OWN_DEPTHS):
-            want = _outcome(body, n, params)
-            got = (True, kernel[1][i]) if kernel[0] else kernel
-            assert got == want, body.__name__

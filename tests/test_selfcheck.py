@@ -11,8 +11,7 @@ from hiercoop import (
     DomainError, InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck,
 )
 from hiercoop.explorer import RATIO_ROUTE_TOL
-from hiercoop.params import MAX_LAYERS, validate_plan
-from hiercoop.recurrence import DelaySlots, _bracket, delay_closed_form, delay_recursive
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
     TRANSCENDENTAL_TOL,
@@ -20,10 +19,7 @@ from hiercoop.selfcheck import (
     recursion_vs_closed_form,
 )
 import memos
-from oracles import (
-    am_gm_equal_terms_by_full_scan, bound_checks_by_full_scan, phase_balance_by_full_scan,
-)
-from strategies import ABOVE_ONE, corrupt_params, plans, rate_params, search_params
+from strategies import ABOVE_ONE, corrupt_params, search_params
 
 
 def _with_c(c):
@@ -231,24 +227,6 @@ class TestOnePassJudge:
         assert got == _hexed(_per_comparison, params, cases)
 
 
-class TestDepthWalk:
-    @settings(max_examples=200, deadline=None)
-    @given(params=search_params() | corrupt_params())
-    @example(params=derive(1.0, 0.25 + 2**-54))  # c = 1 + 2**-52
-    @example(params=derive(1.0, 1.0))
-    @example(params=derive(1.0, 1e20))
-    @example(params=derive(1e300, 1e300))
-    def test_each_walk_gives_the_full_scan_cases(self, params):
-        # dropping a size at the first depth that does not fit it skips only
-        # depths that do not fit: the same case errors bit for bit, or the same error
-        for suite, scan in (
-            (selfcheck.am_gm_equal_terms, am_gm_equal_terms_by_full_scan),
-            (selfcheck.phase_balance, phase_balance_by_full_scan),
-            (selfcheck.bound_checks, bound_checks_by_full_scan),
-        ):
-            assert _hexed(suite, params, 0) == _hexed(scan, params, 0), suite.__name__
-
-
 class TestResultPlumbing:
     def test_zero_cases_never_passes(self, monkeypatch):
         empty = _judge(monkeypatch, [])
@@ -316,23 +294,6 @@ class TestWork:
             ("phase_balance", "throughput_given_M1"): 34,
             ("bound_checks", "layer_throughput"): 138,
         }
-
-    @settings(max_examples=300)
-    @given(sizes=plans(max_h=MAX_LAYERS), params=rate_params() | search_params())
-    @example(sizes=(512.0, 16.0), params=derive(1.0, 1.7e308))  # c = inf: a term overflows
-    @example(sizes=(2.0**60, 2.0**40, 2.0**20, 4.0, 2.0), params=derive(1.0, 1e100))  # c**4
-    def test_the_bracket_kernel_is_the_public_closed_form(self, sizes, params):
-        # what lets the first two suites read _bracket: it is delay_closed_form past
-        # validate_plan, bit for bit, overflow errors included
-        def hexed(route):
-            try:
-                out = route()
-            except OverflowError as exc:
-                return str(exc)
-            return type(out), out.slots.hex(), [t.hex() for t in out.decomposition]
-
-        kernel = hexed(lambda: DelaySlots(*_bracket(validate_plan(sizes), params.c, params.R)))
-        assert hexed(lambda: delay_closed_form(sizes, params)) == kernel
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
     def test_random_hierarchies_are_the_uniform_draws(self, monkeypatch, seed):

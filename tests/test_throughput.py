@@ -245,12 +245,6 @@ class TestOriginalScheme:
         got = original_optimal_layers(131072, unit_params)
         assert got == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
-    def test_depth_guards(self):
-        # SchemeParams refuses a depth base of 1 or below (tests/test_domain.py);
-        # the depth checks n
-        with pytest.raises(DomainError):
-            original_optimal_layers(3, derive(1.0, 1.0))
-
     def test_throughput_at_the_reference_size(self, unit_params):
         got = original_throughput(131072, unit_params)
         assert got == pytest.approx(63.75746126561451, rel=1e-12)
@@ -318,13 +312,12 @@ class TestBaselinesAndShares:
 
 
 class TestHighPrecisionReference:
-    """The smooth-depth figures and both depths against a 50-digit reference,
-    hardest near the Q/R = 1/4 edge where log(beta1) tends to 0."""
+    """The smooth-depth figures, the envelope and both depths against a 50-digit
+    reference, hardest near the Q/R = 1/4 edge where log(beta1) tends to 0."""
 
     @pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("R", [1.0, 3.0, 1e-3, 7.3e5])
     def test_relative_error_within_1e_13(self, R, excess):
-        pytest.importorskip("mpmath")
         params = derive(R, R * (0.25 + excess))
         for n in (16, 10**6, 2**40, 2**62):
             choice = layer_choice(n, params)
@@ -333,6 +326,7 @@ class TestHighPrecisionReference:
                 "ratio": ratio_original(n, params),
                 "h_approx": choice.h_approx,
                 "h_exact": choice.h_exact,
+                "upper_bound": upper_bound(n, params),
             }
             want = depth_constants_50_digits(n, params.R, params.Q, params.c)
             for key, value in want.items():
