@@ -29,9 +29,33 @@ class TestDerive:
         assert p.beta == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
         assert (p.R, p.Q) == (1.0, 1.0)
 
+    def test_ratio_boundary_is_excluded(self):
+        with pytest.raises(DomainError, match="0.25"):
+            derive(1.0, MIN_RATE_RATIO)
+
     def test_just_above_the_boundary_is_accepted(self):
         p = derive(1.0, MIN_RATE_RATIO + 1e-9)
         assert p.beta1 > 1.0
+
+    def test_ratio_below_the_boundary_is_rejected(self):
+        with pytest.raises(DomainError):
+            derive(2.0, 0.4)  # ratio 0.2
+
+    @pytest.mark.parametrize(
+        "R,Q",
+        [
+            (0.0, 1.0),
+            (-1.0, 1.0),
+            (1.0, 0.0),
+            (1.0, -2.0),
+            (float("nan"), 1.0),
+            (1.0, float("inf")),
+            (1e-308, 1e308),  # each rate finite, Q/R overflows
+        ],
+    )
+    def test_degenerate_rates_are_rejected(self, R, Q):
+        with pytest.raises(DomainError):
+            derive(R, Q)
 
     @given(
         R=st.floats(min_value=1e-3, max_value=1e3),
@@ -51,6 +75,10 @@ class TestDerive:
         # the verify suites rely on this hook to inject a corrupted c
         p = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.0 * math.sqrt(2.0), c=4.25)
         assert p.c == 4.25
+
+    def test_direct_construction_still_checks_the_rates(self):
+        with pytest.raises(DomainError):
+            SchemeParams(R=-1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0)
 
 
 class TestLogBeta1:

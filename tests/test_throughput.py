@@ -245,6 +245,12 @@ class TestOriginalScheme:
         got = original_optimal_layers(131072, unit_params)
         assert got == pytest.approx(math.sqrt(32.0 / 3.0), rel=1e-12)
 
+    def test_depth_guards(self):
+        # SchemeParams refuses a depth base of 1 or below (tests/test_domain.py);
+        # the depth checks n
+        with pytest.raises(DomainError):
+            original_optimal_layers(3, derive(1.0, 1.0))
+
     def test_throughput_at_the_reference_size(self, unit_params):
         got = original_throughput(131072, unit_params)
         assert got == pytest.approx(63.75746126561451, rel=1e-12)
