@@ -5,7 +5,9 @@ applies as is. Stretching the same n nodes over area A raises the
 near-neighbor distance, and once A**(alpha/2) outgrows c0*n the network
 becomes power-limited: every rate picks up the factor c0*n/A**(alpha/2).
 The boundary is inclusive on the dense side, so factor = min(1, ...) is
-continuous and equals 1 exactly at the crossover.
+continuous and equals 1 exactly at the crossover. _demand and _split own
+that arithmetic on plain numbers; classify composes them for one
+NetworkConfig, and a sweep reads them once per row without building one.
 
 c0 absorbs hardware constants (power budget, noise level, bandwidth); the
 tradeoff helper sweeps candidate (c0, R, Q) triples supplied by the caller.
@@ -38,22 +40,44 @@ class RegimeReport(NamedTuple):
     """Signed margin c0*n - area**(alpha/2); nonnegative exactly when dense."""
 
 
+def _demand(area: float, alpha: float) -> float:
+    """area**(alpha/2), the power demand that c0*n is weighed against.
+
+    Raises DomainError when it overflows a float.
+    """
+    try:
+        return area ** (alpha / 2.0)
+    except OverflowError:
+        raise DomainError(
+            f"area**(alpha/2) overflows at area={area:g}, alpha={alpha:g}"
+        ) from None
+
+
+#: _split's answer on the dense side, shared rather than rebuilt per call.
+_DENSE = (Regime.DENSE, 1.0)
+
+
+def _split(n: int, c0: float, demand: float) -> tuple[Regime, float]:
+    """(regime, factor) of n nodes against the demand: factor = min(1, c0*n/demand).
+
+    The boundary counts as dense. compare_schemes reads the factor of every
+    sweep row here, without building a NetworkConfig or a RegimeReport.
+    """
+    supply = c0 * n
+    # divide only on the sparse side: a tiny area underflows demand to 0
+    if demand <= supply:
+        return _DENSE
+    return Regime.SPARSE, supply / demand
+
+
 def classify(cfg: NetworkConfig) -> RegimeReport:
     """Dense/sparse split for one geometry; the boundary counts as dense.
 
     Raises DomainError when area**(alpha/2) overflows a float.
     """
-    try:
-        demand = cfg.area ** (cfg.alpha / 2.0)
-    except OverflowError:
-        raise DomainError(
-            f"area**(alpha/2) overflows at area={cfg.area:g}, alpha={cfg.alpha:g}"
-        ) from None
-    supply = cfg.c0 * cfg.n
-    # divide only on the sparse side: a tiny area underflows demand to 0
-    if demand <= supply:
-        return RegimeReport(Regime.DENSE, 1.0, supply - demand)
-    return RegimeReport(Regime.SPARSE, supply / demand, supply - demand)
+    demand = _demand(cfg.area, cfg.alpha)
+    regime, factor = _split(cfg.n, cfg.c0, demand)
+    return RegimeReport(regime, factor, cfg.c0 * cfg.n - demand)
 
 
 def check_area_exponent(nu: float) -> None:

@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .area import area_from_exponent, check_area_exponent, classify
+from .area import _demand, _split, area_from_exponent, check_area_exponent
 from .errors import DomainError
-from .params import MIN_NODES, NetworkConfig, SchemeParams
+from .params import NetworkConfig, SchemeParams, _check_area, _check_node_count
 from .throughput import (
+    _multihop,
     _smooth_memo,
     check_multihop_constant,
-    multihop_baseline,
     optimal_modified,
     original_throughput,
     per_pair_rate,
@@ -102,11 +102,16 @@ def compare_schemes(
 
     Metrics: T1_smooth, T1_int (absent when no integer depth fits), T_orig,
     multihop, ratio, ratio_log_adj, per_pair, area_factor. The area grows as
-    n**nu when nu is given, else stays at cfg.area. A row whose computation
-    raises or produces a non-finite value is annotated and the sweep moves
-    on. The grid itself must be strictly increasing, and a constant that
-    every row reads (nu < 0, c_mh not positive, log_base <= 1) raises
-    DomainError once, before the first row, with its owner's message.
+    n**nu when nu is given, else stays at cfg.area. area_factor is classify's
+    factor, read from area's owner of it on plain numbers: no row builds a
+    NetworkConfig, and area**(alpha/2) is taken once per sweep when nu is
+    None. A row whose computation raises or produces a non-finite value is
+    annotated and the sweep moves on; its error names, first, an n that
+    NetworkConfig refuses, then an overflowing n**nu, a failed metric, an
+    overflowing area**(alpha/2) and a non-finite metric. The grid itself must
+    be strictly increasing, and a constant that every row reads (nu < 0, c_mh
+    not positive, log_base <= 1) raises DomainError once, before the first
+    row, with its owner's message.
     """
     if not n_grid:
         raise DomainError("sweep grid is empty")
@@ -114,6 +119,13 @@ def compare_schemes(
         check_area_exponent(nu)
     check_multihop_constant(c_mh)
     check_log_base(log_base)
+    area, alpha, c0 = cfg.area, cfg.alpha, cfg.c0
+    fixed_demand = None
+    if nu is None:
+        try:
+            fixed_demand = _demand(area, alpha)
+        except DomainError:
+            pass  # each row raises it again, after its metrics
     rows: list[SweepRow] = []
     prev: int | None = None
     isfinite = math.isfinite  # read once, not once per metric of every row
@@ -122,21 +134,22 @@ def compare_schemes(
             raise DomainError(f"grid must increase strictly, got {n} after {prev}")
         prev = n
         try:
-            area = cfg.area
-            # NetworkConfig names a bad n; n**nu is taken only of a valid one
-            if nu is not None and isinstance(n, int) and n >= MIN_NODES:
+            # a bad n is named before n**nu is taken of it
+            _check_node_count(n)
+            if nu is not None:
                 area = area_from_exponent(n, nu)
-            geo = NetworkConfig(n, area, cfg.alpha, cfg.c0)
+                _check_area(area)  # inf when nu is
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:
                 extras["T1_int"] = both.integer.value
             extras["T_orig"] = original_throughput(n, params)
-            extras["multihop"] = multihop_baseline(n, c_mh)
+            extras["multihop"] = _multihop(n, c_mh)
             extras["ratio"] = ratio_original(n, params)
             extras["ratio_log_adj"] = ratio_log_adjusted(n, log_base, params)
             extras["per_pair"] = per_pair_rate(n, params)
-            extras["area_factor"] = classify(geo).factor
+            demand = fixed_demand if fixed_demand is not None else _demand(area, alpha)
+            extras["area_factor"] = _split(n, c0, demand)[1]
             for key, value in extras.items():
                 if not isfinite(value):
                     raise DomainError(f"metric {key} is not finite at n={n}")
@@ -145,4 +158,3 @@ def compare_schemes(
         else:
             rows.append(tuple.__new__(SweepRow, (n, extras, None)))
     return rows
-

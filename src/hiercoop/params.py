@@ -169,6 +169,18 @@ def smooth_depth(n: int, params: SchemeParams) -> float:
     return math.sqrt(math.log(n / 2.0) / params.log_beta1)
 
 
+def _check_node_count(n: int) -> None:
+    """NetworkConfig's check on n; compare_schemes makes it per row without one."""
+    if not isinstance(n, int) or n < MIN_NODES:
+        raise ValueError(f"n must be an integer >= {MIN_NODES}, got {n!r}")
+
+
+def _check_area(area: float) -> None:
+    """NetworkConfig's check on area; compare_schemes makes it of each n**nu."""
+    if not (math.isfinite(area) and area > 0):
+        raise ValueError(f"area must be positive and finite, got {area}")
+
+
 class NetworkConfig(_Frozen):
     """Network size and geometry."""
 
@@ -180,10 +192,8 @@ class NetworkConfig(_Frozen):
     }
 
     def __init__(self, n: int, area: float = 1.0, alpha: float = 3.0, c0: float = 1.0) -> None:
-        if not isinstance(n, int) or n < MIN_NODES:
-            raise ValueError(f"n must be an integer >= {MIN_NODES}, got {n!r}")
-        if not (math.isfinite(area) and area > 0):
-            raise ValueError(f"area must be positive and finite, got {area}")
+        _check_node_count(n)
+        _check_area(area)
         if not (math.isfinite(alpha) and alpha >= 2):
             raise ValueError(f"alpha must be >= 2, got {alpha}")
         if not (math.isfinite(c0) and c0 > 0):

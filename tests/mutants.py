@@ -105,7 +105,7 @@ MUTANTS = (
     ("bracket_power_i_plus_1", "recurrence", "lead * c**i *", "lead * c**(i + 1) *"),
     ("bracket_last_power_minus_1", "recurrence", "lead * c**last *", "lead * c**(last - 1) *"),
     ("recursion_base_M_times_M_minus_1", "recurrence", "(top * top)", "(top * (top - 1.0))"),
-    ("classify_demand_power_alpha", "area", "area ** (cfg.alpha / 2.0)", "area ** cfg.alpha"),
+    ("classify_demand_power_alpha", "area", "area ** (alpha / 2.0)", "area ** alpha"),
     ("area_exponent_halved", "area", "float(n) ** nu", "float(n) ** (nu / 2.0)"),
     ("log_adjusted_reads_log_n_over_2", "explorer",
      "(math.log(n) / math.log(a))", "(math.log(n / 2.0) / math.log(a))"),

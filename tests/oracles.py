@@ -2,8 +2,10 @@
 
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
-imports the package under test. Agreement between these and the closed
-forms is the point of the tests that use them.
+imports the package under test, except sweep_rows_per_config, which
+replays an earlier way of building sweep rows through the public API.
+Agreement between these and the closed forms is the point of the tests
+that use them.
 """
 import math
 
@@ -246,3 +248,41 @@ def depth_constants_50_digits(n, R, Q, c):
             "h_exact": float(h_exact),
             "upper_bound": float(beta1 * R * half ** (1 - 2 / h1)),
         }
+
+
+def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
+    """compare_schemes's (n, extras, error) rows as it once built them.
+
+    Each row checks a validated NetworkConfig(n, area_n, alpha, c0), built
+    before the metrics, and reads its area factor as classify(...).factor
+    after them, so a bad n, an overflowing n**nu, a failed metric and an
+    overflowing area**(alpha/2) are named in that order. The constants are
+    taken as valid and the grid as strictly increasing.
+    """
+    import hiercoop as hc
+
+    rows = []
+    for n in n_grid:
+        try:
+            area = cfg.area
+            if nu is not None and isinstance(n, int) and n >= 4:
+                area = hc.area_from_exponent(n, nu)
+            geo = hc.NetworkConfig(n, area, cfg.alpha, cfg.c0)
+            both = hc.optimal_modified(n, params)
+            extras = {"T1_smooth": both.smooth.value}
+            if both.integer is not None:
+                extras["T1_int"] = both.integer.value
+            extras["T_orig"] = hc.original_throughput(n, params)
+            extras["multihop"] = hc.multihop_baseline(n, c_mh)
+            extras["ratio"] = hc.ratio_original(n, params)
+            extras["ratio_log_adj"] = hc.ratio_log_adjusted(n, log_base, params)
+            extras["per_pair"] = hc.per_pair_rate(n, params)
+            extras["area_factor"] = hc.classify(geo).factor
+            for key, value in extras.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"metric {key} is not finite at n={n}")
+        except (ValueError, OverflowError) as exc:
+            rows.append((n, {}, str(exc)))
+        else:
+            rows.append((n, extras, None))
+    return rows

@@ -185,6 +185,13 @@ class TestAnalyzeJsonl:
         # a lin grid just under 2**62: its rows are n_min, an integer midpoint and n_max
         ("sweep_lin_top.csv",
          ("sweep", "--grid", "4611686018427387000:4611686018427387903:3:lin", "--c-mh", "1")),
+        # area n**0.6: an n < 4 row, dense rows, then sparse ones from n = 316693
+        ("sweep_nu_regimes.csv",
+         ("sweep", "--grid", "2:1048576:12:log", "--c-mh", "1", "--nu", "0.6",
+          "--alpha", "4", "--c0", "10")),
+        # a fixed area of 1e6: sparse up to n = 56431603, dense from n = 1518500250
+        ("sweep_area_fixed.csv",
+         ("sweep", "--grid", "4:1099511627776:9:log", "--c-mh", "1", "--area", "1e6")),
     ],
 )
 def test_stdout_matches_its_golden_file(capsys, golden, argv):
@@ -261,6 +268,18 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 3  # header plus two annotated rows
         assert "n must be an integer >= 4" in lines[1]
+
+    def test_overflowing_fixed_area_fails_every_row(self, capsys):
+        # the demand is taken once per sweep, yet each row carries its overflow
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", "4:64:3:log", "--c-mh", "1", "--area", "1e300",
+            "--alpha", "4", "--format", "jsonl",
+        )
+        assert (rc, err) == (3, "sweep: every grid point failed\n")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["n"], r["error"]) for r in records] == [
+            (n, "area**(alpha/2) overflows at area=1e+300, alpha=4") for n in (4, 16, 64)
+        ]
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -37,7 +37,7 @@ from hiercoop import cli, explorer, optimizer, selfcheck, throughput
 from hiercoop.params import _Frozen, smooth_depth
 from hiercoop.throughput import _smooth_forms
 import memos
-from oracles import balanced_top_by_formula, best_depth_by_scan
+from oracles import balanced_top_by_formula, best_depth_by_scan, sweep_rows_per_config
 from strategies import corrupt_params, rate_params, search_params
 
 UNIT_CFG = NetworkConfig(n=1024, area=1.0, alpha=3.0, c0=1.0)
@@ -328,6 +328,53 @@ class TestCompareSchemes:
         assert row.extras["multihop"] < row.extras["T1_int"] < multihop_baseline(
             20000, 1.0
         )
+
+
+def _hexed(rows):
+    # (n, [(metric, float.hex)], error) per row: equal only when every bit is
+    return [(n, [(k, v.hex()) for k, v in extras.items()], error) for n, extras, error in rows]
+
+
+class TestAreaFactorOwner:
+    """compare_schemes reads the area factor off plain numbers, taking the
+    fixed-area demand once per sweep; its rows are the ones a NetworkConfig
+    per row, passed to classify, gives: every figure and every error text."""
+
+    @given(
+        grid=st.lists(
+            st.integers(0, 3) | st.integers(4, 2**40) | st.integers(2**40, 2**62 + 2**12)
+            | st.just(2**1100),  # its metrics raise OverflowError
+            min_size=1, max_size=5, unique=True,
+        ).map(sorted),
+        c_mh=st.sampled_from([1.0, 1e300]),  # multihop is inf at n = 2**62 under 1e300
+        nu=st.none() | st.just(0.0) | st.floats(0.05, 3.0) | st.floats(40.0, 1e4)
+        | st.just(math.inf),
+        # demand that underflows, that can fall on either side of c0*n, that overflows
+        area=st.floats(1e-300, 1e-30) | st.floats(1e-3, 1e12) | st.floats(1e150, 1e300),
+        alpha=st.sampled_from([2.0, 3.0, 4.0]) | st.floats(2.0, 16.0),
+        c0=st.floats(1e-9, 1e9) | st.just(1e300),
+        params=st.sampled_from([derive(1.0, 1.0), derive(1.0, 24.0), derive(1.0, 0.25 + 1e-6)]),
+    )
+    @example(grid=[199, 200, 201], c_mh=1.0, nu=None, area=100.0, alpha=4.0, c0=50.0,
+             params=derive(1.0, 1.0))  # c0*n == area**(alpha/2) at n = 200
+    @example(grid=[15, 16, 17], c_mh=1.0, nu=0.5, area=1.0, alpha=4.0, c0=1.0,
+             params=derive(1.0, 1.0))  # and at n = 16 with the area n**0.5
+    # every valid row overflows, after a failed metric and before a non-finite one
+    @example(grid=[2, 16, 2**62, 2**1100], c_mh=1e300, nu=None, area=1e300, alpha=4.0,
+             c0=1.0, params=derive(1.0, 1.0))
+    @settings(max_examples=80)
+    def test_rows_equal_a_network_config_per_row(
+        self, grid, c_mh, nu, area, alpha, c0, params
+    ):
+        cfg = NetworkConfig(4, area, alpha, c0)
+        rows = compare_schemes(grid, cfg, params, c_mh, 10.0, nu)
+        assert _hexed(rows) == _hexed(sweep_rows_per_config(grid, cfg, params, c_mh, 10.0, nu))
+
+    def test_boundary_row_is_dense(self, unit_params):
+        # the first example's figures, read directly rather than against classify
+        cfg = NetworkConfig(4, 100.0, 4.0, 50.0)
+        rows = compare_schemes([199, 200, 201], cfg, unit_params, 1.0)
+        assert [r.extras["area_factor"] for r in rows] == [0.995, 1.0, 1.0]
 
 
 class TestRecordsByField:
