@@ -103,13 +103,13 @@ def compare_schemes(
     Metrics: T1_smooth, T1_int (absent when no integer depth fits), T_orig,
     multihop, ratio, ratio_log_adj, per_pair, area_factor. The area grows as
     n**nu when nu is given, else stays at cfg.area. area_factor is classify's
-    factor, read from area's owner of it on plain numbers: no row builds a
-    NetworkConfig, and area**(alpha/2) is taken once per sweep when nu is
-    None. A row whose computation raises or produces a non-finite value is
-    annotated and the sweep moves on; its error names, first, an n that
-    NetworkConfig refuses, then an overflowing n**nu, a failed metric, an
-    overflowing area**(alpha/2) and a non-finite metric. The grid itself must
-    be strictly increasing, and a constant that every row reads (nu < 0, c_mh
+    factor, computed from plain numbers: no row builds a NetworkConfig, and
+    area**(alpha/2) is taken once per sweep when nu is None. A row whose
+    computation raises or produces a non-finite value is annotated and the
+    sweep moves on; its error names, first, an n that NetworkConfig refuses,
+    then an overflowing n**nu, a failed metric, an overflowing
+    area**(alpha/2) and a non-finite metric. The grid itself must be
+    strictly increasing, and a constant that every row reads (nu < 0, c_mh
     not positive, log_base <= 1) raises DomainError once, before the first
     row, with its owner's message.
     """
@@ -138,7 +138,7 @@ def compare_schemes(
             _check_node_count(n)
             if nu is not None:
                 area = area_from_exponent(n, nu)
-                _check_area(area)  # inf when nu is
+                _check_area(area)  # n**inf is inf, which NetworkConfig refuses
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:
