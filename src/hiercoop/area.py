@@ -6,8 +6,8 @@ near-neighbor distance, and once A**(alpha/2) outgrows c0*n the network
 becomes power-limited: every rate picks up the factor c0*n/A**(alpha/2).
 The boundary is inclusive on the dense side, so factor = min(1, ...) is
 continuous and equals 1 exactly at the crossover. _demand and _split own
-that arithmetic on plain numbers; classify composes them for one
-NetworkConfig, and a sweep reads them once per row without building one.
+that arithmetic on plain numbers, and _demand alone refuses a geometry
+whose demand overflows; classify composes them for one NetworkConfig.
 
 c0 absorbs hardware constants (power budget, noise level, bandwidth); the
 tradeoff helper sweeps candidate (c0, R, Q) triples supplied by the caller.
@@ -60,8 +60,7 @@ _DENSE = (Regime.DENSE, 1.0)
 def _split(n: int, c0: float, demand: float) -> tuple[Regime, float]:
     """(regime, factor) of n nodes against the demand: factor = min(1, c0*n/demand).
 
-    The boundary counts as dense. compare_schemes reads the factor of every
-    sweep row here, without building a NetworkConfig or a RegimeReport.
+    The boundary counts as dense.
     """
     supply = c0 * n
     # divide only on the sparse side: a tiny area underflows demand to 0
@@ -81,15 +80,16 @@ def classify(cfg: NetworkConfig) -> RegimeReport:
 
 
 def check_area_exponent(nu: float) -> None:
-    """Raise DomainError unless nu, the exponent of area_from_exponent, is >= 0."""
-    if not nu >= 0.0:
-        raise DomainError(f"area exponent must be >= 0, got {nu}")
+    """Raise DomainError unless nu, the exponent of area_from_exponent, is >= 0 and finite."""
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"area exponent must be >= 0 and finite, got {nu}")
 
 
 def area_from_exponent(n: int, nu: float) -> float:
     """Area n**nu for sweeps that grow the area with the network.
 
-    Raises DomainError when n < MIN_NODES, nu is not >= 0 or n**nu overflows a float.
+    Raises DomainError when n < MIN_NODES, nu is not finite and >= 0 or n**nu
+    overflows a float.
     """
     check_network_size(n)
     check_area_exponent(nu)
@@ -102,8 +102,8 @@ def area_from_exponent(n: int, nu: float) -> float:
 class CandidateOutcome(NamedTuple):
     """One (c0, R, Q) triple's result in a tradeoff sweep.
 
-    value is the smooth throughput times area_factor, classify's factor for
-    the candidate's c0; both are None, and error holds the reason, when the
+    value is the smooth throughput times area_factor, min(1, c0*n/area**(alpha/2))
+    for the candidate's c0; both are None, and error holds the reason, when the
     candidate failed.
     """
 
@@ -120,17 +120,19 @@ def c0_tradeoff(
 ) -> list[CandidateOutcome]:
     """Evaluate candidate (c0, R, Q) triples on a fixed geometry.
 
-    Successes come first, best attenuated throughput on top; candidates
-    whose rate pair is out of domain, or whose throughput is not finite,
-    follow with the error message instead of a value.
+    A geometry whose area**(alpha/2) overflows raises DomainError before any
+    candidate. Successes come first, best attenuated throughput on top;
+    candidates whose c0 or rate pair is out of domain, or whose throughput
+    is not finite, follow with the error message instead of a value.
     """
+    demand = _demand(cfg.area, cfg.alpha)
     outcomes: list[CandidateOutcome] = []
     for c0, R, Q in candidates:
         try:
             # NetworkConfig checks c0 before derive checks the rates
-            geo = NetworkConfig(cfg.n, cfg.area, cfg.alpha, c0)
+            NetworkConfig(cfg.n, cfg.area, cfg.alpha, c0)
             smooth = smooth_modified(cfg.n, derive(R, Q))
-            factor = classify(geo).factor
+            factor = _split(cfg.n, c0, demand)[1]
             value = smooth.value * factor
             if not math.isfinite(value):
                 raise DomainError("throughput is not finite")

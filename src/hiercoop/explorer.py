@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .area import _demand, _split, area_from_exponent, check_area_exponent
 from .errors import DomainError
-from .params import NetworkConfig, SchemeParams, _check_area, _check_node_count
+from .params import NetworkConfig, SchemeParams, _check_node_count
 from .throughput import (
     _multihop,
     _smooth_memo,
@@ -103,15 +103,15 @@ def compare_schemes(
     Metrics: T1_smooth, T1_int (absent when no integer depth fits), T_orig,
     multihop, ratio, ratio_log_adj, per_pair, area_factor. The area grows as
     n**nu when nu is given, else stays at cfg.area. area_factor is classify's
-    factor, computed from plain numbers: no row builds a NetworkConfig, and
-    area**(alpha/2) is taken once per sweep when nu is None. A row whose
-    computation raises or produces a non-finite value is annotated and the
-    sweep moves on; its error names, first, an n that NetworkConfig refuses,
-    then an overflowing n**nu, a failed metric, an overflowing
-    area**(alpha/2) and a non-finite metric. The grid itself must be
-    strictly increasing, and a constant that every row reads (nu < 0, c_mh
-    not positive, log_base <= 1) raises DomainError once, before the first
-    row, with its owner's message.
+    factor, min(1, c0*n/area**(alpha/2)). The grid must be strictly
+    increasing, and a constant that no row can use raises DomainError once,
+    before the first row, with its owner's message: an empty grid, nu not
+    finite and >= 0, c_mh not positive, log_base <= 1, then a fixed area
+    whose area**(alpha/2) overflows. A row whose computation raises or
+    produces a non-finite value is annotated and the sweep moves on; its
+    error names, first, an n that NetworkConfig refuses, then an
+    overflowing n**nu or its area**(alpha/2), a failed metric and a
+    non-finite metric.
     """
     if not n_grid:
         raise DomainError("sweep grid is empty")
@@ -119,13 +119,9 @@ def compare_schemes(
         check_area_exponent(nu)
     check_multihop_constant(c_mh)
     check_log_base(log_base)
-    area, alpha, c0 = cfg.area, cfg.alpha, cfg.c0
-    fixed_demand = None
+    alpha, c0 = cfg.alpha, cfg.c0
     if nu is None:
-        try:
-            fixed_demand = _demand(area, alpha)
-        except DomainError:
-            pass  # each row raises it again, after its metrics
+        demand = _demand(cfg.area, alpha)
     rows: list[SweepRow] = []
     prev: int | None = None
     isfinite = math.isfinite  # read once, not once per metric of every row
@@ -137,8 +133,7 @@ def compare_schemes(
             # a bad n is named before n**nu is taken of it
             _check_node_count(n)
             if nu is not None:
-                area = area_from_exponent(n, nu)
-                _check_area(area)  # n**inf is inf, which NetworkConfig refuses
+                demand = _demand(area_from_exponent(n, nu), alpha)
             both = optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:
@@ -148,7 +143,6 @@ def compare_schemes(
             extras["ratio"] = ratio_original(n, params)
             extras["ratio_log_adj"] = ratio_log_adjusted(n, log_base, params)
             extras["per_pair"] = per_pair_rate(n, params)
-            demand = fixed_demand if fixed_demand is not None else _demand(area, alpha)
             extras["area_factor"] = _split(n, c0, demand)[1]
             for key, value in extras.items():
                 if not isfinite(value):

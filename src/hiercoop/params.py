@@ -175,12 +175,6 @@ def _check_node_count(n: int) -> None:
         raise ValueError(f"n must be an integer >= {MIN_NODES}, got {n!r}")
 
 
-def _check_area(area: float) -> None:
-    """NetworkConfig's check on area; compare_schemes makes it of each n**nu."""
-    if not (math.isfinite(area) and area > 0):
-        raise ValueError(f"area must be positive and finite, got {area}")
-
-
 class NetworkConfig(_Frozen):
     """Network size and geometry."""
 
@@ -193,7 +187,8 @@ class NetworkConfig(_Frozen):
 
     def __init__(self, n: int, area: float = 1.0, alpha: float = 3.0, c0: float = 1.0) -> None:
         _check_node_count(n)
-        _check_area(area)
+        if not (math.isfinite(area) and area > 0):
+            raise ValueError(f"area must be positive and finite, got {area}")
         if not (math.isfinite(alpha) and alpha >= 2):
             raise ValueError(f"alpha must be >= 2, got {alpha}")
         if not (math.isfinite(c0) and c0 > 0):

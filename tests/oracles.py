@@ -3,7 +3,7 @@
 Everything here is reimplemented from the model description with plain
 loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
 imports the package under test, except sweep_rows_per_config, which
-replays an earlier way of building sweep rows through the public API.
+builds sweep rows through the public API, a NetworkConfig per row.
 Agreement between these and the closed forms is the point of the tests
 that use them.
 """
@@ -251,23 +251,29 @@ def depth_constants_50_digits(n, R, Q, c):
 
 
 def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
-    """compare_schemes's (n, extras, error) rows as it once built them.
+    """compare_schemes's (n, extras, error) rows, built from classify and the metrics.
 
-    Each row checks a validated NetworkConfig(n, area_n, alpha, c0), built
-    before the metrics, and reads its area factor as classify(...).factor
-    after them, so a bad n, an overflowing n**nu, a failed metric and an
-    overflowing area**(alpha/2) are named in that order. The constants are
-    taken as valid and the grid as strictly increasing.
+    A geometry no row can use, nu not finite and >= 0 or a fixed area whose
+    area**(alpha/2) overflows, raises DomainError before the first row. Each
+    row builds a validated NetworkConfig(n, area_n, alpha, c0) and reads its
+    area factor as classify(...).factor before the metrics, so a bad n, an
+    overflowing n**nu or its demand, a failed metric and a non-finite metric
+    are named in that order. The other constants are taken as valid and the
+    grid as strictly increasing.
     """
     import hiercoop as hc
 
+    if nu is None:
+        hc.classify(cfg)
+    else:
+        hc.area.check_area_exponent(nu)
     rows = []
     for n in n_grid:
         try:
             area = cfg.area
             if nu is not None and isinstance(n, int) and n >= 4:
                 area = hc.area_from_exponent(n, nu)
-            geo = hc.NetworkConfig(n, area, cfg.alpha, cfg.c0)
+            factor = hc.classify(hc.NetworkConfig(n, area, cfg.alpha, cfg.c0)).factor
             both = hc.optimal_modified(n, params)
             extras = {"T1_smooth": both.smooth.value}
             if both.integer is not None:
@@ -277,7 +283,7 @@ def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
             extras["ratio"] = hc.ratio_original(n, params)
             extras["ratio_log_adj"] = hc.ratio_log_adjusted(n, log_base, params)
             extras["per_pair"] = hc.per_pair_rate(n, params)
-            extras["area_factor"] = hc.classify(geo).factor
+            extras["area_factor"] = factor
             for key, value in extras.items():
                 if not math.isfinite(value):
                     raise ValueError(f"metric {key} is not finite at n={n}")

@@ -1,6 +1,8 @@
 """Geometry regime classification and its effect on throughput."""
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hiercoop import (
     CandidateOutcome,
@@ -115,6 +117,8 @@ class TestAreaFromExponent:
             area_from_exponent(0, 0.5)
         with pytest.raises(DomainError):
             area_from_exponent(10000, -0.1)
+        with pytest.raises(DomainError, match=r"^area exponent must be >= 0 and finite, got inf$"):
+            area_from_exponent(4, math.inf)
 
     def test_node_floor_is_the_network_size_rule(self):
         with pytest.raises(DomainError, match=r"^need n >= 4, got 0$"):
@@ -183,6 +187,59 @@ class TestC0Tradeoff:
         assert by_q[1.0].value == pytest.approx(
             smooth_modified(cfg.n, unit_params).value * factor, rel=1e-15
         )
+
+    def test_overflowing_geometry_evaluates_no_candidate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hiercoop.area.derive", lambda *a: calls.append(a))
+        cfg = NetworkConfig(n=1000, area=1e300, alpha=4.0, c0=1.0)
+        with pytest.raises(
+            DomainError, match=r"^area\*\*\(alpha/2\) overflows at area=1e\+300, alpha=4$"
+        ):
+            c0_tradeoff(cfg, [(-1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+        assert calls == []
+
+    @given(
+        n=st.integers(4, 2**62),
+        # demand that underflows, and that can fall on either side of c0*n
+        area=st.floats(1e-300, 1e-30) | st.floats(1e-3, 1e12),
+        alpha=st.sampled_from([2.0, 3.0, 4.0]) | st.floats(2.0, 16.0),
+        candidates=st.lists(
+            st.tuples(
+                st.floats(1e-9, 1e9) | st.sampled_from([1e300, -1.0, math.nan]),
+                st.just(1.0),
+                st.sampled_from([0.2, 0.25 + 1e-6, 1.0, 24.0]),
+            )
+            | st.just((1.0, 1e308, 1e308)),  # a throughput that is not finite
+            min_size=1, max_size=4,
+        ),
+    )
+    # c0*n == area**(alpha/2) exactly for the first candidate
+    @example(n=200, area=100.0, alpha=4.0, candidates=[(50.0, 1.0, 1.0), (49.0, 1.0, 1.0)])
+    def test_outcomes_equal_a_network_config_per_candidate(self, n, area, alpha, candidates):
+        expected = []
+        for c0, R, Q in candidates:
+            try:
+                geo = NetworkConfig(n, area, alpha, c0)
+                smooth = smooth_modified(n, derive(R, Q))
+                factor = classify(geo).factor
+                value = smooth.value * factor
+                if not math.isfinite(value):
+                    raise DomainError("throughput is not finite")
+            except ValueError as exc:
+                expected.append(CandidateOutcome(c0, R, Q, None, None, str(exc)))
+            else:
+                expected.append(CandidateOutcome(c0, R, Q, value, factor, None))
+        successes = sorted(
+            (o for o in expected if o.error is None), key=lambda o: o.value, reverse=True
+        )
+        expected = successes + [o for o in expected if o.error is not None]
+        got = c0_tradeoff(NetworkConfig(n, area, alpha, 1.0), candidates)
+
+        def hexed(outcomes):
+            # every float field as float.hex, so equal only when every bit is
+            return [tuple(f.hex() if isinstance(f, float) else f for f in o) for o in outcomes]
+
+        assert hexed(got) == hexed(expected)
 
     def test_outcome_fields_are_the_jsonl_record_after_its_rank(self):
         assert CandidateOutcome._fields == ("c0", "R", "Q", "value", "area_factor", "error")

@@ -269,23 +269,11 @@ class TestSweep:
         assert len(lines) == 3  # header plus two annotated rows
         assert "n must be an integer >= 4" in lines[1]
 
-    def test_overflowing_fixed_area_fails_every_row(self, capsys):
-        # the demand is taken once per sweep, yet each row carries its overflow
-        rc, out, err = run_cli(
-            capsys, "sweep", "--grid", "4:64:3:log", "--c-mh", "1", "--area", "1e300",
-            "--alpha", "4", "--format", "jsonl",
-        )
-        assert (rc, err) == (3, "sweep: every grid point failed\n")
-        records = [json.loads(line) for line in out.splitlines()]
-        assert [(r["n"], r["error"]) for r in records] == [
-            (n, "area**(alpha/2) overflows at area=1e+300, alpha=4") for n in (4, 16, 64)
-        ]
-
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--log-base", "1", "log base must exceed 1, got 1.0"),
-            ("--nu", "-0.5", "area exponent must be >= 0, got -0.5"),
+            ("--nu", "-0.5", "area exponent must be >= 0 and finite, got -0.5"),
             ("--c-mh", "0", "multihop constant must be positive, got 0.0"),
         ],
         ids=["log-base", "nu", "c-mh"],
@@ -670,8 +658,24 @@ class TestExitCodes:
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 3
         assert "inf" not in out
-        assert "error: " in out + err  # tradeoff ranks the failure on stdout
+        assert "error: " in out + err  # tradeoff ranks a failed candidate on stdout
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--n", "1000"),
+            ("sweep", "--grid", "4:64:3:log", "--c-mh", "1"),
+            ("tradeoff", "--n", "1000", "--candidate", "1:1:1"),
+        ],
+        ids=["analyze", "sweep", "tradeoff"],
+    )
+    def test_overflowing_area_is_refused_once_by_every_command(self, capsys, argv):
+        # no row or candidate can use the geometry: its owner's message, once
+        rc, out, err = run_cli(capsys, *argv, "--area", "1e300", "--alpha", "4")
+        assert (rc, out, err) == (
+            3, "", "error: area**(alpha/2) overflows at area=1e+300, alpha=4\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "jsonl"])
     def test_overflowing_threshold_alone_is_reported_missing(self, capsys, fmt):

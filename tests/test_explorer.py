@@ -271,20 +271,25 @@ class TestCompareSchemes:
         "constants, message",
         [
             ({"log_base": 1.0}, "log base must exceed 1"),
-            ({"nu": -0.5}, "area exponent must be >= 0"),
-            ({"nu": math.nan}, "area exponent must be >= 0"),
+            ({"nu": -0.5}, "area exponent must be >= 0 and finite, got -0.5"),
+            ({"nu": math.nan}, "area exponent must be >= 0 and finite, got nan"),
+            ({"nu": math.inf}, "area exponent must be >= 0 and finite, got inf"),
             ({"c_mh": 0.0}, "multihop constant must be positive"),
             ({"c_mh": math.inf}, "multihop constant must be positive"),
+            ({"cfg": NetworkConfig(4, 1e300, 4.0)}, r"area\*\*\(alpha/2\) overflows"),
+            # the overflowing area is weighed last, after every other constant
+            ({"cfg": NetworkConfig(4, 1e300, 4.0), "log_base": 1.0}, "log base must exceed 1"),
         ],
-        ids=["log_base", "nu", "nu-nan", "c_mh", "c_mh-inf"],
+        ids=["log_base", "nu", "nu-nan", "nu-inf", "c_mh", "c_mh-inf", "area", "area-log_base"],
     )
     def test_constant_no_row_can_use_raises_before_any_row(
         self, monkeypatch, unit_params, constants, message
     ):
         calls = []
         monkeypatch.setattr(explorer, "optimal_modified", lambda *a: calls.append(a))
+        kwargs = {"cfg": UNIT_CFG, "c_mh": 1.0, **constants}
         with pytest.raises(DomainError, match=message):
-            compare_schemes([16, 1024], UNIT_CFG, unit_params, **{"c_mh": 1.0, **constants})
+            compare_schemes([16, 1024], params=unit_params, **kwargs)
         assert calls == []
 
     def test_failed_point_is_annotated_not_fatal(self, unit_params):
@@ -307,6 +312,19 @@ class TestCompareSchemes:
             "n**nu overflows at n=20, nu=300",
             "n**nu overflows at n=100, nu=300",
         ]
+
+    def test_overflowing_demand_of_n_nu_fails_its_row_before_any_metric(
+        self, monkeypatch, unit_params
+    ):
+        calls = []
+        monkeypatch.setattr(
+            explorer, "optimal_modified", lambda n, p: calls.append(n) or optimal_modified(n, p)
+        )
+        cfg = NetworkConfig(n=4, area=1.0, alpha=12.0, c0=1.0)
+        rows = compare_schemes([16, 2**62], cfg, unit_params, c_mh=1.0, nu=3.0)
+        assert rows[0].error is None
+        assert rows[1].error == "area**(alpha/2) overflows at area=9.80797e+55, alpha=12"
+        assert set(calls) == {16}  # no metric of the n = 2**62 row was taken
 
     def test_area_column_decays_when_area_outgrows_n(self, unit_params):
         rows = compare_schemes(
@@ -338,7 +356,9 @@ def _hexed(rows):
 class TestAreaFactorOwner:
     """compare_schemes reads the area factor off plain numbers, taking the
     fixed-area demand once per sweep; its rows are the ones a NetworkConfig
-    per row, passed to classify, gives: every figure and every error text."""
+    per row, passed to classify, gives: every figure and every error text.
+    A sweep that the oracle refuses before its first row (nu = inf, an
+    overflowing fixed area) raises the same DomainError."""
 
     @given(
         grid=st.lists(
@@ -359,16 +379,26 @@ class TestAreaFactorOwner:
              params=derive(1.0, 1.0))  # c0*n == area**(alpha/2) at n = 200
     @example(grid=[15, 16, 17], c_mh=1.0, nu=0.5, area=1.0, alpha=4.0, c0=1.0,
              params=derive(1.0, 1.0))  # and at n = 16 with the area n**0.5
-    # every valid row overflows, after a failed metric and before a non-finite one
+    # an overflowing fixed area refuses the sweep, whatever its rows would do
     @example(grid=[2, 16, 2**62, 2**1100], c_mh=1e300, nu=None, area=1e300, alpha=4.0,
+             c0=1.0, params=derive(1.0, 1.0))
+    # the demand of n**nu overflows at n = 2**62, before its multihop turns inf
+    @example(grid=[2, 16, 2**62], c_mh=1e300, nu=3.0, area=1.0, alpha=12.0,
              c0=1.0, params=derive(1.0, 1.0))
     @settings(max_examples=80)
     def test_rows_equal_a_network_config_per_row(
         self, grid, c_mh, nu, area, alpha, c0, params
     ):
         cfg = NetworkConfig(4, area, alpha, c0)
+        try:
+            expected = sweep_rows_per_config(grid, cfg, params, c_mh, 10.0, nu)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as refused:
+                compare_schemes(grid, cfg, params, c_mh, 10.0, nu)
+            assert str(refused.value) == str(exc)
+            return
         rows = compare_schemes(grid, cfg, params, c_mh, 10.0, nu)
-        assert _hexed(rows) == _hexed(sweep_rows_per_config(grid, cfg, params, c_mh, 10.0, nu))
+        assert _hexed(rows) == _hexed(expected)
 
     def test_boundary_row_is_dense(self, unit_params):
         # the first example's figures, read directly rather than against classify
