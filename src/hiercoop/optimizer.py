@@ -17,6 +17,8 @@ Three nested choices, each with a closed-form answer:
   h* = 2A/(1 + sqrt(1 + 4aA)) and negative above it when c > 1. So the
   best feasible depth is the nearest feasible one on either side of h*,
   and no other depth needs evaluating. LayerChoice reports h* as h_exact.
+  A and a read the SchemeParams fields log_1_plus_R_over_Q and half_log_c,
+  taken once per rate pair, so a network size adds only log(n/2).
 * Depth h fits n nodes exactly when the balanced top size puts at least
   MIN_CLUSTER nodes in the equal-term bottom layer, that is when
   n >= 8 * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
@@ -256,6 +258,10 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     nats, and depth h + 1, taken when A > s_h, by h*(h+1)*log1p(1/h) > 2.4.
     The walk down is kept for directly built params; on derived ones it never moves.
 
+    A is log(n/2) less params.log_1_plus_R_over_Q and a is params.half_log_c:
+    the constructor takes both logs once per rate pair, in the float
+    operations a per-call log would take, so they carry the same bits.
+
     Tie contract: A = s_split takes split, and near it the float test may
     take either depth. A < log(2**61) < 43, so the test can err only where
     s_split < 43 too. There each of A and s_split comes from a few float
@@ -269,8 +275,8 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)
-    A = math.log(n / 2.0) - math.log(1.0 + params.R / params.Q)
-    a = 0.5 * math.log(params.c)
+    A = math.log(n / 2.0) - params.log_1_plus_R_over_Q
+    a = params.half_log_c
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
     # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))
     h = math.floor(h_exact)

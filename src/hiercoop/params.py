@@ -11,6 +11,10 @@ shuffled around inside a cluster. Their ratio fixes the constants
 
 Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/4. SchemeParams
 owns that domain, so no function past its constructor checks a constant.
+From the fields it also takes, once per rate pair, the logs that every
+network size reads: log_beta1, log_1_plus_R_over_Q = log(1 + R/Q) and
+half_log_c = log(c)/2 for the depth search, and log_beta = log(beta) and
+depth_ratio = sqrt(log_beta1/log_beta) for the smooth forms.
 """
 from __future__ import annotations
 
@@ -59,7 +63,10 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        # the constructors admit no zero field, so == on the values tells every field apart
+        # == on the values tells records apart by the bits of their arguments:
+        # no argument is zero or NaN, and each derived field is a function of
+        # the arguments; one may round to 0.0, log(1 + R/Q) for Q/R above
+        # about 1e16, but a log gives +0.0 there, never -0.0
         if other.__class__ is self.__class__:
             return self._values == other._values
         return NotImplemented
@@ -86,7 +93,8 @@ class SchemeParams(_Frozen):
     corrupted constants), but not the domain: every instance has positive,
     finite rates with a finite Q/R above 1/4, 1 <= beta1 < inf,
     1 < beta < inf and c > 1 (c may be inf, as derive gives for Q/R above
-    about 4.5e307). Anything else raises DomainError.
+    about 4.5e307). Anything else raises DomainError. The derived fields
+    are computed from the arguments either way, corrupted ones included.
     """
 
     __slots__ = {
@@ -100,8 +108,18 @@ class SchemeParams(_Frozen):
             "0.5*log1p(4*(Q - R/4)/R): Q - R/4 is exact where log(beta1) would "
             "cancel, as Q/R -> 1/4. Elsewhere it is log(beta1), which cannot overflow."
         ),
+        "log_1_plus_R_over_Q": (
+            "log(1 + R/Q), not settable; the depth search's A is log(n/2) less this. "
+            "It rounds to 0.0 for Q/R above about 1e16."
+        ),
+        "half_log_c": "log(c)/2, not settable; the depth search's a (inf where c is).",
+        "log_beta": "log(beta), not settable; the three-phase depth is sqrt(log(n/2)/log_beta).",
+        "depth_ratio": (
+            "sqrt(log_beta1/log_beta), not settable; the three-phase smooth depth "
+            "over the two-phase one, read by the closed-form ratio."
+        ),
     }
-    _derived = 1
+    _derived = 5
 
     def __init__(self, R: float, Q: float, beta1: float, beta: float, c: float) -> None:
         ratio = _rate_ratio(R, Q)
@@ -124,7 +142,18 @@ class SchemeParams(_Frozen):
         _set(self, "beta", beta)
         _set(self, "c", c)
         _set(self, "log_beta1", log_beta1)
-        self._seal((R, Q, beta1, beta, c, log_beta1))
+        # the logs that every network size reads, taken once per rate pair
+        log_1_plus_R_over_Q = math.log(1.0 + R / Q)
+        half_log_c = 0.5 * math.log(c)
+        log_beta = math.log(beta)
+        depth_ratio = math.sqrt(log_beta1 / log_beta)
+        _set(self, "log_1_plus_R_over_Q", log_1_plus_R_over_Q)
+        _set(self, "half_log_c", half_log_c)
+        _set(self, "log_beta", log_beta)
+        _set(self, "depth_ratio", depth_ratio)
+        self._seal((
+            R, Q, beta1, beta, c, log_beta1, log_1_plus_R_over_Q, half_log_c, log_beta, depth_ratio
+        ))
 
 
 def _rate_ratio(R: float, Q: float) -> float:

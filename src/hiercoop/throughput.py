@@ -21,12 +21,12 @@ Two conventions coexist and are reported side by side:
 original_throughput is the three-phase counterpart kept for head-to-head
 sweeps; multihop_baseline is the flat nearest-neighbor reference.
 
-smooth_modified, original_throughput and explorer.ratio_original_closed_form
-read one one-entry memo, _smooth_memo, of the last (n, params): a repeat with
-the same n and params objects reuses it, so the back-to-back repeats of a
-sweep row or an analyze report compute once. An equal but distinct n or
-params computes afresh, nothing is reused across network sizes, and a call
-that raises stores nothing.
+smooth_modified, optimal_modified's smooth half, original_throughput and
+explorer.ratio_original_closed_form read one one-entry memo, _smooth_memo, of
+the last (n, params): a repeat with the same n and params objects reuses it,
+so the back-to-back repeats of a sweep row or an analyze report compute once.
+An equal but distinct n or params computes afresh, nothing is reused across
+network sizes, and a call that raises stores nothing.
 """
 from __future__ import annotations
 
@@ -145,10 +145,12 @@ def _smooth_memo(n: int, params: SchemeParams) -> tuple[ThroughputReport, float,
 def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float, float]:
     """(smooth_modified, original_throughput, closed-form ratio) at (n, params).
 
-    smooth_depth, c_n, log(beta), the three-phase depth and log_beta(beta1)
-    are each evaluated once, and no depth is searched. Each public form reads
-    this kernel alone, through _smooth_memo, so the public calls per sweep row
-    stay as they were. Tests call it as the cold reference.
+    smooth_depth, c_n and the three-phase depth are each evaluated once, and
+    no depth is searched; log(beta) and sqrt(log_beta(beta1)) are the
+    SchemeParams fields log_beta and depth_ratio, taken once per rate pair.
+    Each public form reads this kernel alone, through _smooth_memo, so the
+    public calls per sweep row stay as they were. Tests call it as the cold
+    reference.
     The two ratio routes share c_n and both depths but no power of n/2 or of
     beta. It raises only smooth_depth's errors; no power overflows: beta's is
     at most exp(2*sqrt(log(2**61)*log(beta))) < exp(347), c_n's base is below
@@ -161,12 +163,10 @@ def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float
     smooth = tuple.__new__(
         ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
     )
-    log_beta = math.log(params.beta)
-    h = math.sqrt(math.log(n / 2.0) / log_beta)
+    h = math.sqrt(math.log(n / 2.0) / params.log_beta)
     original = params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
-    log_b_b1 = params.log_beta1 / log_beta
-    front = params.beta1 * math.sqrt(log_b_b1) / (c_n * params.beta)
-    closed = front * params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h)
+    front = params.beta1 * params.depth_ratio / (c_n * params.beta)
+    closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
     return smooth, original, closed
 
 
@@ -177,7 +177,7 @@ def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
     LayerChoice that layer_choice(n, params) returns, None when no depth fits.
     """
     return tuple.__new__(
-        ModifiedThroughput, (smooth_modified(n, params), layer_choice(n, params))
+        ModifiedThroughput, (_smooth_memo(n, params)[0], layer_choice(n, params))
     )
 
 
@@ -194,7 +194,7 @@ def upper_bound(n: int, params: SchemeParams) -> float:
 def original_optimal_layers(n: int, params: SchemeParams) -> float:
     """Real-valued optimal depth sqrt(log_beta(n/2)) of the three-phase scheme."""
     check_network_size(n)
-    return math.sqrt(math.log(n / 2.0) / math.log(params.beta))
+    return math.sqrt(math.log(n / 2.0) / params.log_beta)
 
 
 def original_throughput(n: int, params: SchemeParams) -> float:

@@ -39,8 +39,8 @@ WORKERS = 2  # one tier-1 run per core of a small host
 # (name, module, snippet, replacement), grouped by kind
 MUTANTS = (
     # the three that verify at the user's rates once passed
-    ("search_A_reads_log1p_Q_over_R", "optimizer",
-     "log(1.0 + params.R / params.Q)\n    a =", "log(1.0 + params.Q / params.R)\n    a ="),
+    ("search_A_reads_log1p_Q_over_R", "params",
+     "math.log(1.0 + R / Q)", "math.log(1.0 + Q / R)"),
     ("log_beta1_times_1_plus_1e-12", "params",
      '_set(self, "log_beta1", log_beta1)',
      'log_beta1 *= 1.0 + 1e-12; _set(self, "log_beta1", log_beta1)'),
@@ -73,8 +73,8 @@ MUTANTS = (
     ("depth_value_c_power_h_minus_2", "optimizer",
      "params.c ** ((h - 1) / 2.0)", "params.c ** ((h - 2) / 2.0)"),
     ("depth_value_reads_n", "optimizer", "pre * (n / 2.0) ** e", "pre * float(n) ** e"),
-    ("search_a_drops_the_half", "optimizer",
-     "a = 0.5 * math.log(params.c)", "a = math.log(params.c)"),
+    ("search_a_drops_the_half", "params",
+     "half_log_c = 0.5 * math.log(c)", "half_log_c = math.log(c)"),
     ("h_exact_root_takes_2aA", "optimizer", "sqrt(1.0 + 4.0 * a * A)", "sqrt(1.0 + 2.0 * a * A)"),
     ("switch_point_log1p_over_h_plus_1", "optimizer",
      "math.log1p(1.0 / h) + a", "math.log1p(1.0 / (h + 1)) + a"),
@@ -86,21 +86,24 @@ MUTANTS = (
      "exponent = 1.0 - 2.0 / root", "exponent = 1.0 - 1.0 / root"),
     ("smooth_value_reads_n", "throughput",
      "(pre * (n / 2.0) ** exponent,", "(pre * float(n) ** exponent,"),
-    ("log_beta_takes_log1p", "throughput",
-     "log_beta = math.log(params.beta)", "log_beta = math.log1p(params.beta)"),
+    ("log_beta_takes_log1p", "params",
+     "log_beta = math.log(beta)", "log_beta = math.log1p(beta)"),
     ("three_phase_depth_reads_log_n", "throughput",
-     "h = math.sqrt(math.log(n / 2.0) / log_beta)", "h = math.sqrt(math.log(n) / log_beta)"),
+     "h = math.sqrt(math.log(n / 2.0) / params.log_beta)",
+     "h = math.sqrt(math.log(n) / params.log_beta)"),
     ("three_phase_value_power_1_minus_1_over_h", "throughput",
      "(n / 2.0) ** (1.0 - 2.0 / h)", "(n / 2.0) ** (1.0 - 1.0 / h)"),
     ("closed_ratio_front_drops_the_sqrt", "throughput",
-     "params.beta1 * math.sqrt(log_b_b1) /", "params.beta1 * log_b_b1 /"),
+     "params.beta1 * params.depth_ratio /",
+     "params.beta1 * (params.log_beta1 / params.log_beta) /"),
     ("closed_ratio_power_drops_the_2", "throughput",
-     "params.beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h)",
-     "params.beta ** ((1.0 - math.sqrt(log_b_b1)) * h)"),
+     "params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)",
+     "params.beta ** ((1.0 - params.depth_ratio) * h)"),
     ("upper_bound_power_1_minus_1_over_root", "throughput",
      "(1.0 - 2.0 / smooth_depth(n, params))", "(1.0 - 1.0 / smooth_depth(n, params))"),
     ("original_layers_log_beta1", "throughput",
-     "math.log(n / 2.0) / math.log(params.beta))", "math.log(n / 2.0) / math.log(params.beta1))"),
+     "return math.sqrt(math.log(n / 2.0) / params.log_beta)",
+     "return math.sqrt(math.log(n / 2.0) / math.log(params.beta1))"),
     ("multihop_sqrt_of_n_over_2", "throughput", "c_mh * math.sqrt(n)", "c_mh * math.sqrt(n / 2.0)"),
     ("bracket_power_i_plus_1", "recurrence", "lead * c**i *", "lead * c**(i + 1) *"),
     ("bracket_last_power_minus_1", "recurrence", "lead * c**last *", "lead * c**(last - 1) *"),

@@ -179,6 +179,57 @@ def best_depth_by_scan(n, R, Q, c, h_max):
     return best_h
 
 
+def row_forms_per_call(n, R, Q, beta1, beta, c, log_beta1, h_max):
+    """(search, smooth, original, closed) at (n, h_max), with every log of the
+    rate pair but log_beta1 taken here on each call.
+
+    search is the depth search's (h_exact, h_approx, h_int, M1, value), or
+    None when no depth in 2..h_max fits; smooth is the smooth report's
+    (value, h_used, M1_used, phase_slots, pre_constant, exponent, c_n), and
+    original and closed are T_orig and the closed-form ratio.
+    A = log(n/2) - log(1 + R/Q), a = log(c)/2, log(beta) and
+    sqrt(log_beta1/log(beta)), the root taken twice, follow the closed forms
+    operation for operation, so constants taken once per rate pair must
+    reproduce every figure bit for bit. The depth search tests A > s_h at
+    h = floor(h*) clamped to 2..h_max and walks down from h past depths that
+    balanced_top_by_formula refuses.
+    """
+    half = n / 2.0
+    h_approx = math.sqrt(math.log(half) / log_beta1)
+    A = math.log(half) - math.log(1.0 + R / Q)
+    a = 0.5 * math.log(c)
+    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
+    h = min(max(math.floor(h_exact), 2), h_max)
+
+    def at(h):
+        M1 = balanced_top_by_formula(h, n, R, Q, c)
+        if M1 is None:
+            return None
+        e = (h - 1.0) / h
+        value = R / (h * (1.0 + R / Q) ** e * c ** ((h - 1) / 2.0)) * half ** e
+        return h_exact, h_approx, h, M1, value
+
+    search = None
+    if h < h_max and A > h * (h + 1) * (math.log1p(1.0 / h) + a):
+        search = at(h + 1)
+    while search is None and h >= 2:
+        search = at(h)
+        h -= 1
+
+    root = h_approx
+    c_n = (1.0 + R / Q) ** (1.0 - 1.0 / root)
+    exponent = 1.0 - 2.0 / root
+    pre = beta1 * R / (c_n * root)
+    smooth = (pre * half ** exponent, root, None, None, pre, exponent, c_n)
+    log_beta = math.log(beta)
+    h_orig = math.sqrt(math.log(half) / log_beta)
+    original = beta * R / h_orig * half ** (1.0 - 2.0 / h_orig)
+    log_b_b1 = log_beta1 / log_beta
+    front = beta1 * math.sqrt(log_b_b1) / (c_n * beta)
+    closed = front * beta ** (2.0 * (1.0 - math.sqrt(log_b_b1)) * h_orig)
+    return search, smooth, original, closed
+
+
 def depth_log_values(n, R, Q, c, h_max):
     """{h: log of the depth-h throughput} over the depths in 2..h_max that
     fit (balanced_top_by_formula), as 60-digit mpmath numbers.

@@ -4,7 +4,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hiercoop import (
     MAX_LAYERS,
@@ -16,9 +16,14 @@ from hiercoop import (
     derive,
     validate_plan,
 )
-from hiercoop.optimizer import depth_optimum
+from hiercoop.optimizer import _search_depth, depth_optimum
 from hiercoop.params import MIN_CLUSTER, MIN_NODES, check_layer_count, smooth_depth
-from hiercoop.throughput import original_optimal_layers, throughput_given_M1
+from hiercoop.throughput import _smooth_forms, original_optimal_layers, throughput_given_M1
+from oracles import row_forms_per_call
+from strategies import corrupt_params, search_params
+
+#: The fields SchemeParams computes from its five arguments, in slot order.
+DERIVED = ("log_beta1", "log_1_plus_R_over_Q", "half_log_c", "log_beta", "depth_ratio")
 
 
 class TestDerive:
@@ -83,10 +88,17 @@ class TestDerive:
 
 class TestLogBeta1:
     def test_is_derived_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0, log_beta1=0.7)
+        assert DERIVED == tuple(SchemeParams.__slots__)[-SchemeParams._derived:]
+        for name in DERIVED:
+            with pytest.raises(TypeError):
+                SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0, **{name: 0.7})
         p = SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.25)
         assert p.log_beta1 == math.log(2.0)
+        # each derived field follows the arguments given, corrupted c included
+        assert p.log_1_plus_R_over_Q == math.log(2.0)
+        assert p.half_log_c == 0.5 * math.log(4.25)
+        assert p.log_beta == math.log(2.8)
+        assert p.depth_ratio == math.sqrt(math.log(2.0) / math.log(2.8))
 
     @pytest.mark.parametrize("ratio", [1.25, 2.0, 24.0, 4.49e307, 1.7e308])
     def test_is_log_beta1_from_five_quarters_up(self, ratio):
@@ -98,6 +110,13 @@ class TestLogBeta1:
         # R/4 is inexact there; the ratios are exactly 1, 1/3 and 1
         p = derive(R, Q)
         assert p.log_beta1 == pytest.approx(0.5 * math.log(4.0 * Q / R), rel=1e-15)
+
+    def test_log_1_plus_R_over_Q_rounds_to_a_positive_zero(self):
+        # R/Q below 2**-53 leaves 1 + R/Q at 1.0; the field is +0.0, never -0.0
+        p = derive(1.0, 1e17)
+        assert p.log_1_plus_R_over_Q == 0.0 and math.copysign(1.0, p.log_1_plus_R_over_Q) == 1.0
+        # records with that zero field are still equal exactly when their rates are
+        assert p == derive(1.0, 1e17) != derive(1.0, 2e17)
 
     def test_smooth_depth_needs_four_nodes(self, unit_params):
         assert smooth_depth(131072, unit_params) == 4.0  # sqrt(log_2 65536)
@@ -117,6 +136,41 @@ class TestLogBeta1:
         assert MIN_NODES == 4
         with pytest.raises(DomainError, match=r"^need n >= 4, got 3$"):
             call(MIN_NODES - 1, unit_params)
+
+
+def _hex(value):
+    # floats by their bits, tuples field by field; ints and None as they are
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_hex, value))
+    return value
+
+
+class TestRatePairLogs:
+    """The rate-pair logs are SchemeParams fields, taken once in the
+    constructor; the depth search and the smooth forms that read them give
+    the bits that taking each log on every call gives."""
+
+    @settings(max_examples=300)
+    @given(
+        # small n leaves A = log(n/2) - log(1 + R/Q) small, so its last bits show
+        n=st.integers(4, 64) | st.integers(4, 2**62),
+        params=search_params() | corrupt_params(),
+        h_max=st.integers(2, MAX_LAYERS),
+    )
+    @example(n=2**62, params=derive(1.0, 1.7e308), h_max=MAX_LAYERS)  # c = inf
+    @example(n=2**62, params=derive(1.0, 0.25 + 1e-9), h_max=MAX_LAYERS)
+    @example(n=2**62, params=derive(5e-324, 5e-324), h_max=MAX_LAYERS)
+    @example(n=4, params=derive(5e-324, 5e-324), h_max=2)
+    def test_search_and_smooth_forms_match_the_per_call_logs(self, n, params, h_max):
+        search, *forms = row_forms_per_call(
+            n, params.R, params.Q, params.beta1, params.beta, params.c, params.log_beta1, h_max
+        )
+        assert _hex(_search_depth(n, params, h_max)) == _hex(search)
+        assert _hex(_smooth_forms(n, params)) == _hex(tuple(forms))
+        h_orig = math.sqrt(math.log(n / 2.0) / math.log(params.beta))
+        assert original_optimal_layers(n, params).hex() == h_orig.hex()
 
 
 class TestNetworkConfig:
@@ -269,9 +323,9 @@ class TestRecordContract:
     @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
     def test_fields_cannot_be_set_deleted_or_added(self, cls, kwargs, changed):
         record = cls(**kwargs)
-        for name in kwargs:
+        for name in cls.__slots__:  # the derived fields too
             with pytest.raises(AttributeError):
-                setattr(record, name, changed[name])
+                setattr(record, name, changed.get(name, 0.5))
             with pytest.raises(AttributeError):
                 delattr(record, name)
         with pytest.raises(AttributeError):
@@ -281,9 +335,12 @@ class TestRecordContract:
     @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
     def test_copies_and_pickles_are_equal(self, cls, kwargs, changed):
         record = cls(**kwargs)
+        # the constructor arguments alone travel; the derived fields are rebuilt
+        assert record.__reduce__() == (cls, tuple(kwargs.values()))
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(clone) is cls
             assert clone == record and hash(clone) == hash(record)
+            assert [getattr(clone, name) for name in cls.__slots__] == list(record._values)
 
     @pytest.mark.parametrize("cls,kwargs,changed", RECORDS, ids=RECORD_IDS)
     def test_hash_is_the_hash_of_the_values_in_every_copy(self, cls, kwargs, changed):
@@ -322,7 +379,9 @@ class TestRecordContract:
             (
                 derive(1.0, 1.0),
                 "SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=2.8284271247461903, c=4.0, "
-                "log_beta1=0.6931471805599453)",
+                "log_beta1=0.6931471805599453, log_1_plus_R_over_Q=0.6931471805599453, "
+                "half_log_c=0.6931471805599453, log_beta=1.039720770839918, "
+                "depth_ratio=0.8164965809277259)",
             ),
             (NetworkConfig(n=200), "NetworkConfig(n=200, area=1.0, alpha=3.0, c0=1.0)"),
         ],
