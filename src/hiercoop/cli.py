@@ -10,6 +10,11 @@ the file over built-in defaults. A subcommand offers only the flags it
 reads. The default rates R = Q = 1 are illustrative placeholders, not
 measurements.
 
+A command line whose first word names a subcommand is parsed once, by that
+subcommand's parser; words it leaves over get the root parser's
+"unrecognized arguments" error. Any other command line (-h, no subcommand,
+an unknown one, or a flag before it) goes through the root parser.
+
 Numbers are printed with 12 significant digits. Exit codes: 0 success,
 1 verify failure, 2 configuration error, 3 domain or infeasibility error
 (a float overflow counts as a domain error), 141 when the reader closed
@@ -221,18 +226,21 @@ def _load_config(path: str) -> dict[str, object]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args fills a fresh namespace each call
-    # and copies an append flag's list before extending it
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser, and each subcommand's parser by name.
+
+    Built once per process: a parse fills a fresh namespace each call and
+    copies an append flag's list before extending it.
+    """
     parser = argparse.ArgumentParser(
         prog="hiercoop",
         description="Throughput analysis of hierarchical cooperation schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (_, about, _) in _COMMANDS.items():
-        g = sub.add_parser(command, help=about).add_argument_group(
-            "options (flag > config file > default)"
-        )
+        commands[command] = sub.add_parser(command, help=about)
+        g = commands[command].add_argument_group("options (flag > config file > default)")
         g.add_argument("--config", metavar="PATH", help="INI config file")
         for name, opt in _OPTIONS.items():
             if command not in opt.commands:
@@ -245,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     f"--{opt.flag}", dest=name, action="append", metavar=opt.flag.upper(),
                     help=text,
                 )
-    return parser
+    return parser, commands
 
 
 def _merge(args: argparse.Namespace) -> dict[str, object]:
@@ -436,9 +444,23 @@ _COMMANDS: dict[str, tuple[Callable[[dict[str, object]], int], str, tuple[str, .
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # the root parser would scan such argv only to hand argv[1:] on to the
+    # same subcommand parser, whose leftovers it then reports as below
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     run, _, formats = _COMMANDS[args.command]

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: output formats, config merging, exit codes."""
+import argparse
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -494,7 +496,9 @@ class TestTradeoff:
         assert run_cli(capsys, *self.ARGS, "--format", "text") == plain
 
     def test_reused_parser_keeps_no_flag_value_between_calls(self, capsys):
-        assert cli._build_parser() is cli._build_parser()
+        parser, commands = cli._build_parser()
+        assert cli._build_parser()[0] is parser
+        assert cli._build_parser()[1]["tradeoff"] is commands["tradeoff"]
         rc, _, err = run_cli(capsys, "tradeoff", "--candidate", "2:1:1", "--candidate", "1:1:1")
         assert rc == 2 and "tradeoff needs a network size" in err
         rc, _, err = run_cli(capsys, "tradeoff", "--n", "200")
@@ -983,3 +987,118 @@ class TestTotality:
         if "--format=jsonl" in argv:
             for line in out.getvalue().splitlines():
                 json.loads(line)
+
+
+#: A value each flag accepts, small enough that a sweep stays cheap; a flag
+#: missing here gets "1". No good --config exists, so it names a missing file.
+_GOOD = {
+    "--rate-q": "2", "--n": "1024", "--grid": "16:1024:3:log", "--h-max": "4",
+    "--format": "jsonl", "--candidate": "2:1:1", "--config": "no-such-file.ini",
+}
+_FLAGS = ["--config", *(f"--{opt.flag or name}" for name, opt in cli._OPTIONS.items())]
+#: Values that some or all flags refuse, in argparse or after it.
+_BAD = ["-3", "x", "inf", "", "1e400", "-1:1:1", "4:64:0:log"]
+#: Words that are no flag's value: the separator, help, unknown, ambiguous and
+#: abbreviated flags, subcommand names out of place, stray positionals.
+_JUNK = [
+    "--", "-h", "--help", "--bogus", "--rate", "--conf", "--c", "-", "-x", "x", "--=1",
+    "analyze", "verify",
+]
+
+
+@st.composite
+def _words(draw):
+    """A flag alone, with a good or bad value spaced or joined by '=', or a junk word."""
+    kind = draw(st.sampled_from(["alone", "spaced", "joined", "junk"]))
+    if kind == "junk":
+        return [draw(st.sampled_from(_JUNK))]
+    flag = draw(st.sampled_from(_FLAGS))
+    value = draw(st.sampled_from([_GOOD.get(flag, "1"), *_BAD]))
+    return {"alone": [flag], "spaced": [flag, value], "joined": [f"{flag}={value}"]}[kind]
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly a subcommand and then words; one line in five starts with a word."""
+    head = draw(st.sampled_from([*cli._COMMANDS, None]))
+    words = [w for group in draw(st.lists(_words(), max_size=6)) for w in group]
+    return ([head] if head else []) + words
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _root_parse(argv):
+    # the reference route: the root parser scans argv, then hands the words
+    # after the subcommand to that subcommand's parser
+    return cli._build_parser()[0].parse_args(argv)
+
+
+class TestParseOnce:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_command_lines())
+    @example(argv=["analyze", "--n", "1024", "--bogus"])
+    @example(argv=["analyze", "--n", "1024", "stray"])
+    @example(argv=["analyze", "--n"])
+    @example(argv=["tradeoff", "--n", "200", "--candidate", "-1:1:1"])
+    @example(argv=["frobnicate", "--n", "1024"])
+    @example(argv=[])
+    @example(argv=["-h"])
+    @example(argv=["analyze", "-h"])
+    @example(argv=["analyze", "--n", "1024", "--rate", "2"])
+    @example(argv=["analyze", "--n=1024"])
+    @example(argv=["analyze", "--n", "1024", "--", "--rate-q", "2"])
+    @example(argv=["sweep", "--", "--grid", "16:1024:3:log", "--c-mh", "1"])
+    @example(argv=["analyze", "--n", "1024", "--n", "2048"])
+    @example(argv=["verify", "--n", "1024"])
+    @example(argv=["--", "analyze", "--n", "1024"])
+    @example(argv=["analyze", "--n", "1024", "--conf", "no-such-file.ini"])
+    @example(argv=["analyze", "--n", "1024", "--rate-q", "-3"])
+    def test_subcommand_parse_matches_the_root_parse(self, argv):
+        # exit code, stdout and stderr, usage and error texts included
+        got = _outcome(argv)
+        with mock.patch.object(cli, "_parse", _root_parse):
+            assert got == _outcome(argv)
+
+    @pytest.mark.parametrize(
+        "argv, parser",
+        [
+            (["analyze", "--n", "131072"], "hiercoop analyze"),
+            (["analyze", "--n", "20000", "--rate-q", "24", "--format", "jsonl"],
+             "hiercoop analyze"),
+            (["tradeoff", "--n", "200", "--candidate", "2:1:1"], "hiercoop tradeoff"),
+            (["sweep", "--grid", "16:1024:3:log", "--c-mh", "1"], "hiercoop sweep"),
+            (["verify"], "hiercoop verify"),
+            (["analyze", "--bogus"], "hiercoop analyze"),
+            (["-h"], None),
+            (["frobnicate"], None),
+        ],
+        ids=["analyze", "analyze-jsonl", "tradeoff", "sweep", "verify", "leftover", "help",
+             "unknown-command"],
+    )
+    def test_a_subcommand_line_is_parsed_once(self, capsys, monkeypatch, argv, parser):
+        # the root route scans argv, then hands it on to a second scan
+        seen = []
+        scan = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            seen.append(self.prog)
+            return scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        run_cli(capsys, *argv)
+        assert seen == ([parser] if parser else ["hiercoop"])
+        seen.clear()
+        with mock.patch.object(cli, "_parse", _root_parse):
+            run_cli(capsys, *argv)
+        assert seen == (["hiercoop", parser] if parser else ["hiercoop"])
+
+    def test_leftover_words_get_the_root_parsers_error(self, capsys):
+        rc, out, err = run_cli(capsys, "analyze", "--n", "1024", "--bogus", "x")
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[0].startswith("usage: hiercoop [-h]")
+        assert err.splitlines()[-1] == "hiercoop: error: unrecognized arguments: --bogus x"
