@@ -18,13 +18,20 @@ Three nested choices, each with a closed-form answer:
   best feasible depth is the nearest feasible one on either side of h*,
   and no other depth needs evaluating. LayerChoice reports h* as h_exact.
   A and a read the SchemeParams fields log_1_plus_R_over_Q and half_log_c,
-  taken once per rate pair, so a network size adds only log(n/2).
+  taken once per rate pair.
 * Depth h fits n nodes exactly when the balanced top size puts at least
   MIN_CLUSTER nodes in the equal-term bottom layer, that is when
   n >= 8 * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
   h, so the depths that fit are a run 2..H. The nearest feasible depth
   above h* is then floor(h*) + 1 or none at all, and the nearest one below
   is the first that fits walking down from floor(h*).
+* Every factor of the depth-h closed form but the powers of n depends on
+  the rate pair and h alone. Each SchemeParams keeps them per depth in a
+  table that _depth_factors fills, entry h on the first read of depth h,
+  with the switch point s_h below. So one depth evaluation takes three
+  powers: n**e for M1, (M1/2)**(1/(h-1)) for the bottom layer and
+  (n/2)**e for the value. The fit check and minimal_delay read the same
+  entry, and every figure keeps the bits of a per-call evaluation.
 * Which of the two wins is a closed-form test in log n: depth h + 1 beats
   depth h exactly when A > s_h = h*(h+1)*(log1p(1/h) + a), and a tie
   A = s_h goes to depth h. That test alone picks the depth: the search
@@ -69,15 +76,79 @@ def _size_at(i: int, h: int, M1: float, params: SchemeParams) -> float:
     )
 
 
-def _check_fit(h: int, M1: float, params: SchemeParams) -> None:
+class _Depth(NamedTuple):
+    """The factors of the depth-h closed form that read no n: entry h of a
+    SchemeParams's depth table. Each is the float that a per-call evaluation
+    takes first, so a product with a power of n keeps its bits."""
+
+    e: float
+    """(h-1)/h, the exponent of n in M1 and of n/2 in the value."""
+
+    top_scale: float
+    """2 * load**(-e), load = 8 * (1 + Q/R) * c**((h-2)/2): M1 = top_scale * n**e."""
+
+    bottom_scale: float
+    """2 * c**(-(h-2)/2): the bottom layer is bottom_scale * (M1/2)**bottom_power."""
+
+    bottom_power: float
+    """1/(h-1)."""
+
+    c_power: float
+    """c**((h-2)/2), the load's power of c and minimal_delay's; inf past float range."""
+
+    pre: float
+    """R / (h * (1+R/Q)**e * c**((h-1)/2)): the value is pre * (n/2)**e."""
+
+    switch: float
+    """s_h = h*(h+1)*(log1p(1/h) + a): depth h + 1 beats depth h exactly when A > s_h."""
+
+
+def _depth_factors(h: int, params: SchemeParams) -> _Depth:
+    # entry h of params' depth table, computed and stored on its first read;
+    # h in 2..MAX_LAYERS. Each factor takes the float operations, in their
+    # order, of an evaluation that takes every power per call, so every
+    # figure keeps its bits. Nothing here raises. Threads that race to fill
+    # an entry compute equal ones, and the last write stands.
+    e = (h - 1.0) / h
+    try:
+        c_power = params.c ** ((h - 2) / 2.0)
+    except OverflowError:
+        c_power = math.inf
+    # a load past float range drives M1 to 0, below MIN_CLUSTER
+    load = 8.0 * (1.0 + params.Q / params.R) * c_power
+    try:
+        pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
+    except OverflowError:
+        # never read: depth h fits only when n >= 8*(1 + Q/R)*c**((h-2)*(h+1)/2)
+        # (module docstring), at least the square of the c**((h-1)/2) that
+        # overflowed here (h >= 3), so no n that converts to float fits, and
+        # no evaluation gets past the fit check to the value; 0.0 is the
+        # limit, as at c = inf
+        pre = 0.0
+    depth = params._depths[h] = _Depth(
+        e,
+        2.0 * load ** (-e),
+        2.0 * params.c ** (-(h - 2) / 2.0),
+        1 / (h - 1.0),
+        c_power,
+        pre,
+        h * (h + 1) * (math.log1p(1.0 / h) + params.half_log_c),
+    )
+    return depth
+
+
+def _check_fit(h: int, M1: float, params: SchemeParams) -> _Depth:
     # the equal-term bottom layer, M1 itself at h=2, must hold at least
-    # MIN_CLUSTER nodes; as c > 1 the layers above it are then larger
-    bottom = _size_at(h - 1, h, M1, params)
+    # MIN_CLUSTER nodes; as c > 1 the layers above it are then larger.
+    # Returns depth h's table entry
+    depth = params._depths[h] or _depth_factors(h, params)
+    bottom = depth.bottom_scale * (M1 / 2.0) ** depth.bottom_power
     if bottom < MIN_CLUSTER:
         raise InfeasibleError(
             f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
             f"{bottom:.6g} is below {MIN_CLUSTER:g}"
         )
+    return depth
 
 
 def _check_top(h: int, M1: float) -> None:
@@ -116,12 +187,12 @@ def minimal_delay(h: int, M1: float, params: SchemeParams) -> DelaySlots:
     over optimal_cluster_sizes to 1e-12.
     """
     _check_top(h, M1)
-    _check_fit(h, M1, params)
+    depth = _check_fit(h, M1, params)
     term = (
         2.0
         * M1
         * (1.0 / params.R)
-        * params.c ** ((h - 2) / 2.0)
+        * depth.c_power
         * (M1 / 2.0) ** (1.0 / (h - 1))
     )
     return tuple.__new__(DelaySlots, ((h - 1) * term, (term,) * (h - 1)))
@@ -145,17 +216,14 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
 
 
 def _depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] | None:
-    # depth_optimum past its checks: h in 2..MAX_LAYERS, n >= MIN_NODES
-    try:
-        load = 8.0 * (1.0 + params.Q / params.R) * params.c ** ((h - 2) / 2.0)
-    except OverflowError:
-        # a load past float range drives M1 to 0, below MIN_CLUSTER
-        load = math.inf
-    e = (h - 1.0) / h
-    M1 = 2.0 * load ** (-e) * float(n) ** e
-    if M1 < MIN_CLUSTER or _size_at(h - 1, h, M1, params) < MIN_CLUSTER:
+    # depth_optimum past its checks: h in 2..MAX_LAYERS, n >= MIN_NODES; the
+    # factors that read no n come from params' depth table
+    e, top_scale, bottom_scale, bottom_power, _, pre, _ = (
+        params._depths[h] or _depth_factors(h, params)
+    )
+    M1 = top_scale * float(n) ** e
+    if M1 < MIN_CLUSTER or bottom_scale * (M1 / 2.0) ** bottom_power < MIN_CLUSTER:
         return None
-    pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     return M1, pre * (n / 2.0) ** e
 
 
@@ -261,6 +329,8 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     A is log(n/2) less params.log_1_plus_R_over_Q and a is params.half_log_c:
     the constructor takes both logs once per rate pair, in the float
     operations a per-call log would take, so they carry the same bits.
+    s_split is the switch field of depth split's table entry, taken once per
+    rate pair and depth in the same way.
 
     Tie contract: A = s_split takes split, and near it the float test may
     take either depth. A < log(2**61) < 43, so the test can err only where
@@ -285,7 +355,7 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     # 2..H, so if it does not, the best is the first that fits from h down
     if (
         h < h_max
-        and A > h * (h + 1) * (math.log1p(1.0 / h) + a)
+        and A > (params._depths[h] or _depth_factors(h, params)).switch
         and (best := _depth_optimum(h + 1, n, params)) is not None
     ):
         return tuple.__new__(LayerChoice, (h_exact, h_approx, h + 1, *best))

@@ -14,7 +14,10 @@ owns that domain, so no function past its constructor checks a constant.
 From the fields it also takes, once per rate pair, the logs that every
 network size reads: log_beta1, log_1_plus_R_over_Q = log(1 + R/Q) and
 half_log_c = log(c)/2 for the depth search, and log_beta = log(beta) and
-depth_ratio = sqrt(log_beta1/log_beta) for the smooth forms.
+depth_ratio = sqrt(log_beta1/log_beta) for the smooth forms. Past the
+fields, each SchemeParams carries an empty per-depth table that the
+optimizer fills, entry h on its first read of depth h, with the factors of
+the depth-h closed form that no network size changes.
 """
 from __future__ import annotations
 
@@ -85,7 +88,18 @@ class _Frozen:
         _set(self, "_values", values)
 
 
-class SchemeParams(_Frozen):
+class _DepthTabled(_Frozen):
+    """_Frozen plus a slot for the optimizer's per-depth table.
+
+    The slot is outside the fields: equality, hash, repr and pickle do not
+    read it, and as copies and pickles rebuild through __init__, each starts
+    with an empty table.
+    """
+
+    __slots__ = ("_depths",)
+
+
+class SchemeParams(_DepthTabled):
     """Rate pair plus the constants derived from it.
 
     Build instances with derive(). Constructing directly bypasses the
@@ -154,6 +168,8 @@ class SchemeParams(_Frozen):
         self._seal((
             R, Q, beta1, beta, c, log_beta1, log_1_plus_R_over_Q, half_log_c, log_beta, depth_ratio
         ))
+        # entry h, for h in 2..MAX_LAYERS, is optimizer._depth_factors(h, self)
+        _set(self, "_depths", [None] * (MAX_LAYERS + 1))
 
 
 def _rate_ratio(R: float, Q: float) -> float:

@@ -5,6 +5,11 @@ optimizer.layer_choice serves the depth search optimizer._search_depth. Both
 hit only on the very same key objects, so a test that counts misses starts
 from empty memos: a constant such as 131072 in a test's code is one object,
 and an earlier test may have left it as the key.
+
+The per-depth table that each SchemeParams carries (optimizer._depth_factors
+fills it) is no memo of an answer, and empty() leaves it as it is: an entry
+holds factors of the rate pair and the depth alone, so it moves none of the
+counts here. A test that needs empty tables builds fresh params.
 """
 import contextlib
 

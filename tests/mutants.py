@@ -61,11 +61,11 @@ MUTANTS = (
     ("size_at_M1_power_over_h", "optimizer",
      "(M1 / 2.0) ** ((h - i) / (h - 1.0))", "(M1 / 2.0) ** ((h - i) / h)"),
     ("minimal_delay_c_power_h_minus_1", "optimizer",
-     "params.c ** ((h - 2) / 2.0)\n        * (M1", "params.c ** ((h - 1) / 2.0)\n        * (M1"),
+     "* depth.c_power\n", "* depth.c_power * params.c ** 0.5\n"),
     ("minimal_delay_M1_power_over_h", "optimizer",
      "(M1 / 2.0) ** (1.0 / (h - 1))", "(M1 / 2.0) ** (1.0 / h)"),
     ("load_c_power_h_minus_1", "optimizer",
-     "params.R) * params.c ** ((h - 2) / 2.0)", "params.R) * params.c ** ((h - 1) / 2.0)"),
+     "params.R) * c_power", "params.R) * c_power * params.c ** 0.5"),
     ("balanced_M1_load_power_e_minus_1", "optimizer", "load ** (-e)", "load ** (e - 1.0)"),
     ("balanced_M1_reads_n_over_2", "optimizer", "float(n) ** e", "float(n / 2.0) ** e"),
     ("depth_value_takes_1_plus_Q_over_R", "optimizer",
@@ -77,7 +77,7 @@ MUTANTS = (
      "half_log_c = 0.5 * math.log(c)", "half_log_c = math.log(c)"),
     ("h_exact_root_takes_2aA", "optimizer", "sqrt(1.0 + 4.0 * a * A)", "sqrt(1.0 + 2.0 * a * A)"),
     ("switch_point_log1p_over_h_plus_1", "optimizer",
-     "math.log1p(1.0 / h) + a", "math.log1p(1.0 / (h + 1)) + a"),
+     "math.log1p(1.0 / h) + params.half_log_c", "math.log1p(1.0 / (h + 1)) + params.half_log_c"),
     ("pre_constant_reads_n", "throughput",
      "value / (n / 2.0) ** exponent", "value / float(n) ** exponent"),
     ("c_n_power_1_minus_2_over_root", "throughput",
@@ -119,8 +119,8 @@ MUTANTS = (
     ("balanced_M1_at_the_floor_fails", "optimizer",
      "if M1 < MIN_CLUSTER or", "if M1 <= MIN_CLUSTER or"),
     ("balanced_bottom_at_the_floor_fails", "optimizer",
-     "params) < MIN_CLUSTER:", "params) <= MIN_CLUSTER:"),
-    ("switch_point_tie_goes_deeper", "optimizer", "A > h * (h + 1)", "A >= h * (h + 1)"),
+     "bottom_power < MIN_CLUSTER:", "bottom_power <= MIN_CLUSTER:"),
+    ("switch_point_tie_goes_deeper", "optimizer", "A > (params._depths[h]", "A >= (params._depths[h]"),
     ("plan_size_at_the_floor_fails", "params",
      "if not MIN_CLUSTER <= m < above:", "if not MIN_CLUSTER < m < above:"),
     ("rate_ratio_quarter_admitted", "params",
@@ -131,6 +131,13 @@ MUTANTS = (
     ("time_sharing_factor_3", "recurrence", "TIME_SHARING_FACTOR = 4", "TIME_SHARING_FACTOR = 3"),
     ("min_cluster_3", "params", "MIN_CLUSTER = 2.0", "MIN_CLUSTER = 3.0"),
     ("ratio_route_tol_1e-6", "explorer", "RATIO_ROUTE_TOL = 1e-9", "RATIO_ROUTE_TOL = 1e-6"),
+    # the per-depth table: an entry stored under the next depth, one table
+    # shared by every SchemeParams
+    ("depth_table_entry_under_h_plus_1", "optimizer",
+     "depth = params._depths[h] = _Depth(", "depth = params._depths[h + 1] = _Depth("),
+    ("depth_table_shared_by_all_params", "params",
+     '_set(self, "_depths", [None] * (MAX_LAYERS + 1))',
+     '_set(self, "_depths", globals().setdefault("_depths", [None] * (MAX_LAYERS + 1)))'),
     # each memo writes its key before its value: a racing reader can pair
     # the new key with the old entry's value
     ("smooth_memo_key_before_value", "throughput",

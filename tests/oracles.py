@@ -5,7 +5,9 @@ loops, bracketing searches or 50- and 60-digit arithmetic, and nothing
 imports the package under test, except sweep_rows_per_config, which
 builds sweep rows through the public API, a NetworkConfig per row.
 Agreement between these and the closed forms is the point of the tests
-that use them.
+that use them. The *_per_call functions are the exception: they keep the
+package's own float operations as it took them on every call, before it
+kept the factors of a rate pair or a depth, so they pin bits, not the model.
 """
 import math
 
@@ -179,6 +181,78 @@ def best_depth_by_scan(n, R, Q, c, h_max):
     return best_h
 
 
+class Refused(Exception):
+    """The refusal a per-call reference gives where the package raises
+    InfeasibleError, with the same text."""
+
+
+def depth_optimum_per_call(h, n, R, Q, c):
+    """(M1, value) at depth h in 2..64, or None when the depth does not fit,
+    with every power of c, of 1 + Q/R and of the load taken on the call.
+
+    The float operations are depth_optimum's, in its order, as it took them
+    before the factors that read no n were kept per depth: the package's
+    figures must match these bit for bit.
+    """
+    try:
+        load = 8.0 * (1.0 + Q / R) * c ** ((h - 2) / 2.0)
+    except OverflowError:
+        load = math.inf
+    e = (h - 1.0) / h
+    M1 = 2.0 * load ** (-e) * float(n) ** e
+    if M1 < 2.0 or 2.0 * c ** (-((h - 2) * 1) / 2.0) * (M1 / 2.0) ** (1 / (h - 1.0)) < 2.0:
+        return None
+    pre = R / (h * (1.0 + R / Q) ** e * c ** ((h - 1) / 2.0))
+    return M1, pre * (n / 2.0) ** e
+
+
+def switch_point_per_call(h, c):
+    """s_h = h*(h+1)*(log1p(1/h) + log(c)/2), taken on the call."""
+    return h * (h + 1) * (math.log1p(1.0 / h) + 0.5 * math.log(c))
+
+
+def search_per_call(n, R, Q, c, log_beta1, h_max):
+    """The depth search's (h_exact, h_approx, h_int, M1, value), or None when
+    no depth in 2..h_max fits, with every log and power but log_beta1 taken
+    on the call.
+
+    A = log(n/2) - log(1 + R/Q) and a = log(c)/2. It tests A > s_h at
+    h = floor(h*) clamped to 2..h_max, then walks down from h past depths
+    that depth_optimum_per_call refuses.
+    """
+    half = n / 2.0
+    h_approx = math.sqrt(math.log(half) / log_beta1)
+    A = math.log(half) - math.log(1.0 + R / Q)
+    a = 0.5 * math.log(c)
+    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
+    h = min(max(math.floor(h_exact), 2), h_max)
+    if h < h_max and A > switch_point_per_call(h, c):
+        best = depth_optimum_per_call(h + 1, n, R, Q, c)
+        if best is not None:
+            return (h_exact, h_approx, h + 1, *best)
+    for h in range(h, 1, -1):
+        best = depth_optimum_per_call(h, n, R, Q, c)
+        if best is not None:
+            return (h_exact, h_approx, h, *best)
+    return None
+
+
+def minimal_delay_per_call(h, M1, R, c):
+    """(slots, terms) of the equal-term delay at depth h in 2..64, with every
+    power taken on the call; Refused, with the package's text, for a top
+    size that is not finite or under 2 nodes, or a bottom layer under 2."""
+    if not (math.isfinite(M1) and M1 >= 2.0):
+        raise Refused(f"top cluster must hold >= 2 nodes, got {M1}")
+    bottom = 2.0 * c ** (-((h - 2) * 1) / 2.0) * (M1 / 2.0) ** (1 / (h - 1.0))
+    if bottom < 2.0:
+        raise Refused(
+            f"depth h={h} does not fit below M1={M1:g}: bottom cluster size "
+            f"{bottom:.6g} is below 2"
+        )
+    term = 2.0 * M1 * (1.0 / R) * c ** ((h - 2) / 2.0) * (M1 / 2.0) ** (1.0 / (h - 1))
+    return (h - 1) * term, (term,) * (h - 1)
+
+
 def row_forms_per_call(n, R, Q, beta1, beta, c, log_beta1, h_max):
     """(search, smooth, original, closed) at (n, h_max), with every log of the
     rate pair but log_beta1 taken here on each call.
@@ -190,33 +264,11 @@ def row_forms_per_call(n, R, Q, beta1, beta, c, log_beta1, h_max):
     A = log(n/2) - log(1 + R/Q), a = log(c)/2, log(beta) and
     sqrt(log_beta1/log(beta)), the root taken twice, follow the closed forms
     operation for operation, so constants taken once per rate pair must
-    reproduce every figure bit for bit. The depth search tests A > s_h at
-    h = floor(h*) clamped to 2..h_max and walks down from h past depths that
-    balanced_top_by_formula refuses.
+    reproduce every figure bit for bit. The search is search_per_call's.
     """
     half = n / 2.0
-    h_approx = math.sqrt(math.log(half) / log_beta1)
-    A = math.log(half) - math.log(1.0 + R / Q)
-    a = 0.5 * math.log(c)
-    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
-    h = min(max(math.floor(h_exact), 2), h_max)
-
-    def at(h):
-        M1 = balanced_top_by_formula(h, n, R, Q, c)
-        if M1 is None:
-            return None
-        e = (h - 1.0) / h
-        value = R / (h * (1.0 + R / Q) ** e * c ** ((h - 1) / 2.0)) * half ** e
-        return h_exact, h_approx, h, M1, value
-
-    search = None
-    if h < h_max and A > h * (h + 1) * (math.log1p(1.0 / h) + a):
-        search = at(h + 1)
-    while search is None and h >= 2:
-        search = at(h)
-        h -= 1
-
-    root = h_approx
+    search = search_per_call(n, R, Q, c, log_beta1, h_max)
+    root = math.sqrt(math.log(half) / log_beta1)
     c_n = (1.0 + R / Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = beta1 * R / (c_n * root)

@@ -607,10 +607,11 @@ class TestOneEntryMemos:
     def test_threads_sharing_the_memos_get_the_single_threaded_rows(self, monkeypatch):
         # four threads sweep the same slices of a log grid, each starting on
         # another of the two rate pairs and alternating them, with a thread
-        # switch asked for every microsecond; each cold body also yields the
-        # GIL first, so other threads run between a miss's read of the entry
-        # and its write. A race may cost a recomputation, never a row built
-        # from another key's entry
+        # switch asked for every microsecond; each cold body, and each fill
+        # of a depth-table entry, also yields the GIL first, so other threads
+        # run between a miss's read of the entry and its write. The threads
+        # start on fresh params, whose depth tables they race to fill. A race
+        # may cost a recomputation, never a row built from another key's entry
         def yielding(body):
             def cold(*args):
                 time.sleep(0)  # releases the GIL
@@ -619,10 +620,13 @@ class TestOneEntryMemos:
 
         monkeypatch.setattr(throughput, "_smooth_forms", yielding(throughput._smooth_forms))
         monkeypatch.setattr(optimizer, "_search_depth", yielding(optimizer._search_depth))
+        monkeypatch.setattr(optimizer, "_depth_factors", yielding(optimizer._depth_factors))
         grid = [round(4 * (2.0**60) ** (i / 199)) for i in range(200)]
         slices = [grid[i : i + 10] for i in range(0, len(grid), 10)]
-        pairs = (derive(1.0, 1.0), derive(1.0, 24.0))
-        want = [[compare_schemes(s, UNIT_CFG, p, c_mh=1.0) for s in slices] for p in pairs]
+        rates = ((1.0, 1.0), (1.0, 24.0))
+        want = [[compare_schemes(s, UNIT_CFG, derive(*r), c_mh=1.0) for s in slices] for r in rates]
+        pairs = tuple(derive(*r) for r in rates)
+        assert not any(any(p._depths) for p in pairs)
         got = [[] for _ in range(4)]
         start = threading.Barrier(4, timeout=60)
 

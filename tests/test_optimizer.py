@@ -28,14 +28,18 @@ import memos
 from hiercoop.params import check_layer_count
 from hiercoop.recurrence import delay_closed_form
 from oracles import (
+    Refused,
     balanced_top_by_formula,
     best_depth_by_scan,
     coordinate_descent_min,
     depth_log_values,
+    depth_optimum_per_call,
     golden_max,
     grid_min,
+    minimal_delay_per_call,
+    search_per_call,
 )
-from strategies import ABOVE_ONE, rate_params, search_params
+from strategies import ABOVE_ONE, corrupt_params, rate_params, search_params
 
 
 class TestClusterSizes:
@@ -720,3 +724,97 @@ class TestNonPositiveC:
             depth_optimum(2, 3, params)
         with pytest.raises(InfeasibleError, match="top cluster"):
             minimal_delay(3, 1.5, params)
+
+
+def _outcome(call):
+    # the floats of a result by their bits, tuples field by field, or the
+    # error's type and text; a per-call reference's Refused stands for the
+    # InfeasibleError the package raises with that text
+    try:
+        got = call()
+    except Refused as exc:
+        return "InfeasibleError", str(exc)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return _hex(got)
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_hex, value))
+    return value
+
+
+def _layer_report_per_call(h, n, p):
+    # layer_throughput's report over the per-call depth arithmetic
+    best = depth_optimum_per_call(h, n, p.R, p.Q, p.c)
+    if best is None:
+        return None
+    M1, value = best
+    e = (h - 1.0) / h
+    return value, float(h), M1, None, value / (n / 2.0) ** e, e, None
+
+
+class TestDepthTable:
+    """Each SchemeParams keeps, per depth h, the factors of the depth-h closed
+    form that read no n, filled on the first read of depth h. Every figure
+    keeps the bits of the per-call arithmetic, whichever depths were read
+    first and in whatever order."""
+
+    @settings(max_examples=300)
+    @given(
+        params=search_params() | corrupt_params(),
+        h=st.integers(2, MAX_LAYERS),
+        n=st.integers(2, 62).flatmap(lambda k: st.integers(4, 2**k)),
+        M1=st.floats(1.0, 2.0**62) | st.sampled_from([math.inf, math.nan]),
+        h_max=st.integers(2, MAX_LAYERS),
+        first=st.lists(st.integers(2, MAX_LAYERS), max_size=8),
+    )
+    @example(params=_with_c(math.inf), h=3, n=2**40, M1=512.0, h_max=MAX_LAYERS, first=[])
+    @example(params=_with_c(math.inf), h=2, n=2**40, M1=512.0, h_max=MAX_LAYERS, first=[3, 2])
+    @example(params=derive(1.0, 4.49e307), h=MAX_LAYERS, n=2**62, M1=2.0**62, h_max=MAX_LAYERS,
+             first=[MAX_LAYERS, 2])
+    @example(params=derive(1.0, 0.25 + 1e-9), h=MAX_LAYERS, n=2**62, M1=2.0**61,
+             h_max=MAX_LAYERS, first=[63, 64, 62])
+    @example(params=derive(1.0, 1.0), h=3, n=131072, M1=512.0, h_max=MAX_LAYERS, first=[4, 3])
+    def test_every_route_keeps_the_per_call_bits(self, params, h, n, M1, h_max, first):
+        p = params
+        for d in first:
+            depth_optimum(d, 2**40, p)
+        want = {
+            "depth_optimum": _outcome(lambda: depth_optimum_per_call(h, n, p.R, p.Q, p.c)),
+            "layer_choice": _outcome(lambda: search_per_call(n, p.R, p.Q, p.c, p.log_beta1, h_max)),
+            "layer_throughput": _outcome(lambda: _layer_report_per_call(h, n, p)),
+            "minimal_delay": _outcome(lambda: minimal_delay_per_call(h, M1, p.R, p.c)),
+        }
+        # the first round may fill entries, the second reads them
+        for _ in range(2):
+            got = {
+                "depth_optimum": _outcome(lambda: depth_optimum(h, n, p)),
+                "layer_choice": _outcome(lambda: _search_depth(n, p, h_max)),
+                "layer_throughput": _outcome(lambda: layer_throughput(h, n, p)),
+                "minimal_delay": _outcome(lambda: minimal_delay(h, M1, p)),
+            }
+            assert got == want
+        assert _outcome(lambda: layer_choice(n, p, h_max)) == want["layer_choice"]
+
+    def test_the_first_read_of_a_depth_fills_its_entry_alone(self):
+        params = derive(1.0, 1.0)
+        assert params._depths == [None] * (MAX_LAYERS + 1)
+        depth_optimum(5, 2**40, params)
+        assert [h for h, entry in enumerate(params._depths) if entry] == [5]
+        minimal_delay(3, 512.0, params)
+        assert [h for h, entry in enumerate(params._depths) if entry] == [3, 5]
+        entry = params._depths[5]
+        depth_optimum(5, 2**50, params)
+        assert params._depths[5] is entry
+
+    def test_each_rate_pair_has_a_table_of_its_own(self):
+        one, other = derive(1.0, 1.0), derive(1.0, 24.0)
+        depth_optimum(3, 2**40, one)
+        assert one._depths[3] is not None and other._depths[3] is None
+        depth_optimum(3, 2**40, other)
+        assert one._depths[3] != other._depths[3]
+        assert one._depths[3] == optimizer._depth_factors(3, derive(1.0, 1.0))

@@ -27,7 +27,7 @@ from hiercoop import (
     smooth_modified,
 )
 from hiercoop.cli import _OPTIONS
-from hiercoop.params import _Frozen
+from hiercoop.params import _DepthTabled, _Frozen
 from hiercoop.recurrence import delay_closed_form
 
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
@@ -168,7 +168,7 @@ def test_a_record_checks_or_derives_in_init_or_is_a_named_tuple():
         if isinstance(cls, type)
         and cls.__module__ == mod.__name__
         and not issubclass(cls, (Exception, enum.Enum))
-        and cls is not _Frozen
+        and cls not in (_Frozen, _DepthTabled)  # the bases, not records
     ]
     frozen = [cls.__qualname__ for cls in records if issubclass(cls, _Frozen)]
     assert sorted(frozen) == ["NetworkConfig", "SchemeParams"]

@@ -16,7 +16,7 @@ from hiercoop import (
     derive,
     validate_plan,
 )
-from hiercoop.optimizer import _search_depth, depth_optimum
+from hiercoop.optimizer import _search_depth, depth_optimum, layer_choice, minimal_delay
 from hiercoop.params import MIN_CLUSTER, MIN_NODES, check_layer_count, smooth_depth
 from hiercoop.throughput import _smooth_forms, original_optimal_layers, throughput_given_M1
 from oracles import row_forms_per_call
@@ -365,6 +365,22 @@ class TestRecordContract:
         assert (1, params) == (1, params) and {(1, params): 0}[(1, params)] == 0
         assert calls == []
         assert params == derive(1.0, 1.0) and len(calls) == 1
+
+    def test_the_depth_table_is_outside_the_fields(self):
+        # the optimizer's per-depth table: no field, no part of equality,
+        # hash, repr or pickle, and empty in every copy
+        filled, fresh = derive(1.0, 1.0), derive(1.0, 1.0)
+        layer_choice(2**40, filled)
+        minimal_delay(3, 512.0, filled)
+        assert tuple(SchemeParams.__slots__) == ("R", "Q", "beta1", "beta", "c", *DERIVED)
+        assert any(filled._depths) and fresh._depths == [None] * (MAX_LAYERS + 1)
+        assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+        assert filled.__reduce__() == fresh.__reduce__()
+        for clone in (copy.copy(filled), copy.deepcopy(filled),
+                      pickle.loads(pickle.dumps(filled))):
+            assert clone == filled and clone._depths == [None] * (MAX_LAYERS + 1)
+        with pytest.raises(AttributeError):
+            filled._depths = []
 
     def test_copies_rebuild_through_the_checks(self, monkeypatch):
         cfg = NetworkConfig(n=200)
