@@ -61,8 +61,7 @@ from typing import NamedTuple
 
 from .errors import InfeasibleError, PlanError
 from .params import (
-    MAX_LAYERS, MIN_CLUSTER, SchemeParams, check_layer_count, check_network_size, smooth_depth,
-    validate_plan,
+    MAX_LAYERS, MIN_CLUSTER, SchemeParams, check_layer_count, check_network_size, validate_plan,
 )
 from .recurrence import DelaySlots
 
@@ -326,9 +325,12 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     nats, and depth h + 1, taken when A > s_h, by h*(h+1)*log1p(1/h) > 2.4.
     The walk down is kept for directly built params; on derived ones it never moves.
 
-    A is log(n/2) less params.log_1_plus_R_over_Q and a is params.half_log_c:
-    the constructor takes both logs once per rate pair, in the float
-    operations a per-call log would take, so they carry the same bits.
+    n is checked once and x = log(n/2) is taken once, and both of its
+    readings come from x: h_approx = sqrt(x/log_beta1), in the float
+    operations of smooth_depth(n, params) (in params), so with its bits, and
+    A = x - params.log_1_plus_R_over_Q. a is params.half_log_c: the
+    constructor takes both rate-pair logs once, in the float operations a
+    per-call log would take, so they carry the same bits.
     s_split is the switch field of depth split's table entry, taken once per
     rate pair and depth in the same way.
 
@@ -339,13 +341,16 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     within 4 * 43 * 2**-53 < 2e-14 of its exact value. So a wrong pick
     needs |A - s_split| < 4e-14, and the depth it takes then trails the
     better one by |A - s_split| / (split*(split+1)) < 4e-14 / 6, under
-    1e-14 in natural-log throughput.
+    1e-14 in natural-log throughput. That holds up to n = 2**62; past it,
+    up to float range, A < 710 and the same steps bound the loss by 2e-13.
     """
-    h_approx = smooth_depth(n, params)
+    check_network_size(n)
+    x = math.log(n / 2.0)
+    h_approx = math.sqrt(x / params.log_beta1)
 
     # h* from the c that depth_optimum uses, in a form that neither cancels
     # as c -> 1 nor fails when c overflows to inf (h* = 0)
-    A = math.log(n / 2.0) - params.log_1_plus_R_over_Q
+    A = x - params.log_1_plus_R_over_Q
     a = params.half_log_c
     h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
     # floor(h*) clamped to 2..h_max; the conditionals cost less than min(max(...))

@@ -11,6 +11,11 @@ shuffled around inside a cluster. Their ratio fixes the constants
 
 Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/4. SchemeParams
 owns that domain, so no function past its constructor checks a constant.
+check_network_size owns the domain of n: at least MIN_NODES nodes, and for
+an int n a value that float() converts, since every formula reads n only
+through x = log(n/2) and powers of n/2. smooth_depth, sqrt(x/log_beta1), is
+the public definition of the two-phase depth; the row kernels take it from
+their own x in the same float operations.
 From the fields it also takes, once per rate pair, the logs that every
 network size reads: log_beta1, log_1_plus_R_over_Q = log(1 + R/Q) and
 half_log_c = log(c)/2 for the depth search, and log_beta = log(beta) and
@@ -31,11 +36,16 @@ MAX_LAYERS = 64
 #: Q/R at or below this, extra layers stop paying for themselves.
 MIN_RATE_RATIO = 0.25
 
-#: Largest network size accepted; keeps grid interpolation and n/2 in float range.
+#: Largest network size the CLI accepts; keeps grid interpolation and n/2 in float range.
 N_MAX = 2**62
 
 #: Smallest network size accepted; keeps log(n/2) positive.
 MIN_NODES = 4
+
+#: The least int that float() refuses: half an ulp above the largest float,
+#: 2**1024 - 2**971, rounds to even, up to 2**1024. check_network_size
+#: refuses an int n from here up.
+_INT_PAST_FLOAT = 2**1024 - 2**970
 
 #: A cluster must hold at least this many nodes to be worth the name.
 MIN_CLUSTER = 2.0
@@ -203,19 +213,35 @@ def derive(R: float, Q: float) -> SchemeParams:
 
 
 def check_network_size(n: int) -> None:
-    """Raise DomainError unless the network holds at least MIN_NODES nodes."""
+    """Raise DomainError unless the network holds at least MIN_NODES nodes
+    and, for an int n, float(n) is finite.
+
+    Every formula reads n as a float, through n/2, so an int that float()
+    refuses is refused here, named by its bit length, rather than failing
+    later with an OverflowError. A float n is taken as it is.
+    """
     if n < MIN_NODES:
         raise DomainError(f"need n >= {MIN_NODES}, got {n}")
+    if n >= _INT_PAST_FLOAT and isinstance(n, int):
+        raise DomainError(f"n must convert to a float, got an int of {n.bit_length()} bits")
 
 
 def smooth_depth(n: int, params: SchemeParams) -> float:
-    """Real-valued optimal depth sqrt(log_beta1(n/2)) of the two-phase scheme."""
+    """Real-valued optimal depth sqrt(log_beta1(n/2)) of the two-phase scheme.
+
+    The row kernels, throughput._smooth_forms and optimizer._search_depth,
+    take this depth from their one log(n/2) in the same float operations.
+    """
     check_network_size(n)
     return math.sqrt(math.log(n / 2.0) / params.log_beta1)
 
 
 def _check_node_count(n: int) -> None:
-    """NetworkConfig's check on n; compare_schemes makes it per row without one."""
+    """NetworkConfig's check on n; compare_schemes makes it per row without one.
+
+    An int n past float range passes it: NetworkConfig refuses that with
+    check_network_size, and a sweep row with the first metric that reads n.
+    """
     if not isinstance(n, int) or n < MIN_NODES:
         raise ValueError(f"n must be an integer >= {MIN_NODES}, got {n!r}")
 
@@ -232,6 +258,7 @@ class NetworkConfig(_Frozen):
 
     def __init__(self, n: int, area: float = 1.0, alpha: float = 3.0, c0: float = 1.0) -> None:
         _check_node_count(n)
+        check_network_size(n)
         if not (math.isfinite(area) and area > 0):
             raise ValueError(f"area must be positive and finite, got {area}")
         if not (math.isfinite(alpha) and alpha >= 2):

@@ -26,7 +26,11 @@ explorer.ratio_original_closed_form read one one-entry memo, _smooth_memo, of
 the last (n, params): a repeat with the same n and params objects reuses it,
 so the back-to-back repeats of a sweep row or an analyze report compute once.
 An equal but distinct n or params computes afresh, nothing is reused across
-network sizes, and a call that raises stores nothing.
+network sizes, and a call that raises stores nothing. That kernel,
+_smooth_forms, checks n once, takes n/2 and x = log(n/2) once, and reads both
+smooth depths from x: smooth_depth's sqrt(x/log_beta1) and
+original_optimal_layers's sqrt(x/log_beta), each in the float operations of
+its public definition.
 """
 from __future__ import annotations
 
@@ -145,26 +149,36 @@ def _smooth_memo(n: int, params: SchemeParams) -> tuple[ThroughputReport, float,
 def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float, float]:
     """(smooth_modified, original_throughput, closed-form ratio) at (n, params).
 
-    smooth_depth, c_n and the three-phase depth are each evaluated once, and
-    no depth is searched; log(beta) and sqrt(log_beta(beta1)) are the
+    n is checked once, and n/2 and x = log(n/2) are taken once. Each smooth depth
+    comes from x in the float operations of its public definition and keeps
+    its bits: the two-phase root sqrt(x/log_beta1) is smooth_depth(n, params)
+    (in params), the three-phase depth sqrt(x/log_beta) is
+    original_optimal_layers(n, params). c_n is evaluated once, and no depth
+    is searched; log(beta) and sqrt(log_beta(beta1)) are the
     SchemeParams fields log_beta and depth_ratio, taken once per rate pair.
     Each public form reads this kernel alone, through _smooth_memo, so the
     public calls per sweep row stay as they were. Tests call it as the cold
     reference.
     The two ratio routes share c_n and both depths but no power of n/2 or of
-    beta. It raises only smooth_depth's errors; no power overflows: beta's is
-    at most exp(2*sqrt(log(2**61)*log(beta))) < exp(347), c_n's base is below
-    5, and the exponents on n/2 are below 1.
+    beta. Up to n = 2**62 it raises only check_network_size's errors; no
+    power overflows: beta's is at most exp(2*sqrt(log(2**61)*log(beta))) <
+    exp(347), c_n's base is below 5, and the exponents on n/2 are below 1.
+    Past 2**62 beta's power stays in range for derive()d params, but may
+    overflow for directly built ones whose beta is far above beta1; that
+    OverflowError propagates.
     """
-    root = smooth_depth(n, params)
+    check_network_size(n)
+    half = n / 2.0
+    x = math.log(half)
+    root = math.sqrt(x / params.log_beta1)
     c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
     exponent = 1.0 - 2.0 / root
     pre = params.beta1 * params.R / (c_n * root)
     smooth = tuple.__new__(
-        ThroughputReport, (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
+        ThroughputReport, (pre * half ** exponent, root, None, None, pre, exponent, c_n)
     )
-    h = math.sqrt(math.log(n / 2.0) / params.log_beta)
-    original = params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
+    h = math.sqrt(x / params.log_beta)
+    original = params.beta * params.R / h * half ** (1.0 - 2.0 / h)
     front = params.beta1 * params.depth_ratio / (c_n * params.beta)
     closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
     return smooth, original, closed
@@ -188,7 +202,8 @@ def upper_bound(n: int, params: SchemeParams) -> float:
     fits n, stays at or below this; the smooth convention does not, so never
     test it against this bound.
     """
-    return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / smooth_depth(n, params))
+    root = smooth_depth(n, params)  # checks n before n/2 is taken
+    return params.beta1 * params.R * (n / 2.0) ** (1.0 - 2.0 / root)
 
 
 def original_optimal_layers(n: int, params: SchemeParams) -> float:

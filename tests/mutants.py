@@ -56,6 +56,10 @@ MUTANTS = (
      "beta=2.0 * math.sqrt(1.0 + ratio),", "beta=math.sqrt(4.0 + ratio),"),
     ("smooth_depth_reads_log_n", "params",
      "math.log(n / 2.0) / params.log_beta1", "math.log(n) / params.log_beta1"),
+    ("smooth_forms_root_reads_log_n", "throughput",
+     "root = math.sqrt(x / params.log_beta1)", "root = math.sqrt(math.log(n) / params.log_beta1)"),
+    ("h_approx_over_log_beta", "optimizer",
+     "h_approx = math.sqrt(x / params.log_beta1)", "h_approx = math.sqrt(x / params.log_beta)"),
     ("size_at_c_power_h_minus_i_minus_1", "optimizer",
      "params.c ** (-((i - 1) * (h - i)) / 2.0)", "params.c ** (-((i - 1) * (h - i - 1)) / 2.0)"),
     ("size_at_M1_power_over_h", "optimizer",
@@ -85,14 +89,13 @@ MUTANTS = (
     ("smooth_exponent_1_minus_1_over_root", "throughput",
      "exponent = 1.0 - 2.0 / root", "exponent = 1.0 - 1.0 / root"),
     ("smooth_value_reads_n", "throughput",
-     "(pre * (n / 2.0) ** exponent,", "(pre * float(n) ** exponent,"),
+     "(pre * half ** exponent,", "(pre * float(n) ** exponent,"),
     ("log_beta_takes_log1p", "params",
      "log_beta = math.log(beta)", "log_beta = math.log1p(beta)"),
     ("three_phase_depth_reads_log_n", "throughput",
-     "h = math.sqrt(math.log(n / 2.0) / params.log_beta)",
-     "h = math.sqrt(math.log(n) / params.log_beta)"),
+     "h = math.sqrt(x / params.log_beta)", "h = math.sqrt(math.log(n) / params.log_beta)"),
     ("three_phase_value_power_1_minus_1_over_h", "throughput",
-     "(n / 2.0) ** (1.0 - 2.0 / h)", "(n / 2.0) ** (1.0 - 1.0 / h)"),
+     "half ** (1.0 - 2.0 / h)", "half ** (1.0 - 1.0 / h)"),
     ("closed_ratio_front_drops_the_sqrt", "throughput",
      "params.beta1 * params.depth_ratio /",
      "params.beta1 * (params.log_beta1 / params.log_beta) /"),
@@ -100,7 +103,7 @@ MUTANTS = (
      "params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)",
      "params.beta ** ((1.0 - params.depth_ratio) * h)"),
     ("upper_bound_power_1_minus_1_over_root", "throughput",
-     "(1.0 - 2.0 / smooth_depth(n, params))", "(1.0 - 1.0 / smooth_depth(n, params))"),
+     "** (1.0 - 2.0 / root)", "** (1.0 - 1.0 / root)"),
     ("original_layers_log_beta1", "throughput",
      "return math.sqrt(math.log(n / 2.0) / params.log_beta)",
      "return math.sqrt(math.log(n / 2.0) / math.log(params.beta1))"),
@@ -127,6 +130,8 @@ MUTANTS = (
      "if ratio <= MIN_RATE_RATIO:", "if ratio < MIN_RATE_RATIO:"),
     ("top_equal_to_n_refused", "throughput", "if not M1 <= n:", "if not M1 < n:"),
     ("classify_boundary_sparse", "area", "if demand <= supply:", "if demand < supply:"),
+    ("float_bound_off_by_one_bit", "params",
+     "_INT_PAST_FLOAT = 2**1024 - 2**970", "_INT_PAST_FLOAT = 2**1024 - 2**969"),
     # the constants
     ("time_sharing_factor_3", "recurrence", "TIME_SHARING_FACTOR = 4", "TIME_SHARING_FACTOR = 3"),
     ("min_cluster_3", "params", "MIN_CLUSTER = 2.0", "MIN_CLUSTER = 3.0"),

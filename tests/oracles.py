@@ -8,6 +8,9 @@ Agreement between these and the closed forms is the point of the tests
 that use them. The *_per_call functions are the exception: they keep the
 package's own float operations as it took them on every call, before it
 kept the factors of a rate pair or a depth, so they pin bits, not the model.
+Two of them, smooth_forms_per_call and search_depth_per_call, are the row
+kernels as they stood before each took log(n/2) once: they read each depth
+from its public definition in the package, with its own check and log.
 """
 import math
 
@@ -253,6 +256,50 @@ def minimal_delay_per_call(h, M1, R, c):
     return (h - 1) * term, (term,) * (h - 1)
 
 
+def smooth_forms_per_call(n, params):
+    """throughput._smooth_forms's (smooth report, T_orig, closed-form ratio),
+    with the two-phase root from params.smooth_depth and the three-phase
+    depth from throughput.original_optimal_layers: two checks of n and two
+    logs of n/2 per call. The smooth report is a plain tuple."""
+    from hiercoop.params import smooth_depth
+    from hiercoop.throughput import original_optimal_layers
+
+    root = smooth_depth(n, params)
+    c_n = (1.0 + params.R / params.Q) ** (1.0 - 1.0 / root)
+    exponent = 1.0 - 2.0 / root
+    pre = params.beta1 * params.R / (c_n * root)
+    smooth = (pre * (n / 2.0) ** exponent, root, None, None, pre, exponent, c_n)
+    h = original_optimal_layers(n, params)
+    original = params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
+    front = params.beta1 * params.depth_ratio / (c_n * params.beta)
+    closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
+    return smooth, original, closed
+
+
+def search_depth_per_call(n, params, h_max):
+    """optimizer._search_depth's (h_exact, h_approx, h_int, M1, value), or None
+    when no depth in 2..h_max fits, with h_approx from params.smooth_depth
+    and A from a log of n/2 of its own: two logs per call. The depths come
+    from the package's depth table, as the search reads them."""
+    from hiercoop.optimizer import _depth_factors, _depth_optimum
+    from hiercoop.params import smooth_depth
+
+    h_approx = smooth_depth(n, params)
+    A = math.log(n / 2.0) - params.log_1_plus_R_over_Q
+    a = params.half_log_c
+    h_exact = 2.0 * A / (1.0 + math.sqrt(1.0 + 4.0 * a * A)) if A > 0.0 else 0.0
+    h = min(max(math.floor(h_exact), 2), h_max)
+    if h < h_max and A > (params._depths[h] or _depth_factors(h, params)).switch:
+        best = _depth_optimum(h + 1, n, params)
+        if best is not None:
+            return (h_exact, h_approx, h + 1, *best)
+    for h in range(h, 1, -1):
+        best = _depth_optimum(h, n, params)
+        if best is not None:
+            return (h_exact, h_approx, h, *best)
+    return None
+
+
 def row_forms_per_call(n, R, Q, beta1, beta, c, log_beta1, h_max):
     """(search, smooth, original, closed) at (n, h_max), with every log of the
     rate pair but log_beta1 taken here on each call.
@@ -361,8 +408,10 @@ def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
     row builds a validated NetworkConfig(n, area_n, alpha, c0) and reads its
     area factor as classify(...).factor before the metrics, so a bad n, an
     overflowing n**nu or its demand, a failed metric and a non-finite metric
-    are named in that order. The other constants are taken as valid and the
-    grid as strictly increasing.
+    are named in that order. An int n past float range is a bad n: the
+    DomainError that names its bit length, from area_from_exponent or
+    NetworkConfig, whichever reads it first. The other constants are taken
+    as valid and the grid as strictly increasing.
     """
     import hiercoop as hc
 

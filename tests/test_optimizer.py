@@ -488,13 +488,13 @@ class TestDepthSearch:
     def test_repeat_call_runs_no_check_again(self, monkeypatch, unit_params):
         # the checks run once per new (n, params, cap); the default cap is MAX_LAYERS
         calls = []
-        real = optimizer.smooth_depth
+        real = optimizer.check_network_size
 
-        def counted(n, params):
+        def counted(n):
             calls.append(n)
-            return real(n, params)
+            return real(n)
 
-        monkeypatch.setattr(optimizer, "smooth_depth", counted)
+        monkeypatch.setattr(optimizer, "check_network_size", counted)
         memos.empty()
         first = layer_choice(131072, unit_params)
         assert layer_choice(131072, unit_params, h_max=MAX_LAYERS) is first

@@ -2,6 +2,7 @@
 import copy
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,10 +17,20 @@ from hiercoop import (
     derive,
     validate_plan,
 )
+from hiercoop.area import area_from_exponent
+from hiercoop.explorer import (
+    compare_schemes, ratio_log_adjusted, ratio_original, ratio_original_closed_form,
+)
 from hiercoop.optimizer import _search_depth, depth_optimum, layer_choice, minimal_delay
-from hiercoop.params import MIN_CLUSTER, MIN_NODES, check_layer_count, smooth_depth
-from hiercoop.throughput import _smooth_forms, original_optimal_layers, throughput_given_M1
-from oracles import row_forms_per_call
+from hiercoop.params import (
+    MIN_CLUSTER, MIN_NODES, check_layer_count, check_network_size, smooth_depth,
+)
+from hiercoop.throughput import (
+    _smooth_forms, layer_throughput, multihop_baseline, optimal_modified, original_optimal_layers,
+    original_throughput, per_pair_rate, smooth_modified, throughput_given_M1, upper_bound,
+)
+import memos
+from oracles import row_forms_per_call, search_depth_per_call, smooth_forms_per_call
 from strategies import corrupt_params, search_params
 
 #: The fields SchemeParams computes from its five arguments, in slot order.
@@ -171,6 +182,138 @@ class TestRatePairLogs:
         assert _hex(_smooth_forms(n, params)) == _hex(tuple(forms))
         h_orig = math.sqrt(math.log(n / 2.0) / math.log(params.beta))
         assert original_optimal_layers(n, params).hex() == h_orig.hex()
+
+
+def _outcome(call):
+    # a result by the bits of its floats, or the error's type and text
+    try:
+        return _hex(call())
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: The largest int that float() converts: it rounds to the largest float.
+LAST_FLOAT_INT = 2**1024 - 2**970 - 1
+
+
+class TestOneLogPerKernel:
+    """Each row kernel, _smooth_forms and _search_depth, checks n once, takes
+    x = log(n/2) once and reads every smooth depth from x. It gives the bits
+    and errors of the kernel that took each depth from its public
+    definition, with a check and a log of its own."""
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(4, 64) | st.integers(4, 2**62) | st.integers(2**62, 2**1023),
+        params=search_params() | corrupt_params(),
+        h_max=st.integers(2, MAX_LAYERS),
+    )
+    @example(n=LAST_FLOAT_INT, params=derive(1.0, 1.0), h_max=MAX_LAYERS)
+    @example(n=LAST_FLOAT_INT + 1, params=derive(1.0, 1.0), h_max=MAX_LAYERS)
+    # past 2**62 a direct beta far above beta1 overflows the closed ratio's power of beta
+    @example(n=LAST_FLOAT_INT, params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=1e300, c=4.0),
+             h_max=MAX_LAYERS)
+    @example(n=2**62, params=derive(1.0, 1.7e308), h_max=MAX_LAYERS)  # c = inf
+    @example(n=4, params=derive(5e-324, 5e-324), h_max=2)
+    def test_kernels_keep_the_bits_of_the_public_depths(self, n, params, h_max):
+        p = params  # drawn afresh, so the first round fills the depth table
+        rounds = [
+            (_outcome(lambda: _smooth_forms(n, p)), _outcome(lambda: _search_depth(n, p, h_max)))
+            for _ in range(2)
+        ]
+        want = (
+            _outcome(lambda: smooth_forms_per_call(n, p)),
+            _outcome(lambda: search_depth_per_call(n, p, h_max)),
+        )
+        assert rounds == [want, want]
+        forms, search = want
+        if isinstance(forms[0], tuple):
+            # the smooth report's depth is smooth_depth's, and T_orig reads
+            # original_optimal_layers's
+            assert forms[0][1] == smooth_depth(n, p).hex()
+            h = original_optimal_layers(n, p)
+            assert forms[1] == (p.beta * p.R / h * (n / 2.0) ** (1.0 - 2.0 / h)).hex()
+        if isinstance(search, tuple) and len(search) == 5:
+            assert search[1] == smooth_depth(n, p).hex()
+
+    def test_each_kernel_call_takes_one_log(self, monkeypatch):
+        params = derive(1.0, 1.0)
+        logs = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda *args: logs.append(args) or log(*args))
+        _smooth_forms(131072, params)
+        assert logs == [(65536.0,)]
+        _search_depth(131072, params, MAX_LAYERS)
+        assert logs == [(65536.0,)] * 2
+
+    def test_a_sweep_row_takes_four_logs(self, monkeypatch):
+        # one per kernel, and ratio_log_adjusted's log(n) and log(10)
+        params, cfg = derive(1.0, 1.0), NetworkConfig(4)
+        logs = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda *args: logs.append(args) or log(*args))
+        memos.empty()
+        assert compare_schemes([131072], cfg, params, 1.0)[0].error is None
+        assert sorted(logs) == [(10.0,), (65536.0,), (65536.0,), (131072,)]
+
+
+class TestFloatRangeOfN:
+    """check_network_size refuses an int n that float() refuses, by its bit
+    length, and every public route that checks n refuses it there; below
+    that, n past 2**62 still answers."""
+
+    def test_the_bound_is_the_least_int_that_float_refuses(self):
+        assert float(LAST_FLOAT_INT) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(LAST_FLOAT_INT + 1)
+        check_network_size(LAST_FLOAT_INT)
+        message = r"^n must convert to a float, got an int of 1024 bits$"
+        with pytest.raises(DomainError, match=message):
+            check_network_size(LAST_FLOAT_INT + 1)
+
+    def test_a_float_n_is_taken_as_it_is(self, unit_params):
+        check_network_size(math.inf)
+        assert smooth_depth(math.inf, unit_params) == math.inf
+
+    @pytest.mark.parametrize("n", [2**63, LAST_FLOAT_INT], ids=["2**63", "largest_float_int"])
+    def test_past_two_to_the_62_the_routes_answer(self, unit_params, n):
+        assert smooth_modified(n, unit_params).value < math.inf
+        assert layer_choice(n, unit_params).h_int >= 2
+        assert depth_optimum(3, n, unit_params) is not None
+        assert ratio_original(n, unit_params) > 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, p: smooth_depth(n, p),
+            lambda n, p: depth_optimum(3, n, p),
+            lambda n, p: layer_choice(n, p),
+            lambda n, p: layer_choice(n, p, h_max=-5),  # n is named before the cap
+            lambda n, p: layer_throughput(3, n, p),
+            lambda n, p: throughput_given_M1(2, 2.0, n, p),
+            lambda n, p: smooth_modified(n, p),
+            lambda n, p: optimal_modified(n, p),
+            lambda n, p: original_throughput(n, p),
+            lambda n, p: original_optimal_layers(n, p),
+            lambda n, p: upper_bound(n, p),
+            lambda n, p: per_pair_rate(n, p),
+            lambda n, p: ratio_original(n, p),
+            lambda n, p: ratio_original_closed_form(n, p),
+            lambda n, p: ratio_log_adjusted(n, 10.0, p),
+            lambda n, p: multihop_baseline(n, 1.0),
+            lambda n, p: area_from_exponent(n, 0.5),
+            lambda n, p: NetworkConfig(n),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "n", [LAST_FLOAT_INT + 1, 2**1100, 10**400], ids=["least_past_float", "2**1100", "10**400"]
+    )
+    def test_every_route_refuses_an_int_past_float_range(self, unit_params, call, n):
+        message = f"^n must convert to a float, got an int of {n.bit_length()} bits$"
+        memos.empty()
+        for _ in range(2):  # a refusal stores nothing
+            with pytest.raises(DomainError, match=message):
+                call(n, unit_params)
 
 
 class TestNetworkConfig:
