@@ -33,13 +33,13 @@ from .optimizer import (
 from .params import (
     MAX_LAYERS,
     MIN_RATE_RATIO,
+    TIME_SHARING_FACTOR,
     NetworkConfig,
     SchemeParams,
     derive,
     validate_plan,
 )
 from .recurrence import (
-    TIME_SHARING_FACTOR,
     DelaySlots,
     delay_recursive,
 )

@@ -79,9 +79,10 @@ def ratio_original(n: int, params: SchemeParams) -> float:
 
 
 def check_log_base(a: float) -> None:
-    """Raise DomainError unless a, ratio_log_adjusted's log base, exceeds 1."""
-    if not a > 1.0:
-        raise DomainError(f"log base must exceed 1, got {a}")
+    """Raise DomainError unless a, ratio_log_adjusted's log base, exceeds 1
+    and is finite: log_a(n) is 0 at a = inf."""
+    if not 1.0 < a < math.inf:
+        raise DomainError(f"log base must exceed 1 and be finite, got {a}")
 
 
 def ratio_log_adjusted(n: int, a: float, params: SchemeParams) -> float:
@@ -106,12 +107,12 @@ def compare_schemes(
     factor, min(1, c0*n/area**(alpha/2)). The grid must be strictly
     increasing, and a constant that no row can use raises DomainError once,
     before the first row, with its owner's message: an empty grid, nu not
-    finite and >= 0, c_mh not positive, log_base <= 1, then a fixed area
-    whose area**(alpha/2) overflows. A row whose computation raises or
-    produces a non-finite value is annotated and the sweep moves on; its
-    error names, first, an n that NetworkConfig refuses, then an
-    overflowing n**nu or its area**(alpha/2), a failed metric and a
-    non-finite metric.
+    finite and >= 0, c_mh not positive, log_base not finite and above 1,
+    then a fixed area whose area**(alpha/2) overflows. A row whose
+    computation raises or produces a non-finite value is annotated and the
+    sweep moves on; its error names, first, an n that NetworkConfig
+    refuses, then an overflowing n**nu or its area**(alpha/2), a failed
+    metric and a non-finite metric.
     """
     if not n_grid:
         raise DomainError("sweep grid is empty")

@@ -7,9 +7,11 @@ Three nested choices, each with a closed-form answer:
   the minimum is where all terms are equal. That pins every layer size and
   gives minimal_delay.
 * For fixed depth h and node budget n, the top size that balances the
-  cooperative exchange slots against the long-range slots satisfies
-  n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); depth_optimum
-  gives it with the throughput at that size.
+  cooperative exchange slots, K = params.TIME_SHARING_FACTOR times the
+  equal-term delay each, against the long-range slots satisfies
+  n = 2K * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); depth_optimum
+  gives it with the throughput at that size. As K*(1 + Q/R) = c*(1 + R/Q),
+  the throughput there reads K only through c.
 * The depth itself is the bounded argmax of the per-depth throughput over
   feasible integers. With a = log(c)/2 and A = log(n/2) - log(1 + R/Q)
   the log of that throughput is const - log h - a*h - A/h, whose
@@ -21,7 +23,7 @@ Three nested choices, each with a closed-form answer:
   taken once per rate pair.
 * Depth h fits n nodes exactly when the balanced top size puts at least
   MIN_CLUSTER nodes in the equal-term bottom layer, that is when
-  n >= 8 * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
+  n >= 2K * (1 + Q/R) * c**((h-2)*(h+1)/2). For c > 1 that bound grows with
   h, so the depths that fit are a run 2..H. The nearest feasible depth
   above h* is then floor(h*) + 1 or none at all, and the nearest one below
   is the first that fits walking down from floor(h*).
@@ -39,11 +41,11 @@ Three nested choices, each with a closed-form answer:
   reads no R, so the scale of the rates does not move the depth. Where
   rounding could decide the test, the depth taken loses under 1e-14 in
   log throughput (_search_depth states the bound).
-* For derive()d params, c = 4*Q/R, the fit law reads A >= a*h*(h-1), so
+* For derive()d params, c = K*Q/R, the fit law reads A >= a*h*(h-1), so
   the largest depth that fits is H = floor((1 + sqrt(1 + 4A/a))/2). The
   depth the test picks fits with at least 2 nats to spare in log n
   (_search_depth gives the margin), unless it is depth 2 at n near
-  8 * (1 + Q/R), where no depth fits; so H never binds the choice.
+  2K * (1 + Q/R), where no depth fits; so H never binds the choice.
 
 A depth that does not fit is an answer, not an error: depth_optimum returns
 None for it, and the search skips it. When no depth fits, layer_choice
@@ -61,7 +63,13 @@ from typing import NamedTuple
 
 from .errors import InfeasibleError, PlanError
 from .params import (
-    MAX_LAYERS, MIN_CLUSTER, SchemeParams, check_layer_count, check_network_size, validate_plan,
+    MAX_LAYERS,
+    MIN_CLUSTER,
+    TIME_SHARING_FACTOR,
+    SchemeParams,
+    check_layer_count,
+    check_network_size,
+    validate_plan,
 )
 from .recurrence import DelaySlots
 
@@ -84,7 +92,7 @@ class _Depth(NamedTuple):
     """(h-1)/h, the exponent of n in M1 and of n/2 in the value."""
 
     top_scale: float
-    """2 * load**(-e), load = 8 * (1 + Q/R) * c**((h-2)/2): M1 = top_scale * n**e."""
+    """2 * load**(-e), load = 2K * (1 + Q/R) * c**((h-2)/2): M1 = top_scale * n**e."""
 
     bottom_scale: float
     """2 * c**(-(h-2)/2): the bottom layer is bottom_scale * (M1/2)**bottom_power."""
@@ -113,12 +121,13 @@ def _depth_factors(h: int, params: SchemeParams) -> _Depth:
         c_power = params.c ** ((h - 2) / 2.0)
     except OverflowError:
         c_power = math.inf
-    # a load past float range drives M1 to 0, below MIN_CLUSTER
-    load = 8.0 * (1.0 + params.Q / params.R) * c_power
+    # a load past float range drives M1 to 0, below MIN_CLUSTER; 2*K is an
+    # exact int, so the product takes the float operations of 8.0 * ... at K = 4
+    load = 2 * TIME_SHARING_FACTOR * (1.0 + params.Q / params.R) * c_power
     try:
         pre = params.R / (h * (1.0 + params.R / params.Q) ** e * params.c ** ((h - 1) / 2.0))
     except OverflowError:
-        # never read: depth h fits only when n >= 8*(1 + Q/R)*c**((h-2)*(h+1)/2)
+        # never read: depth h fits only when n >= 2K*(1 + Q/R)*c**((h-2)*(h+1)/2)
         # (module docstring), at least the square of the c**((h-1)/2) that
         # overflowed here (h >= 3), so no n that converts to float fits, and
         # no evaluation gets past the fit check to the value; 0.0 is the
@@ -201,13 +210,16 @@ def depth_optimum(h: int, n: int, params: SchemeParams) -> tuple[float, float] |
     """(M1, throughput) at depth h: the balanced top size and the closed form
     R / (h * (1+R/Q)**((h-1)/h) * c**((h-1)/2)) * (n/2)**((h-1)/h).
 
-    M1 solves n = 8 * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)); at this
-    size the phase groups stand in the ratio (P1 + P3) : P2 = (h-1) : 1.
+    M1 solves n = 2K * (1 + Q/R) * c**((h-2)/2) * (M1/2)**(h/(h-1)), with
+    K = params.TIME_SHARING_FACTOR; at this size the phase groups stand in
+    the ratio (P1 + P3) : P2 = (h-1) : 1.
 
     Returns None when the depth does not fit n nodes: M1 < MIN_CLUSTER or a
-    bottom layer under MIN_CLUSTER. M1 never reaches n, since Q/R > 1/4 and
-    c > 1 put 8 * (1 + Q/R) * c**((h-2)/2) above 10, so M1 < 0.32 n. Raises
-    PlanError for h out of range and DomainError for n below MIN_NODES.
+    bottom layer under MIN_CLUSTER. M1 never reaches n: Q/R > 1/K and c > 1
+    put the load 2K * (1 + Q/R) * c**((h-2)/2) above 2(K + 1), and
+    M1 = 2 * (n/load)**((h-1)/h) with n >= 4 is then below
+    n / sqrt(2(K + 1)), 0.32 n at K = 4. Raises PlanError for h out of
+    range and DomainError for n below MIN_NODES.
     """
     check_layer_count(h)
     check_network_size(n)
@@ -320,7 +332,7 @@ def _search_depth(n: int, params: SchemeParams, h_max: int) -> LayerChoice | Non
     s_split reads R, so neither does the choice: values that overflow to
     inf or round to 0 leave it where it is.
 
-    Fit margin: for derive()d params (c = 4*Q/R) depth h fits exactly when
+    Fit margin: for derive()d params (c = K*Q/R) depth h fits exactly when
     A >= a*h*(h-1). As A = h* + a*(h*)**2, floor(h*) fits by h + a*h >= 2
     nats, and depth h + 1, taken when A > s_h, by h*(h+1)*log1p(1/h) > 2.4.
     The walk down is kept for directly built params; on derived ones it never moves.

@@ -3,14 +3,18 @@ and the check on a hierarchy's cluster sizes.
 
 Two rates drive everything. R is the rate of a long-range transmission
 between distant nodes; Q is the rate at which quantized observations are
-shuffled around inside a cluster. Their ratio fixes the constants
+shuffled around inside a cluster. With the time-sharing group size
+K = TIME_SHARING_FACTOR, the model's one geometric constant, which this
+module owns, their ratio fixes the constants
 
-    beta1 = 2*sqrt(Q/R)        growth base of the two-phase scheme
-    beta  = 2*sqrt(1 + Q/R)    growth base of the three-phase ancestor
-    c     = 4*Q/R = beta1**2   per-layer slot inflation in the delay bracket
+    beta1 = sqrt(K)*sqrt(Q/R)        growth base of the two-phase scheme
+    beta  = sqrt(K)*sqrt(1 + Q/R)    growth base of the three-phase ancestor
+    c     = K*Q/R = beta1**2         per-layer slot inflation in the delay bracket
 
-Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/4. SchemeParams
-owns that domain, so no function past its constructor checks a constant.
+Deeper hierarchies only pay off when beta1 > 1, i.e. Q/R > 1/K
+(MIN_RATE_RATIO). SchemeParams owns that domain, so no function past its
+constructor checks a constant. Every constant that depends on K reads
+TIME_SHARING_FACTOR, in float operations that are exact at K = 4.
 check_network_size owns the domain of n: at least MIN_NODES nodes, and for
 an int n a value that float() converts, since every formula reads n only
 through x = log(n/2) and powers of n/2. smooth_depth, sqrt(x/log_beta1), is
@@ -33,8 +37,13 @@ from .errors import DomainError, PlanError
 #: Hard cap on hierarchy depth; guards runaway recursion on pathological input.
 MAX_LAYERS = 64
 
-#: Q/R at or below this, extra layers stop paying for themselves.
-MIN_RATE_RATIO = 0.25
+#: Neighboring clusters time-share the channel in groups of this size, K
+#: (Ozgur, Leveque and Tse, 2007). The one owner of K: every constant of
+#: the model that depends on it reads this name.
+TIME_SHARING_FACTOR = 4
+
+#: Q/R at or below this, 1/K, extra layers stop paying for themselves: c <= 1.
+MIN_RATE_RATIO = 1 / TIME_SHARING_FACTOR
 
 #: Largest network size the CLI accepts; keeps grid interpolation and n/2 in float range.
 N_MAX = 2**62
@@ -115,7 +124,7 @@ class SchemeParams(_DepthTabled):
     Build instances with derive(). Constructing directly bypasses the
     relations between the fields (tests use that to inject deliberately
     corrupted constants), but not the domain: every instance has positive,
-    finite rates with a finite Q/R above 1/4, 1 <= beta1 < inf,
+    finite rates with a finite Q/R above 1/K, 1 <= beta1 < inf,
     1 < beta < inf and c > 1 (c may be inf, as derive gives for Q/R above
     about 4.5e307). Anything else raises DomainError. The derived fields
     are computed from the arguments either way, corrupted ones included.
@@ -124,13 +133,14 @@ class SchemeParams(_DepthTabled):
     __slots__ = {
         "R": "Rate of a long-range node-to-node transmission.",
         "Q": "Rate of the in-cluster quantized-observation exchange.",
-        "beta1": "2*sqrt(Q/R); per-layer growth base of the two-phase scheme.",
-        "beta": "2*sqrt(1 + Q/R); growth base of the three-phase ancestor.",
-        "c": "4*Q/R; slot inflation factor per hierarchy layer.",
+        "beta1": "sqrt(K)*sqrt(Q/R); per-layer growth base of the two-phase scheme.",
+        "beta": "sqrt(K)*sqrt(1 + Q/R); growth base of the three-phase ancestor.",
+        "c": "K*Q/R; slot inflation factor per hierarchy layer.",
         "log_beta1": (
-            "log(beta1) from R and Q, not settable. For 1/8 < Q/R < 5/4 it is "
-            "0.5*log1p(4*(Q - R/4)/R): Q - R/4 is exact where log(beta1) would "
-            "cancel, as Q/R -> 1/4. Elsewhere it is log(beta1), which cannot overflow."
+            "log(beta1) from R and Q, not settable. For 1/(2K) < Q/R < 5/K it is "
+            "0.5*log1p(K*(Q - R/K)/R): Q - R/K is exact at K = 4 where log(beta1) "
+            "would cancel, as Q/R -> 1/K. Elsewhere it is log(sqrt(K)*sqrt(Q/R)), "
+            "which cannot overflow."
         ),
         "log_1_plus_R_over_Q": (
             "log(1 + R/Q), not settable; the depth search's A is log(n/2) less this. "
@@ -154,12 +164,13 @@ class SchemeParams(_DepthTabled):
             raise DomainError(f"beta must exceed 1 and be finite, got {beta}")
         if not c > 1.0:
             raise DomainError(f"c must exceed 1, got {c}")
-        if 0.125 < ratio < 1.25:
-            # R = m * 2**e; scaled, Q - R/4 stays exact where R/4 is subnormal
+        K = TIME_SHARING_FACTOR
+        if 0.5 / K < ratio < 5.0 / K:
+            # R = m * 2**e; scaled, Q - R/K stays exact (K a power of 2) where R/K is subnormal
             m, e = math.frexp(R)
-            log_beta1 = 0.5 * math.log1p(4.0 * ((math.ldexp(Q, -e) - m / 4.0) / m))
+            log_beta1 = 0.5 * math.log1p(K * ((math.ldexp(Q, -e) - m / K) / m))
         else:
-            log_beta1 = math.log(2.0 * math.sqrt(ratio))
+            log_beta1 = math.log(math.sqrt(K) * math.sqrt(ratio))
         _set(self, "R", R)
         _set(self, "Q", Q)
         _set(self, "beta1", beta1)
@@ -200,15 +211,18 @@ def derive(R: float, Q: float) -> SchemeParams:
     """Derive the growth constants for the rate pair (R, Q).
 
     Raises DomainError unless both rates are positive and finite and Q/R is
-    finite and above 1/4, the region where beta1 > 1 and depth can help.
+    finite and above 1/K, the region where beta1 > 1 and depth can help.
+    The square roots are taken apart, sqrt(K)*sqrt(x), as sqrt(K*x)
+    overflows for Q/R above about 4.5e307 where they do not.
     """
     ratio = _rate_ratio(R, Q)
+    K = TIME_SHARING_FACTOR
     return SchemeParams(
         R=float(R),
         Q=float(Q),
-        beta1=2.0 * math.sqrt(ratio),
-        beta=2.0 * math.sqrt(1.0 + ratio),
-        c=4.0 * ratio,
+        beta1=math.sqrt(K) * math.sqrt(ratio),
+        beta=math.sqrt(K) * math.sqrt(1.0 + ratio),
+        c=K * ratio,
     )
 
 

@@ -9,11 +9,12 @@ The slot count of an h-layer hierarchy obeys a linear recursion. The top
 layer spends (M1/M2) * 2*M1 / R slots relaying blocks between itself and
 the layer below, then hands each cluster one level down an inflated block
 of (Q/R) * (M1/M2) bits; neighboring clusters at that level time-share the
-channel in groups of TIME_SHARING_FACTOR. A single bottom-layer cluster with
-blocks of b bits finishes its all-to-all exchange directly in (b/R) * M**2
-slots.
+channel in groups of K = params.TIME_SHARING_FACTOR. A single bottom-layer
+cluster with blocks of b bits finishes its all-to-all exchange directly in
+(b/R) * M**2 slots.
 
-Unrolling the recursion gives, with c from SchemeParams,
+Each layer down thus multiplies the slot count by K*Q/R, the c of
+SchemeParams, and unrolling the recursion gives
 
     slots = (2*M1/R) * ( M1/M2 + c*M2/M3 + ... + c**(h-3) * M_{h-2}/M_{h-1}
                          + c**(h-2) * M_{h-1}/2 )
@@ -34,10 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .params import SchemeParams, validate_plan
-
-#: Neighboring clusters time-share the channel in groups of this size.
-TIME_SHARING_FACTOR = 4
+from .params import TIME_SHARING_FACTOR, SchemeParams, validate_plan
 
 
 class DelaySlots(NamedTuple):

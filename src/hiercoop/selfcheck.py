@@ -21,7 +21,9 @@ that case's comparisons:
   envelope (one-sided; only excess above the bound counts as error). A
   depth that does not fit has no throughput (None) and is no case.
 * ratio_two_routes: the quotient of the scheme throughputs vs the ratio
-  formula, smooth convention, so no depth is searched.
+  formula, smooth convention, so no depth is searched; and the smooth
+  report's depth, which the row kernel takes inline, vs the public
+  params.smooth_depth, whose error joins the case's.
 
 SUITES declares the run order and each tolerance once: 1e-12 for identities
 rational in the inputs, 1e-9 where exp/log round-trips enter, and for
@@ -35,8 +37,8 @@ terms, each at least 2*M1/R, are never 0. run_all reports those
 OverflowErrors, and ratio_original_closed_form's DomainError for a closed
 form past float range, as a DomainError naming the suite and the rate pair.
 The n grids of phase_balance and bound_checks start where depth 2 fits,
-n >= 8*(1 + Q/R), and stop at N_MAX; if none is left the suite raises
-InfeasibleError (verify: exit 3).
+n >= 2K*(1 + Q/R) with K = params.TIME_SHARING_FACTOR, and stop at N_MAX;
+if none is left the suite raises InfeasibleError (verify: exit 3).
 
 am_gm_equal_terms, phase_balance and bound_checks walk depths upward, h
 outer, and a size (a top size M1 for am_gm_equal_terms) that depth h does
@@ -59,7 +61,7 @@ from typing import NamedTuple
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
-from .params import N_MAX, SchemeParams
+from .params import N_MAX, TIME_SHARING_FACTOR, SchemeParams, smooth_depth
 from .recurrence import _bracket, delay_recursive
 from .throughput import (
     layer_throughput,
@@ -95,8 +97,8 @@ def _rel_err(value: float, reference: float) -> float:
 
 def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> list[int]:
     # n = 2**x, shifted up by whole octaves until the first n reaches
-    # 8*(1 + Q/R), where depth 2 starts to fit; none above N_MAX
-    need = 8.0 * (1.0 + params.Q / params.R)
+    # 2K*(1 + Q/R), where depth 2 starts to fit; none above N_MAX
+    need = 2 * TIME_SHARING_FACTOR * (1.0 + params.Q / params.R)
     if not need <= N_MAX:
         raise InfeasibleError(
             f"suite {suite} has no case at R={params.R:g}, Q={params.Q:g}: "
@@ -199,11 +201,15 @@ def bound_checks(params: SchemeParams, seed: int) -> list[float]:
 
 
 def ratio_two_routes(params: SchemeParams, seed: int) -> list[float]:
-    """Direct division of the scheme throughputs vs the closed-form ratio."""
+    """Direct division of the scheme throughputs vs the closed-form ratio,
+    and the smooth report's depth vs smooth_depth."""
     errors = []
     for n in (2**k for k in range(10, 45, 2)):
-        direct = smooth_modified(n, params).value / original_throughput(n, params)
-        errors.append(_rel_err(ratio_original_closed_form(n, params), direct))
+        smooth = smooth_modified(n, params)
+        direct = smooth.value / original_throughput(n, params)
+        err = _rel_err(ratio_original_closed_form(n, params), direct)
+        depth_err = _rel_err(smooth.h_used, smooth_depth(n, params))
+        errors.append(err if err > depth_err else depth_err)
     return errors
 
 

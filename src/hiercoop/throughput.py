@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import LayerChoice, depth_optimum, layer_choice, minimal_delay
-from .params import SchemeParams, check_network_size, smooth_depth
-from .recurrence import TIME_SHARING_FACTOR
+from .params import TIME_SHARING_FACTOR, SchemeParams, check_network_size, smooth_depth
 
 
 class ThroughputReport(NamedTuple):
@@ -160,12 +159,13 @@ def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float
     public calls per sweep row stay as they were. Tests call it as the cold
     reference.
     The two ratio routes share c_n and both depths but no power of n/2 or of
-    beta. Up to n = 2**62 it raises only check_network_size's errors; no
+    beta. It raises only check_network_size's errors. Up to n = 2**62 no
     power overflows: beta's is at most exp(2*sqrt(log(2**61)*log(beta))) <
     exp(347), c_n's base is below 5, and the exponents on n/2 are below 1.
     Past 2**62 beta's power stays in range for derive()d params, but may
-    overflow for directly built ones whose beta is far above beta1; that
-    OverflowError propagates.
+    overflow for directly built ones whose beta is far above beta1. It is
+    inf there, so the two smooth throughputs still answer and
+    explorer.ratio_original_closed_form refuses the ratio as not finite.
     """
     check_network_size(n)
     half = n / 2.0
@@ -180,8 +180,11 @@ def _smooth_forms(n: int, params: SchemeParams) -> tuple[ThroughputReport, float
     h = math.sqrt(x / params.log_beta)
     original = params.beta * params.R / h * half ** (1.0 - 2.0 / h)
     front = params.beta1 * params.depth_ratio / (c_n * params.beta)
-    closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
-    return smooth, original, closed
+    try:
+        power = params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
+    except OverflowError:
+        power = math.inf
+    return smooth, original, front * power
 
 
 def optimal_modified(n: int, params: SchemeParams) -> ModifiedThroughput:
@@ -216,8 +219,9 @@ def original_throughput(n: int, params: SchemeParams) -> float:
     """Smooth-depth throughput of the three-phase scheme.
 
     beta * R / sqrt(log_beta(n/2)) * (n/2)**(1 - 2/sqrt(log_beta(n/2))) with
-    beta = 2*sqrt(1 + Q/R); the extra delivery phase is what moves beta1 to
-    beta and drops the c_n correction.
+    beta = sqrt(K)*sqrt(1 + Q/R), K = params.TIME_SHARING_FACTOR, a form
+    inferred rather than derived; the extra delivery phase is what moves
+    beta1 to beta and drops the c_n correction.
     """
     return _smooth_memo(n, params)[1]
 

@@ -47,13 +47,15 @@ MUTANTS = (
     ("upper_bound_times_1.0001", "throughput",
      "return params.beta1 * params.R *", "return 1.0001 * params.beta1 * params.R *"),
     # one per closed-form power and log
-    ("log_beta1_log1p_takes_2x", "params", "math.log1p(4.0 * (", "math.log1p(2.0 * ("),
+    ("log_beta1_log1p_takes_2x", "params", "math.log1p(K * (", "math.log1p(2.0 * ("),
     ("log_beta1_log_takes_1_plus_ratio", "params",
-     "math.log(2.0 * math.sqrt(ratio))", "math.log(2.0 * math.sqrt(1.0 + ratio))"),
+     "math.log(math.sqrt(K) * math.sqrt(ratio))",
+     "math.log(math.sqrt(K) * math.sqrt(1.0 + ratio))"),
     ("derive_beta1_times_1_plus_1e-12", "params",
-     "beta1=2.0 * math.sqrt(ratio),", "beta1=2.0 * math.sqrt(ratio) * (1.0 + 1e-12),"),
+     "beta1=math.sqrt(K) * math.sqrt(ratio),",
+     "beta1=math.sqrt(K) * math.sqrt(ratio) * (1.0 + 1e-12),"),
     ("derive_beta_sqrt_of_4_plus_ratio", "params",
-     "beta=2.0 * math.sqrt(1.0 + ratio),", "beta=math.sqrt(4.0 + ratio),"),
+     "beta=math.sqrt(K) * math.sqrt(1.0 + ratio),", "beta=math.sqrt(K + ratio),"),
     ("smooth_depth_reads_log_n", "params",
      "math.log(n / 2.0) / params.log_beta1", "math.log(n) / params.log_beta1"),
     ("smooth_forms_root_reads_log_n", "throughput",
@@ -132,8 +134,14 @@ MUTANTS = (
     ("classify_boundary_sparse", "area", "if demand <= supply:", "if demand < supply:"),
     ("float_bound_off_by_one_bit", "params",
      "_INT_PAST_FLOAT = 2**1024 - 2**970", "_INT_PAST_FLOAT = 2**1024 - 2**969"),
-    # the constants
-    ("time_sharing_factor_3", "recurrence", "TIME_SHARING_FACTOR = 4", "TIME_SHARING_FACTOR = 3"),
+    # the constants; K = 3 set at its owner is another consistent model, which
+    # run_all passes and only tier-1's K = 4 figures refuse
+    ("time_sharing_factor_3", "params", "TIME_SHARING_FACTOR = 4", "TIME_SHARING_FACTOR = 3"),
+    # a constant that reads K, with K in place of 2K
+    ("balance_load_takes_K", "optimizer",
+     "load = 2 * TIME_SHARING_FACTOR *", "load = TIME_SHARING_FACTOR *"),
+    ("suite_sizes_start_at_K", "selfcheck",
+     "need = 2 * TIME_SHARING_FACTOR *", "need = TIME_SHARING_FACTOR *"),
     ("min_cluster_3", "params", "MIN_CLUSTER = 2.0", "MIN_CLUSTER = 3.0"),
     ("ratio_route_tol_1e-6", "explorer", "RATIO_ROUTE_TOL = 1e-9", "RATIO_ROUTE_TOL = 1e-6"),
     # the per-depth table: an entry stored under the next depth, one table

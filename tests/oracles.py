@@ -260,7 +260,8 @@ def smooth_forms_per_call(n, params):
     """throughput._smooth_forms's (smooth report, T_orig, closed-form ratio),
     with the two-phase root from params.smooth_depth and the three-phase
     depth from throughput.original_optimal_layers: two checks of n and two
-    logs of n/2 per call. The smooth report is a plain tuple."""
+    logs of n/2 per call. The smooth report is a plain tuple. A power of
+    beta past float range is inf, so the closed-form ratio is too."""
     from hiercoop.params import smooth_depth
     from hiercoop.throughput import original_optimal_layers
 
@@ -272,7 +273,10 @@ def smooth_forms_per_call(n, params):
     h = original_optimal_layers(n, params)
     original = params.beta * params.R / h * (n / 2.0) ** (1.0 - 2.0 / h)
     front = params.beta1 * params.depth_ratio / (c_n * params.beta)
-    closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
+    try:
+        closed = front * params.beta ** (2.0 * (1.0 - params.depth_ratio) * h)
+    except OverflowError:
+        closed = front * math.inf
     return smooth, original, closed
 
 
@@ -403,8 +407,9 @@ def depth_constants_50_digits(n, R, Q, c):
 def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
     """compare_schemes's (n, extras, error) rows, built from classify and the metrics.
 
-    A geometry no row can use, nu not finite and >= 0 or a fixed area whose
-    area**(alpha/2) overflows, raises DomainError before the first row. Each
+    A constant no row can use, nu not finite and >= 0, a log base not finite
+    and above 1 or a fixed area whose area**(alpha/2) overflows, raises
+    DomainError before the first row, in that order. Each
     row builds a validated NetworkConfig(n, area_n, alpha, c0) and reads its
     area factor as classify(...).factor before the metrics, so a bad n, an
     overflowing n**nu or its demand, a failed metric and a non-finite metric
@@ -415,10 +420,12 @@ def sweep_rows_per_config(n_grid, cfg, params, c_mh, log_base, nu):
     """
     import hiercoop as hc
 
+    if nu is not None:
+        hc.area.check_area_exponent(nu)
+    if not (log_base > 1.0 and math.isfinite(log_base)):
+        raise hc.DomainError(f"log base must exceed 1 and be finite, got {log_base}")
     if nu is None:
         hc.classify(cfg)
-    else:
-        hc.area.check_area_exponent(nu)
     rows = []
     for n in n_grid:
         try:

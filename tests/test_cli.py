@@ -19,7 +19,7 @@ from hiercoop.cli import SWEEP_COLUMNS, ConfigError, main
 import memos
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-GOLDEN_SWEEP = GOLDEN / "sweep_21pt.csv"
+GOLDEN_COMMANDS = GOLDEN / "commands.txt"
 
 
 def run_cli(capsys, *argv):
@@ -153,49 +153,24 @@ class TestAnalyzeJsonl:
         assert run_cli(capsys, "analyze", "--n", "1000", "--format", "text") == plain
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("analyze_131072.txt", ("analyze", "--n", "131072")),
-        ("analyze_20000_q24.jsonl",
-         ("analyze", "--n", "20000", "--rate-q", "24", "--format", "jsonl")),
-        ("tradeoff_200.txt",
-         ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
-          "--candidate", "2:1:1", "--candidate", "1:1:1")),
-        ("verify_seed0.txt", ("verify",)),
-        ("verify_q24_seed3.txt", ("verify", "--rate-q", "24", "--seed", "3")),
-        # its three lowest rows fit no depth: "T1_int": null
-        ("sweep_q24.jsonl",
-         ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
-          "--rate-q", "24", "--format", "jsonl")),
-        # at the Q/R -> 1/4 edge, where the smooth depth is largest; pins the
-        # ratio column as it stands, below 1 at the top sizes
-        ("sweep_q0p250000001.jsonl",
-         ("sweep", "--grid", "4:4611686018427387904:25:log", "--c-mh", "1",
-          "--rate-q", "0.250000001", "--format", "jsonl")),
-        # near the Q/R -> 1/4 edge, where the most depths fit: 293 bound_checks cases
-        ("verify_q03_seed7.txt", ("verify", "--rate-q", "0.3", "--seed", "7")),
-        # every depth of the suites' walks fits every size, so none leaves: 20/50/330 cases
-        ("verify_q0p250000001.txt", ("verify", "--rate-q", "0.250000001")),
-        # depth 2 alone fits, so every size leaves the walks at depth 3: 4/10/30 cases
-        ("verify_q1e6.txt", ("verify", "--rate-q", "1e6")),
-        # one dense candidate (area_factor 1), one sparse, two failures with nulls
-        ("tradeoff_200_mixed.jsonl",
-         ("tradeoff", "--n", "200", "--area", "100", "--alpha", "4",
-          "--candidate", "60:1:1", "--candidate", "2:1:1", "--candidate=-1:1:1",
-          "--candidate", "1:1:0.2", "--format", "jsonl")),
-        # a lin grid just under 2**62: its rows are n_min, an integer midpoint and n_max
-        ("sweep_lin_top.csv",
-         ("sweep", "--grid", "4611686018427387000:4611686018427387903:3:lin", "--c-mh", "1")),
-        # area n**0.6: an n < 4 row, dense rows, then sparse ones from n = 316693
-        ("sweep_nu_regimes.csv",
-         ("sweep", "--grid", "2:1048576:12:log", "--c-mh", "1", "--nu", "0.6",
-          "--alpha", "4", "--c0", "10")),
-        # a fixed area of 1e6: sparse up to n = 56431603, dense from n = 1518500250
-        ("sweep_area_fixed.csv",
-         ("sweep", "--grid", "4:1099511627776:9:log", "--c-mh", "1", "--area", "1e6")),
-    ],
-)
+def _golden_commands():
+    # (golden file, argv) per line of the table that CI runs too
+    rows = []
+    for line in GOLDEN_COMMANDS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            golden, *argv = line.split()
+            rows.append((golden, tuple(argv)))
+    return rows
+
+
+def test_every_golden_file_has_one_command():
+    goldens = [golden for golden, _ in _golden_commands()]
+    on_disk = sorted(p.name for p in GOLDEN.iterdir() if p != GOLDEN_COMMANDS)
+    assert sorted(goldens) == on_disk
+    assert len(set(goldens)) == len(goldens)
+
+
+@pytest.mark.parametrize("golden, argv", _golden_commands())
 def test_stdout_matches_its_golden_file(capsys, golden, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and err == ""
@@ -211,13 +186,6 @@ class TestSweep:
         assert rc == 0
         row0 = [out.splitlines()[1] for out in (fixed, grown)]
         assert row0 == ['0,,,,,,,,,"n must be an integer >= 4, got 0"'] * 2
-
-    def test_golden_csv_byte_identical(self, capsys):
-        rc, out, err = run_cli(
-            capsys, "sweep", "--grid", "1024:1073741824:21:log", "--c-mh", "1"
-        )
-        assert rc == 0 and err == ""
-        assert out == GOLDEN_SWEEP.read_text()
 
     def test_header_row(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--grid", "1024:1024:1:log", "--c-mh", "1")
@@ -274,7 +242,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--log-base", "1", "log base must exceed 1, got 1.0"),
+            ("--log-base", "1", "log base must exceed 1 and be finite, got 1.0"),
             ("--nu", "-0.5", "area exponent must be >= 0 and finite, got -0.5"),
             ("--c-mh", "0", "multihop constant must be positive, got 0.0"),
         ],

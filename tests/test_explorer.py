@@ -157,6 +157,9 @@ class TestLogAdjustedRatio:
             ratio_log_adjusted(10**6, 1.0, unit_params)
         with pytest.raises(DomainError):
             ratio_log_adjusted(10**6, 0.5, unit_params)
+        for base in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="log base must exceed 1 and be finite"):
+                ratio_log_adjusted(100, base, unit_params)
 
     def test_dips_at_moderate_sizes_then_still_diverges(self, unit_params):
         # at equal rates the log penalty wins at first: the adjusted ratio
@@ -271,6 +274,8 @@ class TestCompareSchemes:
         "constants, message",
         [
             ({"log_base": 1.0}, "log base must exceed 1"),
+            # log_inf(n) is 0: refused, not a ZeroDivisionError in the first row
+            ({"log_base": math.inf}, "log base must exceed 1 and be finite, got inf"),
             ({"nu": -0.5}, "area exponent must be >= 0 and finite, got -0.5"),
             ({"nu": math.nan}, "area exponent must be >= 0 and finite, got nan"),
             ({"nu": math.inf}, "area exponent must be >= 0 and finite, got inf"),
@@ -280,7 +285,8 @@ class TestCompareSchemes:
             # the overflowing area is weighed last, after every other constant
             ({"cfg": NetworkConfig(4, 1e300, 4.0), "log_base": 1.0}, "log base must exceed 1"),
         ],
-        ids=["log_base", "nu", "nu-nan", "nu-inf", "c_mh", "c_mh-inf", "area", "area-log_base"],
+        ids=["log_base", "log_base-inf", "nu", "nu-nan", "nu-inf", "c_mh", "c_mh-inf", "area",
+             "area-log_base"],
     )
     def test_constant_no_row_can_use_raises_before_any_row(
         self, monkeypatch, unit_params, constants, message
@@ -358,8 +364,8 @@ class TestAreaFactorOwner:
     """compare_schemes reads the area factor off plain numbers, taking the
     fixed-area demand once per sweep; its rows are the ones a NetworkConfig
     per row, passed to classify, gives: every figure and every error text.
-    A sweep that the oracle refuses before its first row (nu = inf, an
-    overflowing fixed area) raises the same DomainError."""
+    A sweep that the oracle refuses before its first row (nu = inf, a log
+    base of inf, an overflowing fixed area) raises the same DomainError."""
 
     @given(
         grid=st.lists(
@@ -375,30 +381,34 @@ class TestAreaFactorOwner:
         alpha=st.sampled_from([2.0, 3.0, 4.0]) | st.floats(2.0, 16.0),
         c0=st.floats(1e-9, 1e9) | st.just(1e300),
         params=st.sampled_from([derive(1.0, 1.0), derive(1.0, 24.0), derive(1.0, 0.25 + 1e-6)]),
+        log_base=st.just(10.0) | st.floats(1.0 + 1e-9, 1e300) | st.just(math.inf),
     )
     @example(grid=[199, 200, 201], c_mh=1.0, nu=None, area=100.0, alpha=4.0, c0=50.0,
-             params=derive(1.0, 1.0))  # c0*n == area**(alpha/2) at n = 200
+             params=derive(1.0, 1.0), log_base=10.0)  # c0*n == area**(alpha/2) at n = 200
     @example(grid=[15, 16, 17], c_mh=1.0, nu=0.5, area=1.0, alpha=4.0, c0=1.0,
-             params=derive(1.0, 1.0))  # and at n = 16 with the area n**0.5
+             params=derive(1.0, 1.0), log_base=10.0)  # and at n = 16 with the area n**0.5
     # an overflowing fixed area refuses the sweep, whatever its rows would do
     @example(grid=[2, 16, 2**62, 2**1100], c_mh=1e300, nu=None, area=1e300, alpha=4.0,
-             c0=1.0, params=derive(1.0, 1.0))
+             c0=1.0, params=derive(1.0, 1.0), log_base=10.0)
     # the demand of n**nu overflows at n = 2**62, before its multihop turns inf
     @example(grid=[2, 16, 2**62], c_mh=1e300, nu=3.0, area=1.0, alpha=12.0,
-             c0=1.0, params=derive(1.0, 1.0))
+             c0=1.0, params=derive(1.0, 1.0), log_base=10.0)
+    # a log base of inf refuses the sweep before the overflowing area is weighed
+    @example(grid=[16, 1024], c_mh=1.0, nu=None, area=1e300, alpha=4.0,
+             c0=1.0, params=derive(1.0, 1.0), log_base=math.inf)
     @settings(max_examples=80)
     def test_rows_equal_a_network_config_per_row(
-        self, grid, c_mh, nu, area, alpha, c0, params
+        self, grid, c_mh, nu, area, alpha, c0, params, log_base
     ):
         cfg = NetworkConfig(4, area, alpha, c0)
         try:
-            expected = sweep_rows_per_config(grid, cfg, params, c_mh, 10.0, nu)
+            expected = sweep_rows_per_config(grid, cfg, params, c_mh, log_base, nu)
         except DomainError as exc:
             with pytest.raises(DomainError) as refused:
-                compare_schemes(grid, cfg, params, c_mh, 10.0, nu)
+                compare_schemes(grid, cfg, params, c_mh, log_base, nu)
             assert str(refused.value) == str(exc)
             return
-        rows = compare_schemes(grid, cfg, params, c_mh, 10.0, nu)
+        rows = compare_schemes(grid, cfg, params, c_mh, log_base, nu)
         assert _hexed(rows) == _hexed(expected)
 
     def test_boundary_row_is_dense(self, unit_params):

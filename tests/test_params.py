@@ -1,15 +1,22 @@
 """Parameter derivation, network geometry, cluster-size validation, and the record contract."""
 import copy
+import json
 import math
+import os
+import pathlib
 import pickle
+import shutil
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hiercoop
 from hiercoop import (
     MAX_LAYERS,
     MIN_RATE_RATIO,
+    TIME_SHARING_FACTOR,
     DomainError,
     NetworkConfig,
     PlanError,
@@ -95,6 +102,87 @@ class TestDerive:
     def test_direct_construction_still_checks_the_rates(self):
         with pytest.raises(DomainError):
             SchemeParams(R=-1.0, Q=1.0, beta1=2.0, beta=2.8, c=4.0)
+
+
+#: Run in a child process on a copy of the package whose params sets K = 3.
+K3_CHILD = """
+import json
+import hiercoop
+from hiercoop import MIN_RATE_RATIO, depth_optimum, derive, run_all, throughput_given_M1
+
+verdicts = {}
+for ratio in (0.4, 1.0, 3.0, 24.0, 1e6):
+    failed = [r.name for r in run_all(derive(1.0, ratio), 0) if not r.passed]
+    verdicts[repr(ratio)] = failed
+worst, cases = 0.0, 0
+for ratio in (0.4, 1.0, 24.0):
+    params = derive(1.0, ratio)
+    for h in range(2, 12):
+        for k in range(4, 63):
+            best = depth_optimum(h, 2**k, params)
+            if best is None:
+                continue
+            value = throughput_given_M1(h, best[0], 2**k, params).value
+            worst, cases = max(worst, abs(value - best[1]) / best[1]), cases + 1
+print(json.dumps({
+    "K": hiercoop.TIME_SHARING_FACTOR,
+    "K_read_by_the_recursion": hiercoop.recurrence.TIME_SHARING_FACTOR,
+    "min_rate_ratio": MIN_RATE_RATIO.hex(),
+    "c": derive(1.0, 1.0).c,
+    "verdicts": verdicts,
+    "worst": worst,
+    "cases": cases,
+}))
+"""
+
+
+class TestTimeSharingFactor:
+    """params owns the time-sharing group size K: every constant derived from
+    it reads TIME_SHARING_FACTOR, so setting it there alone gives another
+    consistent model, and K = 4 keeps the bits of the literal forms."""
+
+    def test_time_sharing_group_size(self):
+        assert TIME_SHARING_FACTOR == 4
+        assert MIN_RATE_RATIO == 0.25
+
+    @pytest.mark.parametrize(
+        "ratio",
+        [0.25 + 1e-12, 0.25 + 1e-9, 0.3, 1.0 - 2**-53, 1.0, 1.25 - 2**-52, 1.25, 1.3, 24.0,
+         1e6, 4.5e307, 1.7e308],
+    )
+    def test_K_4_keeps_the_bits_of_the_literal_forms(self, ratio):
+        # the forms with K written as 4: c = inf above about 4.5e307
+        p = derive(1.0, ratio)
+        if 0.125 < ratio < 1.25:
+            m, e = math.frexp(1.0)
+            log_beta1 = 0.5 * math.log1p(4.0 * ((math.ldexp(ratio, -e) - m / 4.0) / m))
+        else:
+            log_beta1 = math.log(2.0 * math.sqrt(ratio))
+        literal = (2.0 * math.sqrt(ratio), 2.0 * math.sqrt(1.0 + ratio), 4.0 * ratio, log_beta1)
+        assert [v.hex() for v in (p.beta1, p.beta, p.c, p.log_beta1)] == [
+            v.hex() for v in literal
+        ]
+
+    def test_K_set_in_params_alone_gives_a_consistent_model(self, tmp_path):
+        package = pathlib.Path(hiercoop.__file__).parent
+        copy = tmp_path / "hiercoop"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        owner, line = copy / "params.py", "\nTIME_SHARING_FACTOR = 4\n"
+        text = owner.read_text()
+        assert text.count(line) == 1
+        owner.write_text(text.replace(line, line.replace("4", "3")))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run(
+            [sys.executable, "-c", K3_CHILD], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert child.returncode == 0, child.stderr
+        got = json.loads(child.stdout)
+        assert (got["K"], got["K_read_by_the_recursion"], got["c"]) == (3, 3, 3.0)
+        assert got["min_rate_ratio"] == (1 / 3).hex()
+        assert got["verdicts"] == {repr(r): [] for r in (0.4, 1.0, 3.0, 24.0, 1e6)}
+        # the balance law 2K(1 + Q/R) and the closed form agree at K = 3
+        assert got["cases"] > 500
+        assert got["worst"] <= 1e-13
 
 
 class TestLogBeta1:
@@ -210,7 +298,8 @@ class TestOneLogPerKernel:
     )
     @example(n=LAST_FLOAT_INT, params=derive(1.0, 1.0), h_max=MAX_LAYERS)
     @example(n=LAST_FLOAT_INT + 1, params=derive(1.0, 1.0), h_max=MAX_LAYERS)
-    # past 2**62 a direct beta far above beta1 overflows the closed ratio's power of beta
+    # past 2**62 a direct beta far above beta1 overflows the closed ratio's power
+    # of beta: the ratio is inf, and the smooth reports still answer
     @example(n=LAST_FLOAT_INT, params=SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=1e300, c=4.0),
              h_max=MAX_LAYERS)
     @example(n=2**62, params=derive(1.0, 1.7e308), h_max=MAX_LAYERS)  # c = inf

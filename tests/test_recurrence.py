@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hiercoop import (
     MAX_LAYERS,
-    TIME_SHARING_FACTOR,
     PlanError,
     delay_recursive,
 )
@@ -16,10 +15,6 @@ from oracles import (
     slots_by_tree_walk,
 )
 from strategies import plans, rate_params
-
-
-def test_time_sharing_group_size():
-    assert TIME_SHARING_FACTOR == 4
 
 
 class TestBaseExchange:

@@ -322,3 +322,13 @@ class TestWork:
         with memos.counted() as traffic:
             selfcheck.ratio_two_routes(unit_params, 0)
         assert traffic.searches == 0
+
+    def test_ratio_two_routes_fails_a_smooth_depth_read_at_n(self, monkeypatch, unit_params):
+        # smooth_depth taken at log(n) rather than log(n/2): no other suite reads
+        # the public depth but bound_checks, through a one-sided envelope
+        monkeypatch.setattr(
+            selfcheck, "smooth_depth", lambda n, p: math.sqrt(math.log(n) / p.log_beta1)
+        )
+        by_name = {r.name: r for r in run_all(unit_params)}
+        assert not by_name["ratio_two_routes"].passed
+        assert by_name["ratio_two_routes"].worst_rel_err > 1e-3

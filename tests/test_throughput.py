@@ -22,6 +22,7 @@ from hiercoop import (
     original_throughput,
     per_pair_rate,
     ratio_original,
+    ratio_original_closed_form,
     smooth_modified,
     throughput_given_M1,
     upper_bound,
@@ -270,6 +271,21 @@ class TestOriginalScheme:
         assert p.beta == 10.0
         assert original_optimal_layers(20000, p) == 2.0
         assert original_throughput(20000, p) == 5.0
+
+    def test_closed_ratio_past_float_range_leaves_the_throughputs_standing(self):
+        # past 2**62, a directly built beta far above beta1 takes the closed
+        # form's power of beta past float range; only the ratio reads it
+        n, p = 2**1024 - 2**970 - 1, SchemeParams(R=1.0, Q=1.0, beta1=2.0, beta=1e300, c=4.0)
+        assert math.isfinite(smooth_modified(n, p).value)
+        assert math.isfinite(original_throughput(n, p))
+        assert optimal_modified(n, p).smooth == smooth_modified(n, p)
+        assert per_pair_rate(n, p) == smooth_modified(n, p).value / n
+        assert throughput._smooth_forms(n, p)[2] == math.inf
+        message = f"^closed-form ratio is not finite at n={n}$"
+        with pytest.raises(DomainError, match=message):
+            ratio_original_closed_form(n, p)
+        with pytest.raises(DomainError, match=message):
+            ratio_original(n, p)
 
 
 class TestBaselinesAndShares:
