@@ -39,10 +39,7 @@ from .params import (
     derive,
     validate_plan,
 )
-from .recurrence import (
-    DelaySlots,
-    delay_recursive,
-)
+from .recurrence import DelaySlots
 from .throughput import (
     ModifiedThroughput,
     ThroughputReport,
@@ -93,7 +90,6 @@ __all__ = [
     "c0_tradeoff",
     "classify",
     "compare_schemes",
-    "delay_recursive",
     "depth_optimum",
     "derive",
     "layer_choice",

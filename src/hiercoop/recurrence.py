@@ -21,10 +21,12 @@ SchemeParams, and unrolling the recursion gives
 
 delay_recursive walks the recursion using Q and R directly;
 delay_closed_form evaluates the bracket using the stored c. The two routes
-share no arithmetic, so their agreement is a real consistency check.
-delay_closed_form is validate_plan, then the kernel _bracket(sizes, c, R),
-then the DelaySlots record; the verify suites run _bracket on a plan that
-delay_recursive or optimal_cluster_sizes has just checked, once per case.
+share no arithmetic, so their agreement is a real consistency check. Each
+route is validate_plan, then its kernel, _walk(sizes, R, Q/R) or
+_bracket(sizes, c, R), then the DelaySlots record. The verify suites run
+the kernels alone, once per case: recursion_vs_closed_form runs both on a
+plan it builds valid, and am_gm_equal_terms runs _bracket on the plan
+optimal_cluster_sizes has just checked.
 
 Both routes share one overflow contract: a slot count that leaves float
 range raises OverflowError naming the layer at which the running count
@@ -73,8 +75,12 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     Raises OverflowError naming the layer at which the slot count leaves
     float range.
     """
-    sizes = validate_plan(sizes)
-    R, inflation = params.R, params.Q / params.R
+    return tuple.__new__(DelaySlots, _walk(validate_plan(sizes), params.R, params.Q / params.R))
+
+
+def _walk(sizes: tuple[float, ...], R: float, inflation: float) -> tuple[float, tuple[float, ...]]:
+    # delay_recursive's (slots, decomposition) for a plan validate_plan
+    # accepts, with inflation = Q/R
     # block load in bits at the current layer: one bit at the top
     load = 1.0
     # TIME_SHARING_FACTOR**i, an exact int
@@ -97,7 +103,7 @@ def delay_recursive(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlot
     total += term
     if not math.isfinite(total):
         raise _overflow(decomposition)
-    return tuple.__new__(DelaySlots, (total, tuple(decomposition)))
+    return total, tuple(decomposition)
 
 
 def delay_closed_form(sizes: tuple[float, ...], params: SchemeParams) -> DelaySlots:
@@ -114,7 +120,7 @@ def _bracket(sizes: tuple[float, ...], c: float, R: float) -> tuple[float, tuple
     lead = 2.0 * sizes[0] * (1.0 / R)
     last = len(sizes) - 1
     terms = []
-    # a left fold from 0.0, as in delay_recursive
+    # a left fold from 0.0, as in _walk
     total = 0.0
     try:
         for i in range(last):

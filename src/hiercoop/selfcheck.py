@@ -8,9 +8,9 @@ that case's comparisons:
 * recursion_vs_closed_form: the level-by-level recursion (driven by Q and R)
   against the unrolled bracket (driven by the stored c), in one pass per
   case: _rel_err of the totals, then a running max of the term errors.
-  The public delay_recursive checks each drawn plan, as a user's call
-  would, and the bracket kernel recurrence._bracket reads that same plan,
-  so a case checks its plan once and builds one record.
+  Each public slot route is validate_plan plus its kernel; the suite builds
+  every plan valid and runs the two kernels, recurrence._walk and
+  recurrence._bracket, on it, so a case checks no plan and builds no record.
   The only suite that trips when c is inconsistent with Q/R.
 * am_gm_equal_terms: at the optimizer's layer sizes all bracket terms are
   equal and minimal_delay matches their sum.
@@ -61,8 +61,8 @@ from typing import NamedTuple
 from .errors import DomainError, InfeasibleError
 from .explorer import RATIO_ROUTE_TOL, ratio_original_closed_form
 from .optimizer import depth_optimum, minimal_delay, optimal_cluster_sizes
-from .params import N_MAX, TIME_SHARING_FACTOR, SchemeParams, smooth_depth
-from .recurrence import _bracket, delay_recursive
+from .params import MIN_CLUSTER, N_MAX, TIME_SHARING_FACTOR, SchemeParams, smooth_depth
+from .recurrence import _bracket, _walk
 from .throughput import (
     layer_throughput,
     original_throughput,
@@ -109,26 +109,35 @@ def _sizes(suite: str, params: SchemeParams, exponents: range | list[float]) -> 
 
 
 def recursion_vs_closed_form(params: SchemeParams, seed: int) -> list[float]:
-    """Random geometric hierarchies, recursion vs bracket, sum and per term."""
+    """Random geometric hierarchies, recursion vs bracket, sum and per term.
+
+    Every drawn plan is one validate_plan accepts, so the two slot kernels
+    read it unchecked: it holds 1 to 5 sizes, fewer than MAX_LAYERS, its
+    bottom is at least MIN_CLUSTER, and each size above is at least 1.5
+    times the one below, so the plan strictly decreases and stays finite.
+    """
     rng = random.Random(seed)
     # the draws of rng.uniform(a, b), which is a + (b - a) * rng.random(), and of
     # rng.randint(2, 6), which is 2 + getrandbits(3) redrawn while >= 5, without their calls
     draw, bits = rng.random, rng.getrandbits
+    R, inflation, c = params.R, params.Q / params.R, params.c
+    # the bottom size is rng.uniform(MIN_CLUSTER, 64.0)
+    low = MIN_CLUSTER
+    span = 64.0 - low
     errors = []
     for _ in range(_RANDOM_CASES):
+        # h - 2 for a depth h of 2..6
         k = bits(3)
         while k >= 5:
             k = bits(3)
-        h = 2 + k
-        sizes = [2.0 + (64.0 - 2.0) * draw()]
-        for _ in range(h - 2):
+        sizes = [low + span * draw()]
+        for _ in range(k):
             sizes.append(sizes[-1] * (1.5 + (8.0 - 1.5) * draw()))
         sizes.reverse()
-        walked = delay_recursive(sizes, params)
-        # the plan delay_recursive has just checked; the same floats it holds
-        total, terms = _bracket(sizes, params.c, params.R)
-        worst = _rel_err(walked.slots, total)
-        for value, reference in zip(walked.decomposition, terms):
+        slots, decomposition = _walk(sizes, R, inflation)
+        total, terms = _bracket(sizes, c, R)
+        worst = _rel_err(slots, total)
+        for value, reference in zip(decomposition, terms):
             err = abs(value - reference) / reference
             if err > worst:
                 worst = err

@@ -15,7 +15,6 @@ from hiercoop import (
     PlanError,
     SchemeParams,
     compare_schemes,
-    delay_recursive,
     depth_optimum,
     derive,
     layer_choice,
@@ -35,7 +34,7 @@ from hiercoop import (
     upper_bound,
 )
 from hiercoop.params import smooth_depth
-from hiercoop.recurrence import delay_closed_form
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 from strategies import plans
 
 #: Field values at the edges of float range and of the domain.

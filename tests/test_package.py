@@ -18,7 +18,6 @@ from hiercoop import (
     c0_tradeoff,
     classify,
     compare_schemes,
-    delay_recursive,
     derive,
     layer_choice,
     layer_throughput,
@@ -28,7 +27,7 @@ from hiercoop import (
 )
 from hiercoop.cli import _OPTIONS
 from hiercoop.params import _DepthTabled, _Frozen
-from hiercoop.recurrence import delay_closed_form
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 
 MODULES = sorted(pathlib.Path(hiercoop.__file__).parent.glob("*.py"))
 

@@ -2,12 +2,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercoop import (
-    MAX_LAYERS,
-    PlanError,
-    delay_recursive,
-)
-from hiercoop.recurrence import delay_closed_form
+from hiercoop import MAX_LAYERS, PlanError
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 from oracles import (
     base_slots_by_enumeration,
     bracket_by_formula,

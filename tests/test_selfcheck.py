@@ -11,6 +11,7 @@ from hiercoop import (
     DomainError, InfeasibleError, SchemeParams, SuiteResult, derive, run_all, selfcheck,
 )
 from hiercoop.explorer import RATIO_ROUTE_TOL
+from hiercoop.params import validate_plan
 from hiercoop.recurrence import delay_closed_form, delay_recursive
 from hiercoop.selfcheck import (
     RATIONAL_TOL,
@@ -191,6 +192,38 @@ class TestNonFiniteErrors:
             recursion_vs_closed_form(derive(1.0, 1.7e308), 0)
 
 
+def _record_plans(mp):
+    # the plans recursion_vs_closed_form hands the walk kernel, in case order
+    plans = []
+    walk = selfcheck._walk
+
+    def recorded(sizes, R, inflation):
+        plans.append(list(sizes))
+        return walk(sizes, R, inflation)
+
+    mp.setattr(selfcheck, "_walk", recorded)
+    return plans
+
+
+def _uniform_draws(seed, low):
+    # the plans of rng.randint(2, 6) layers, bottom rng.uniform(low, 64.0), each
+    # size above it rng.uniform(1.5, 8.0) times the one below, top-down
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(200):
+        h = rng.randint(2, 6)
+        sizes = [rng.uniform(low, 64.0)]
+        for _ in range(h - 2):
+            sizes.append(sizes[-1] * rng.uniform(1.5, 8.0))
+        drawn.append(sizes[::-1])
+    return drawn
+
+
+def _hexes(plans):
+    # every size of every plan by float.hex
+    return [[m.hex() for m in s] for s in plans]
+
+
 def _per_comparison(params, cases):
     # the judge by its definition: one _rel_err per total and per term pair
     errors = []
@@ -215,14 +248,10 @@ class TestOnePassJudge:
     @example(params=derive(1e300, 1e300), seed=0)
     @example(params=derive(1e-300, 1e-300), seed=0)
     def test_case_errors_are_the_per_comparison_definition(self, params, seed):
-        # the suite's one pass gives every case error bit for bit, or the same error
-        cases = []
+        # the suite's one pass over the two kernels gives every case error of
+        # the public routes bit for bit, or the same error
         with pytest.MonkeyPatch.context() as mp:
-            def recorded(sizes, p):
-                cases.append(sizes)
-                return delay_recursive(sizes, p)
-
-            mp.setattr(selfcheck, "delay_recursive", recorded)
+            cases = _record_plans(mp)
             got = _hexed(recursion_vs_closed_form, params, seed)
         assert got == _hexed(_per_comparison, params, cases)
 
@@ -273,10 +302,10 @@ class TestWork:
     def test_each_suite_calls_the_public_routes_once_per_case(self, monkeypatch):
         # the suites judge the public routes, never a copy of their arithmetic
         calls = collections.Counter()
-        # the first two suites check each plan through a public route, the
-        # walk or the equal-term sizing, and the bracket kernel, _bracket,
-        # reads that same plan
-        routes = ("delay_recursive", "_bracket", "layer_throughput",
+        # the first two suites run the bracket kernel, _bracket, on a plan
+        # that is valid by construction or that the equal-term sizing has
+        # just checked; the first runs the walk kernel, _walk, on it too
+        routes = ("_walk", "_bracket", "layer_throughput",
                   "throughput_given_M1", "optimal_cluster_sizes", "minimal_delay")
         for name in routes:
             def counted(*args, real=getattr(selfcheck, name), name=name):
@@ -286,7 +315,7 @@ class TestWork:
             monkeypatch.setattr(selfcheck, name, counted)
         run_all(derive(1.0, 1.0), 0)
         assert calls == {
-            ("recursion_vs_closed_form", "delay_recursive"): 200,
+            ("recursion_vs_closed_form", "_walk"): 200,
             ("recursion_vs_closed_form", "_bracket"): 200,
             ("am_gm_equal_terms", "optimal_cluster_sizes"): 16,
             ("am_gm_equal_terms", "_bracket"): 12,
@@ -298,24 +327,28 @@ class TestWork:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**70])
     def test_random_hierarchies_are_the_uniform_draws(self, monkeypatch, seed):
         # recursion_vs_closed_form draws rng.randint's and rng.uniform's values without their calls
-        seen = []
-        walk = selfcheck.delay_recursive
-
-        def recorded(sizes, params):
-            seen.append(list(sizes))
-            return walk(sizes, params)
-
-        monkeypatch.setattr(selfcheck, "delay_recursive", recorded)
+        seen = _record_plans(monkeypatch)
         recursion_vs_closed_form(derive(1.0, 1.0), seed)
-        rng = random.Random(seed)
-        drawn = []
-        for _ in range(200):
-            h = rng.randint(2, 6)
-            sizes = [rng.uniform(2.0, 64.0)]
-            for _ in range(h - 2):
-                sizes.append(sizes[-1] * rng.uniform(1.5, 8.0))
-            drawn.append(sizes[::-1])
-        assert [[m.hex() for m in s] for s in seen] == [[m.hex() for m in s] for s in drawn]
+        assert _hexes(seen) == _hexes(_uniform_draws(seed, 2.0))
+
+    @pytest.mark.parametrize("Q", [1.0, 24.0, 0.3])
+    def test_drawn_plans_are_valid_by_construction(self, monkeypatch, Q):
+        # the suite runs the kernels on no checked plan: validate_plan returns
+        # every plan it draws unchanged
+        seen = _record_plans(monkeypatch)
+        for seed in [*range(51), 2**70]:
+            recursion_vs_closed_form(derive(1.0, Q), seed)
+        assert len(seen) == 52 * 200
+        assert _hexes(seen) == _hexes(map(validate_plan, seen))
+
+    def test_drawn_bottoms_read_the_cluster_floor(self, monkeypatch):
+        # the bottom draw is rng.uniform(MIN_CLUSTER, 64.0): a raised floor
+        # raises every bottom size with it
+        monkeypatch.setattr(selfcheck, "MIN_CLUSTER", 3.0)
+        seen = _record_plans(monkeypatch)
+        recursion_vs_closed_form(derive(1.0, 1.0), 0)
+        assert min(s[-1] for s in seen) >= 3.0
+        assert _hexes(seen) == _hexes(_uniform_draws(0, 3.0))
 
     def test_ratio_two_routes_runs_no_depth_search(self, unit_params):
         # it reads only the smooth figure, which needs no depth

@@ -9,7 +9,6 @@ from hiercoop import (
     InfeasibleError,
     PlanError,
     SchemeParams,
-    delay_recursive,
     depth_optimum,
     derive,
     layer_choice,
@@ -28,7 +27,7 @@ from hiercoop import (
     upper_bound,
 )
 from hiercoop import throughput
-from hiercoop.recurrence import delay_closed_form
+from hiercoop.recurrence import delay_closed_form, delay_recursive
 from oracles import depth_constants_50_digits, slots_by_tree_walk
 from strategies import plans
 
